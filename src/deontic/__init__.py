@@ -34,7 +34,7 @@ from .proof import (
 )
 from .search import (
     CountermodelReport, RemainderError, RemainderResult, SearchBounds,
-    SearchTimeout, compute_remainder, find_countermodel,
+    SearchError, SearchTimeout, compute_remainder, find_countermodel,
 )
 
 __version__ = "0.1.0"

@@ -481,34 +481,44 @@ def _abstraction_units(f: Formula, acc: dict[Formula, None]) -> None:
             raise TypeError(f"not a formula: {f!r}")
 
 
-def _eval_abstract(f: Formula, env: Mapping[Formula, bool]) -> bool:
+def _eval_bits(f: Formula, cols: Mapping[Formula, int], full: int) -> int:
     match f:
         case Atom() | Obl() | PermS() | PermW():
-            return env[f]
+            return cols[f]
         case Top():
-            return True
+            return full
         case Bottom():
-            return False
+            return 0
         case Not(x):
-            return not _eval_abstract(x, env)
+            return full ^ _eval_bits(x, cols, full)
         case And(l, r):
-            return _eval_abstract(l, env) and _eval_abstract(r, env)
+            return _eval_bits(l, cols, full) & _eval_bits(r, cols, full)
         case Or(l, r):
-            return _eval_abstract(l, env) or _eval_abstract(r, env)
+            return _eval_bits(l, cols, full) | _eval_bits(r, cols, full)
         case Implies(l, r):
-            return (not _eval_abstract(l, env)) or _eval_abstract(r, env)
+            return (full ^ _eval_bits(l, cols, full)) | _eval_bits(r, cols, full)
         case Iff(l, r):
-            return _eval_abstract(l, env) == _eval_abstract(r, env)
+            return full ^ _eval_bits(l, cols, full) ^ _eval_bits(r, cols, full)
     raise TypeError(f"not a formula: {f!r}")
 
 
+_CHUNK_UNITS = 12  # units packed into one walk: 2^12 rows, ints of at most 512 bytes
+
+
 def is_tautology(f: Formula) -> bool:
-    """Truth-table tautology check with maximal modal subformulas abstracted as atoms."""
+    """Truth-table tautology check with maximal modal subformulas abstracted as atoms.
+
+    Bit-parallel: bit r of unit i's column is bit i of r, so one walk evaluates 2^12 rows.
+    Units past the first 12 are fixed per chunk; the first chunk not all true ends the check.
+    """
     units: dict[Formula, None] = {}
     _abstraction_units(f, units)
     keys = list(units)
-    for values in itertools.product((False, True), repeat=len(keys)):
-        if not _eval_abstract(f, dict(zip(keys, values))):
+    full = (1 << (1 << min(len(keys), _CHUNK_UNITS))) - 1
+    cols = {u: full - full // ((1 << (1 << i)) + 1) for i, u in enumerate(keys[:_CHUNK_UNITS])}
+    for values in itertools.product((0, full), repeat=len(keys[_CHUNK_UNITS:])):
+        cols.update(zip(keys[_CHUNK_UNITS:], values))
+        if _eval_bits(f, cols, full) != full:
             return False
     return True
 

@@ -43,7 +43,7 @@ from .frames import (
 )
 
 __all__ = [
-    "SearchBounds", "CountermodelReport", "SearchTimeout", "find_countermodel",
+    "SearchBounds", "CountermodelReport", "SearchTimeout", "SearchError", "find_countermodel",
     "RemainderResult", "RemainderError", "compute_remainder",
 ]
 
@@ -52,6 +52,10 @@ HARD_WORLD_CAP = 5
 
 class SearchTimeout(RuntimeError):
     pass
+
+
+class SearchError(RuntimeError):
+    """Raised when a found countermodel fails re-verification."""
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,8 @@ def _search_models(target, required, bounds, clock) -> CountermodelReport:
                     ts = truth_set(model, target)
                     if ts != frozenset(worlds):
                         world = next(w for w in worlds if w not in ts)
-                        assert not evaluate(model, world, target)
+                        if evaluate(model, world, target):
+                            raise SearchError("formula countermodel failed re-verification")
                         report.found = True
                         report.model = model
                         report.world = world
@@ -311,7 +316,8 @@ def _realise_violation(frame_model, rule, schema_target, violation: SchemaViolat
     w = violation.world
     if rule is None:
         instance = instantiate(schema_target, subst)
-        assert not evaluate(model, w, instance), "schema countermodel failed re-verification"
+        if evaluate(model, w, instance):
+            raise SearchError("schema countermodel failed re-verification")
         return model, instance
 
     p, q = subst["p"], subst["q"]
@@ -332,9 +338,12 @@ def _realise_violation(frame_model, rule, schema_target, violation: SchemaViolat
         premise = And(PermS(Or(p, q)), PermW(r))
         side_ok = truth_set(model, r) <= truth_set(model, p)
         conclusion = PermS(p)
-    assert evaluate(model, w, premise), "rule countermodel premise failed re-verification"
-    assert side_ok, "rule countermodel side condition failed re-verification"
-    assert not evaluate(model, w, conclusion), "rule countermodel conclusion re-verified true"
+    if not evaluate(model, w, premise):
+        raise SearchError("rule countermodel premise failed re-verification")
+    if not side_ok:
+        raise SearchError("rule countermodel side condition failed re-verification")
+    if evaluate(model, w, conclusion):
+        raise SearchError("rule countermodel conclusion re-verified true")
     return model, Implies(premise, conclusion)
 
 

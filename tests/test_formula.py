@@ -1,10 +1,15 @@
+import itertools
+import time
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deontic import (
-    And, Atom, Iff, Implies, Not, Obl, Or, ParseError, PermS, PermW,
-    Schema, TOP, atoms, expand_pw, instantiate, is_tautology, match_schema,
-    parse, render, schema, tautological_consequence,
+    BOTTOM, And, Atom, Bottom, Formula, Iff, Implies, Not, Obl, Or, ParseError,
+    PermS, PermW, Schema, TOP, Top, atoms, expand_pw, instantiate, is_tautology,
+    match_schema, parse, render, schema, tautological_consequence,
 )
 from deontic.systems import SCHEMAS
 
@@ -165,7 +170,125 @@ class TestTautology:
                 return type(g)(walk(g.left), walk(g.right))
             return g
 
-        assert is_tautology(f) == is_tautology(walk(f))
+        assert is_tautology(f) == is_tautology(walk(f)) == _oracle_is_tautology(f)
+
+
+# Reference for is_tautology: the row-by-row truth table, one dict and one
+# whole-formula walk per row.
+
+def _oracle_units(f: Formula, acc: dict) -> None:
+    match f:
+        case Atom() | Obl() | PermS() | PermW():
+            acc.setdefault(f)
+        case Top() | Bottom():
+            pass
+        case Not(x):
+            _oracle_units(x, acc)
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            _oracle_units(l, acc)
+            _oracle_units(r, acc)
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+
+
+def _oracle_eval(f: Formula, env: dict) -> bool:
+    match f:
+        case Atom() | Obl() | PermS() | PermW():
+            return env[f]
+        case Top():
+            return True
+        case Bottom():
+            return False
+        case Not(x):
+            return not _oracle_eval(x, env)
+        case And(l, r):
+            return _oracle_eval(l, env) and _oracle_eval(r, env)
+        case Or(l, r):
+            return _oracle_eval(l, env) or _oracle_eval(r, env)
+        case Implies(l, r):
+            return (not _oracle_eval(l, env)) or _oracle_eval(r, env)
+        case Iff(l, r):
+            return _oracle_eval(l, env) == _oracle_eval(r, env)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _oracle_is_tautology(f: Formula) -> bool:
+    units: dict = {}
+    _oracle_units(f, units)
+    keys = list(units)
+    for values in itertools.product((False, True), repeat=len(keys)):
+        if not _oracle_eval(f, dict(zip(keys, values))):
+            return False
+    return True
+
+
+_UNIT_CONTENT = formulas("ab", max_leaves=3)
+_UNIT_KIND = st.sampled_from([Atom, Obl, PermS, PermW])
+_CONNECTIVE = st.sampled_from([And, Or, Implies, Iff])
+
+
+@st.composite
+def unit_formulas(draw, min_units: int, max_units: int):
+    """Boolean formulas over exactly k distinct units (atoms and modal
+    subformulas, Pw among them), with T, F and repeated units as leaves.
+
+    Three shapes: a random combination g (rarely a tautology), g | ~g (always
+    one), and g | ~m where m is true in a single row of the truth table (a
+    tautology iff g holds in that row, so failing rows land in any chunk).
+    """
+    k = draw(st.integers(min_units, max_units))
+    units = []
+    for i in range(k):
+        op = draw(_UNIT_KIND)
+        u = Atom(f"u{i}")
+        units.append(u if op is Atom else op(Or(u, draw(_UNIT_CONTENT))))
+    extra = draw(st.lists(st.sampled_from(units + [TOP, BOTTOM]), max_size=4))
+    leaves = draw(st.permutations(units + extra)) or [draw(st.sampled_from([TOP, BOTTOM]))]
+
+    def combine(xs):
+        if len(xs) == 1:
+            return Not(xs[0]) if draw(st.booleans()) else xs[0]
+        cut = draw(st.integers(1, len(xs) - 1))
+        op = draw(_CONNECTIVE)
+        return op(combine(xs[:cut]), combine(xs[cut:]))
+
+    g = combine(leaves)
+    shape = draw(st.sampled_from(["plain", "excluded_middle", "one_row"]))
+    if shape == "excluded_middle":
+        return Or(g, Not(g))
+    if shape == "one_row" and units:
+        row = [u if draw(st.booleans()) else Not(u) for u in units]
+        return Or(g, Not(reduce(And, row)))
+    return g
+
+
+class TestTautologyKernel:
+    """is_tautology against the row-by-row oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_formulas(0, 10))
+    def test_matches_row_oracle(self, f):
+        assert is_tautology(f) == _oracle_is_tautology(f)
+
+    @settings(max_examples=6, deadline=None)
+    @given(unit_formulas(13, 16))
+    def test_matches_row_oracle_across_chunks(self, f):
+        # 13-16 units: the units past the 12 packed ones are enumerated per chunk
+        assert is_tautology(f) == _oracle_is_tautology(f)
+
+    def test_wide_disjunction_exits_early(self):
+        # 40 units would be 2^40 rows; the first chunk already has a false row
+        f = reduce(Or, [Atom(f"p{i}") for i in range(40)])
+        start = time.perf_counter()
+        assert not is_tautology(f)
+        assert time.perf_counter() - start < 1.0
+
+    def test_failure_in_a_later_chunk(self):
+        # 15 units; the only false rows make the 15th unit (O p0) true, past the first chunk
+        g = reduce(Or, [PermW(Atom(f"p{i}")) for i in range(14)])
+        extra = Obl(Atom("p0"))
+        assert is_tautology(Implies(g, Or(g, extra)))
+        assert not is_tautology(Implies(Or(g, extra), g))
 
 
 class TestTautologicalConsequence:

@@ -3,7 +3,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from deontic import (
-    FrameProperty, RemainderError, SearchBounds, check_property,
+    FrameProperty, RemainderError, SearchBounds, SearchError, check_property,
     compute_remainder, evaluate, find_countermodel, parse, render,
     rule_valid_on_frame, truth_set, validate_model,
 )
@@ -95,6 +95,22 @@ class TestFindCountermodel:
         deep = schema("O O p -> O p", "p")
         with pytest.raises(ValueError, match="nested"):
             find_countermodel(deep, set(), SearchBounds(2, 1, ("a",)))
+
+    @pytest.mark.parametrize(
+        "target, verdict",
+        [
+            (parse("O p -> Ps p"), True),  # formula regime
+            (SCHEMAS["M_O"], True),  # schema regime
+            ("IFCP_O", False),  # rule regime: the premise no longer holds
+        ],
+    )
+    def test_failed_reverification_raises(self, monkeypatch, target, verdict):
+        # Re-verification is an explicit check that survives ``python -O``.
+        import deontic.search
+
+        monkeypatch.setattr(deontic.search, "evaluate", lambda *args: verdict)
+        with pytest.raises(SearchError, match="re-verif"):
+            find_countermodel(target, set(), SearchBounds(3, 2, ("p", "q", "r")))
 
 
 def _independent_tuple_count(max_worlds: int, max_sets: int, n_atoms: int) -> int:
