@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Replay every bundled scenario and print the transcripts."""
 
-from deontic import Atom, Not, Obl, PermS, compute_remainder, render
+from deontic.cli import demo_transcript
 from deontic.proof import SCENARIOS, run_scenario, scenario_registry
 
 
@@ -10,15 +10,7 @@ def main() -> int:
     failures = 0
     for name in SCENARIOS:
         result = run_scenario(name, registry)
-        print(result.transcript())
-        if name == "five-disjuncts":
-            disjuncts = [Atom(a) for a in "pqrst"]
-            base = compute_remainder(disjuncts, [Obl(Not(Atom(a))) for a in "pqr"])
-            print("remainder after O ~p, O ~q, O ~r: "
-                  + render(PermS(base.surviving_disjunction())))
-            extended = compute_remainder(disjuncts, [Obl(Not(Atom(a))) for a in "pqrs"])
-            print("adding O ~s detaches: "
-                  + ", ".join(render(PermS(d)) for d in extended.detached))
+        print(demo_transcript(result))
         print()
         if not result.ok:
             failures += 1

@@ -21,12 +21,12 @@ from .model import (
     validate_model,
 )
 from .frames import (
-    RULE_PROPERTIES, FrameProperty, check_property, rule_valid_on_frame,
+    GUARDED_RULES, FrameProperty, check_property, rule_valid_on_frame,
     schema_valid_on_frame, supplementation_closure,
 )
 from .systems import SCHEMAS, frame_class
 from .proof import (
-    SCENARIOS, TABLE1_DERIVABLES, check_proof, parse_proof_script,
+    SCENARIOS, TABLE1_DERIVABLES, ScenarioResult, check_proof, parse_proof_script,
     run_scenario, scenario_registry, verify_inclusions, verify_table1,
 )
 from .search import (
@@ -202,7 +202,7 @@ def _cmd_verify_table1(args) -> int:
 def _cmd_countermodel(args) -> int:
     if args.target in SCHEMAS:
         target = SCHEMAS[args.target]
-    elif args.target in RULE_PROPERTIES:
+    elif args.target in GUARDED_RULES:
         target = args.target
     else:
         target = parse(args.target)
@@ -293,16 +293,23 @@ def _cmd_remainder(args) -> int:
     return 0
 
 
-def _cmd_demo(args) -> int:
-    result = run_scenario(args.name)
-    print(result.transcript())
-    if args.name == "five-disjuncts":
+def demo_transcript(result: ScenarioResult) -> str:
+    """A scenario's transcript; five-disjuncts adds the remainder before and after O ~s."""
+    out = [result.transcript()]
+    if result.name == "five-disjuncts":
         disjuncts = [Atom(a) for a in "pqrst"]
         base = compute_remainder(disjuncts, [Obl(Not(Atom(a))) for a in "pqr"])
-        print("remainder after O ~p, O ~q, O ~r: "
-              + render(PermS(base.surviving_disjunction())))
+        out.append("remainder after O ~p, O ~q, O ~r: "
+                   + render(PermS(base.surviving_disjunction())))
         extended = compute_remainder(disjuncts, [Obl(Not(Atom(a))) for a in "pqrs"])
-        print("adding O ~s detaches: " + ", ".join(render(PermS(d)) for d in extended.detached))
+        out.append("adding O ~s detaches: "
+                   + ", ".join(render(PermS(d)) for d in extended.detached))
+    return "\n".join(out)
+
+
+def _cmd_demo(args) -> int:
+    result = run_scenario(args.name)
+    print(demo_transcript(result))
     return 0 if result.ok else 1
 
 
@@ -368,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--property")
     group.add_argument("--schema")
-    group.add_argument("--rule", choices=sorted(RULE_PROPERTIES))
+    group.add_argument("--rule", choices=sorted(GUARDED_RULES))
 
     p = add("prove", _cmd_prove, "check a derivation script")
     p.add_argument("script")
@@ -376,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-table1", _cmd_verify_table1, "run the bundled derivability suite")
     p.add_argument("--system", choices=sorted(TABLE1_DERIVABLES))
-    p.add_argument("--all", action="store_true", help="all systems (default)")
 
     p = add("countermodel", _cmd_countermodel, "bounded countermodel search")
     p.add_argument("--target", required=True, help="formula, schema name, or rule name")

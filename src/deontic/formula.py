@@ -27,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Not", "And", "Or", "Implies", "Iff",
@@ -125,53 +125,31 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# One token per match, whitespace skipped: an operator, a name, or any other character.
+_TOKEN = re.compile(r"(?P<op><->|->|[&|~()])|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<other>\S)")
 _ATOM = re.compile(r"[a-z][a-z0-9_]*")
 _RESERVED = ("O", "Ps", "Pw", "T", "F")
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            out.append(_Token("<->", "<->", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            out.append(_Token("->", "->", i))
-            i += 2
-            continue
-        if c in "&|~()":
-            out.append(_Token(c, c, i))
-            i += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group()
-            if word in _RESERVED:
-                out.append(_Token(word, word, i))
-            elif _ATOM.fullmatch(word):
-                out.append(_Token("atom", word, i))
-            else:
-                raise ParseError(
-                    f"invalid name {word!r}; atoms match [a-z][a-z0-9_]*", i, ("atom",)
-                )
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    out.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, word, i = m.lastgroup, m.group(), m.start()
+        if kind == "op" or word in _RESERVED:
+            out.append(_Token(word, word, i))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {word!r}", i)
+        elif _ATOM.fullmatch(word):
+            out.append(_Token("atom", word, i))
+        else:
+            raise ParseError(f"invalid name {word!r}; atoms match [a-z][a-z0-9_]*", i, ("atom",))
+    out.append(_Token("end", "", len(text)))
     return out
 
 

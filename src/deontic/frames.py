@@ -18,7 +18,8 @@ condition.  Each one restricts its axiom-shaped counterpart: fixing the
 auxiliary set variable as the complement of the obligation-side set (or
 as the permitted set itself, for the weak-permission guards) recovers
 the axiom condition, so a frame satisfying a rule condition always
-satisfies the matching axiom condition.
+satisfies the matching axiom condition.  ``GUARDED_RULES`` describes
+each rule once.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from typing import Iterable
 
 from .formula import (
     And, Atom, Bottom, Formula, Iff, Implies, Not, Obl, Or, PermS, PermW,
-    Schema, Top, atoms,
+    Schema, Top, atoms, schema,
 )
 from .model import NeighbourhoodModel, WorldSet
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
     "check_property", "recheck_witness", "classify_frame",
-    "schema_valid_on_frame", "rule_valid_on_frame", "RULE_PROPERTIES",
+    "schema_valid_on_frame", "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
     "supplementation_closure", "entailment_closure", "PROPERTY_ENTAILMENTS",
 ]
 
@@ -384,10 +385,35 @@ def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation |
     return None
 
 
-RULE_PROPERTIES = {
-    "IFCP_O": FrameProperty.IFCP_O,
-    "IFCP_P": FrameProperty.IFCP_P,
-    "IFCP2_P": FrameProperty.IFCP2_P,
+@dataclass(frozen=True)
+class GuardedRule:
+    """A guarded-permission rule: from the premise and the theorem-level sides, infer the conclusion.
+
+    ``prop`` is the matching frame condition, and ``letters`` names the rule
+    letter that stands for each of its witness sets x, y, z, q in turn.
+    """
+
+    prop: FrameProperty
+    premise: Schema
+    sides: tuple[Schema, ...]
+    conclusion: Schema
+    letters: tuple[str, ...]
+
+
+def _guarded(prop: FrameProperty, premise: str, sides: tuple[str, ...], conclusion: str,
+             letters: str) -> GuardedRule:
+    def sch(text: str) -> Schema:
+        return schema(text, "p q r s")
+
+    return GuardedRule(prop, sch(premise), tuple(map(sch, sides)), sch(conclusion),
+                       tuple(letters.split()))
+
+
+GUARDED_RULES: dict[str, GuardedRule] = {
+    "IFCP_O": _guarded(FrameProperty.IFCP_O, "Ps(p | q) & O r", ("r -> ~p",), "Ps q", "q p r"),
+    "IFCP_P": _guarded(FrameProperty.IFCP_P, "Ps(p | q) & Pw r & Pw s", ("r -> p", "s -> q"),
+                       "Ps p & Ps q", "p q r s"),
+    "IFCP2_P": _guarded(FrameProperty.IFCP2_P, "Ps(p | q) & Pw r", ("r -> p",), "Ps p", "p q r"),
 }
 
 
@@ -402,20 +428,16 @@ def rule_valid_on_frame(m: NeighbourhoodModel, rule: str) -> SchemaViolation | N
     schematic letters.
     """
     try:
-        prop = RULE_PROPERTIES[rule]
+        guarded = GUARDED_RULES[rule]
     except KeyError:
-        known = ", ".join(sorted(RULE_PROPERTIES))
+        known = ", ".join(sorted(GUARDED_RULES))
         raise ValueError(f"unknown rule {rule!r} (known: {known})") from None
-    wit = check_property(m, prop)
+    wit = check_property(m, guarded.prop)
     if wit is None:
         return None
-    if rule == "IFCP_O":
-        assignment = {"p": wit.y, "q": wit.x, "r": wit.z}
-    elif rule == "IFCP_P":
-        assignment = {"p": wit.x, "q": wit.y, "r": wit.z, "s": wit.q}
-    else:
-        assignment = {"p": wit.x, "q": wit.y, "r": wit.z}
-    return SchemaViolation(assignment, wit.world)
+    # Sorted by letter, the order in which reports print the assignment.
+    return SchemaViolation(dict(sorted(zip(guarded.letters, (wit.x, wit.y, wit.z, wit.q)))),
+                           wit.world)
 
 
 def supplementation_closure(m: NeighbourhoodModel, which: str) -> NeighbourhoodModel:

@@ -69,12 +69,34 @@ def make_model(
     return NeighbourhoodModel(ws, norm(n_obl), norm(n_perm), val)
 
 
+def _world_names(value, field: str) -> None:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(w, str) for w in value):
+        raise ValueError(f"{field}: expected a list of world names, got {value!r:.40}")
+
+
+def _world_sets(value, field: str) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field}: expected a list of world sets, got {value!r:.40}")
+    for s in value:
+        _world_names(s, field)
+
+
 def model_from_dict(data: Mapping) -> NeighbourhoodModel:
-    try:
-        worlds = data["worlds"]
-    except KeyError:
-        raise ValueError("model document must define 'worlds'") from None
-    return make_model(worlds, data.get("N_O"), data.get("N_P"), data.get("valuation"))
+    """Build a model from its document form; a field of the wrong type raises ValueError naming it."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"model document must be an object, got {data!r:.40}")
+    if "worlds" not in data:
+        raise ValueError("model document must define 'worlds'")
+    _world_names(data["worlds"], "worlds")
+    for label, check in (("N_O", _world_sets), ("N_P", _world_sets), ("valuation", _world_names)):
+        raw = data.get(label)
+        if raw is None:
+            continue
+        if not isinstance(raw, Mapping):
+            raise ValueError(f"{label}: expected an object keyed by name, got {raw!r:.40}")
+        for key, value in raw.items():
+            check(value, f"{label}({key})")
+    return make_model(data["worlds"], data.get("N_O"), data.get("N_P"), data.get("valuation"))
 
 
 def model_to_dict(m: NeighbourhoodModel) -> dict:

@@ -53,16 +53,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .formula import (
-    And, Formula, Iff, Implies, Not, Obl, Or, PermS, Schema,
+    And, Formula, Iff, Implies, Not, Obl, PermS, Schema,
     expand_pw, instantiate, is_tautology, match_schema, parse, render,
     tautological_consequence,
 )
 from . import bundled
 from .frames import (
-    FrameProperty, check_property, entailment_closure, rule_valid_on_frame,
-    schema_valid_on_frame,
+    GUARDED_RULES, FrameProperty, check_property, entailment_closure,
+    rule_valid_on_frame, schema_valid_on_frame,
 )
 from .systems import (
     SCHEMAS, FixtureCheck, InclusionFact, SystemDef, SystemRegistry,
@@ -127,9 +128,9 @@ class ProofResult:
 
 _BODY_LINE = re.compile(r"^(\d+)\.\s*(.*?)\s*;\s*(.*)$")
 _AX = re.compile(r"^(\w+)\s*(\{.*\})?$")
-_IFCP_O = re.compile(r"^([\d,\s]+?)\s+side=(taut|\d+)$")
-_IFCP_P = re.compile(r"^([\d,\s]+?)\s+(taut|\d+)\s+(taut|\d+)$")
-_IFCP2_P = re.compile(r"^([\d,\s]+?)\s+(taut|\d+)$")
+# Justification keyword of each guarded rule (ifcp_o, ...), and the label its sides carry.
+_GUARDED_KINDS = {name.lower(): name for name in GUARDED_RULES}
+_SIDE_LABEL = {"ifcp_o": "side="}
 
 
 def _parse_refs(text: str) -> tuple[int, ...]:
@@ -183,23 +184,14 @@ def _parse_justification(text: str) -> Justification:
         if len(parts) != 2 or parts[1] not in ("O", "Ps", "Pw"):
             raise ValueError(f"{kind} needs a line number and a modality (O, Ps, Pw): {text!r}")
         return Justification(kind, refs=(int(parts[0]),), modality=parts[1])
-    if kind == "ifcp_o":
-        m = _IFCP_O.match(rest)
+    if kind in _GUARDED_KINDS:
+        n_sides = len(GUARDED_RULES[_GUARDED_KINDS[kind]].sides)
+        side = r"\s+" + _SIDE_LABEL.get(kind, "") + r"(taut|\d+)"
+        m = re.match(r"([\d,\s]+?)" + side * n_sides + "$", rest)
         if not m:
-            raise ValueError(f"malformed ifcp_o justification {text!r}")
-        return Justification("ifcp_o", refs=_parse_refs(m.group(1)), sides=(_side(m.group(2)),))
-    if kind == "ifcp_p":
-        m = _IFCP_P.match(rest)
-        if not m:
-            raise ValueError(f"malformed ifcp_p justification {text!r}")
-        return Justification(
-            "ifcp_p", refs=_parse_refs(m.group(1)), sides=(_side(m.group(2)), _side(m.group(3)))
-        )
-    if kind == "ifcp2_p":
-        m = _IFCP2_P.match(rest)
-        if not m:
-            raise ValueError(f"malformed ifcp2_p justification {text!r}")
-        return Justification("ifcp2_p", refs=_parse_refs(m.group(1)), sides=(_side(m.group(2)),))
+            raise ValueError(f"malformed {kind} justification {text!r}")
+        refs, *sides = m.groups()
+        return Justification(kind, refs=_parse_refs(refs), sides=tuple(map(_side, sides)))
     raise ValueError(f"unknown justification {text!r}")
 
 
@@ -278,10 +270,6 @@ def _flatten_and(f: Formula) -> list[Formula]:
     return [f]
 
 
-def _pw_operand(f: Formula) -> Formula | None:
-    return _box_operand(f, "Pw")
-
-
 class _Checker:
     def __init__(self, script: ProofScript, system: SystemDef):
         self.script = script
@@ -302,6 +290,8 @@ class _Checker:
         """Returns the line's tier, or an error message."""
         j = line.justification
         f = self.norm(line.formula)
+        if j.kind in _GUARDED_KINDS:
+            return self._check_guarded(line, j, f)
         handler = getattr(self, f"_check_{j.kind}")
         return handler(line, j, f)
 
@@ -388,12 +378,6 @@ class _Checker:
             return "line is not the boxed form of the cited implication"
         return "theorem"
 
-    def _main_parts(self, j) -> list[Formula]:
-        parts: list[Formula] = []
-        for r in j.refs:
-            parts.extend(_flatten_and(self.norm(self.forms[r])))
-        return parts
-
     def _side_ok(self, side, expected: Formula) -> str | None:
         if side == "taut":
             if is_tautology(expected):
@@ -405,66 +389,24 @@ class _Checker:
             return f"cited side line {side} does not state {render(expected)}"
         return None
 
-    def _rule_available(self, rule: str) -> str | None:
-        if rule not in self.system.rules:
-            return f"rule {rule} is not part of {self.system.name}"
-        return None
-
-    def _check_ifcp_o(self, line, j, f):
-        err = self._rule_available("IFCP_O")
-        if err:
-            return err
-        parts = self._main_parts(j)
-        if len(parts) != 2 or not (isinstance(parts[0], PermS) and isinstance(parts[0].operand, Or)):
-            return "main premise must be Ps(p | q) & O r"
-        if not isinstance(parts[1], Obl):
-            return "main premise must be Ps(p | q) & O r"
-        a, b = parts[0].operand.left, parts[0].operand.right
-        r = parts[1].operand
-        if f != PermS(b):
-            return "conclusion must strongly permit the second disjunct"
-        err = self._side_ok(j.sides[0], Implies(r, Not(a)))
-        if err:
-            return err
-        return _join_tiers(self.tiers[i] for i in j.refs)
-
-    def _check_ifcp_p(self, line, j, f):
-        err = self._rule_available("IFCP_P")
-        if err:
-            return err
-        parts = self._main_parts(j)
-        shape = "main premise must be Ps(p | q) & Pw r & Pw s"
-        if len(parts) != 3 or not (isinstance(parts[0], PermS) and isinstance(parts[0].operand, Or)):
-            return shape
-        r = _pw_operand(parts[1])
-        s = _pw_operand(parts[2])
-        if r is None or s is None:
-            return shape
-        a, b = parts[0].operand.left, parts[0].operand.right
-        if f != And(PermS(a), PermS(b)):
-            return "conclusion must strongly permit both disjuncts"
-        err = self._side_ok(j.sides[0], Implies(r, a)) or self._side_ok(j.sides[1], Implies(s, b))
-        if err:
-            return err
-        return _join_tiers(self.tiers[i] for i in j.refs)
-
-    def _check_ifcp2_p(self, line, j, f):
-        err = self._rule_available("IFCP2_P")
-        if err:
-            return err
-        parts = self._main_parts(j)
-        shape = "main premise must be Ps(p | q) & Pw r"
-        if len(parts) != 2 or not (isinstance(parts[0], PermS) and isinstance(parts[0].operand, Or)):
-            return shape
-        r = _pw_operand(parts[1])
-        if r is None:
-            return shape
-        a = parts[0].operand.left
-        if f != PermS(a):
-            return "conclusion must strongly permit the first disjunct"
-        err = self._side_ok(j.sides[0], Implies(r, a))
-        if err:
-            return err
+    def _check_guarded(self, line, j, f):
+        name = _GUARDED_KINDS[j.kind]
+        if name not in self.system.rules:
+            return f"rule {name} is not part of {self.system.name}"
+        rule = GUARDED_RULES[name]
+        # Conjuncts re-joined left to right, so the cited lines may split the premise anywhere.
+        parts = [part for r in j.refs for part in _flatten_and(self.norm(self.forms[r]))]
+        premise = Schema(self.norm(rule.premise.body), rule.premise.metavars)
+        binding = match_schema(premise, reduce(And, parts)) if parts else None
+        if binding is None:
+            return f"main premise must be {render(rule.premise.body)}"
+        conclusion = self.norm(instantiate(rule.conclusion, binding))
+        if f != conclusion:
+            return f"conclusion must be {render(conclusion)}"
+        for side, expected in zip(j.sides, rule.sides):
+            err = self._side_ok(side, self.norm(instantiate(expected, binding)))
+            if err:
+                return err
         return _join_tiers(self.tiers[i] for i in j.refs)
 
 
@@ -657,11 +599,8 @@ def _render_justification(j: Justification) -> str:
         return "cpl " + ",".join(map(str, j.refs))
     if j.kind in ("re", "rm"):
         return f"{j.kind} {j.refs[0]} {j.modality}"
-    refs = ",".join(map(str, j.refs))
-    sides = [str(s) for s in j.sides]
-    if j.kind == "ifcp_o":
-        return f"ifcp_o {refs} side={sides[0]}"
-    return f"{j.kind} {refs} " + " ".join(sides)
+    label = _SIDE_LABEL.get(j.kind, "")
+    return f"{j.kind} {','.join(map(str, j.refs))} " + " ".join(f"{label}{s}" for s in j.sides)
 
 
 def run_scenario(name: str, registry: SystemRegistry | None = None) -> ScenarioResult:

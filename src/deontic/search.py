@@ -32,13 +32,13 @@ from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from .formula import (
-    And, Atom, Formula, Implies, Not, Obl, Or, PermS, PermW, Schema,
+    Atom, Formula, Implies, Not, Obl, Or, Schema,
     atoms as formula_atoms, expand_pw, instantiate, is_tautology, modal_depth,
     render,
 )
-from .model import NeighbourhoodModel, WorldSet, evaluate, truth_set
+from .model import NeighbourhoodModel, WorldSet, evaluate, model_valid, truth_set
 from .frames import (
-    RULE_PROPERTIES, FrameProperty, SchemaViolation, check_property,
+    GUARDED_RULES, FrameProperty, SchemaViolation, check_property,
     rule_valid_on_frame, schema_valid_on_frame,
 )
 
@@ -202,8 +202,8 @@ def find_countermodel(
     required = frozenset(required)
     clock = _Clock(timeout_secs)
     if isinstance(target, str):
-        if target not in RULE_PROPERTIES:
-            known = ", ".join(sorted(RULE_PROPERTIES))
+        if target not in GUARDED_RULES:
+            known = ", ".join(sorted(GUARDED_RULES))
             raise ValueError(f"unknown rule target {target!r} (known: {known})")
         return _search_frames(target, None, required, bounds, clock)
     if isinstance(target, Schema):
@@ -320,27 +320,12 @@ def _realise_violation(frame_model, rule, schema_target, violation: SchemaViolat
             raise SearchError("schema countermodel failed re-verification")
         return model, instance
 
-    p, q = subst["p"], subst["q"]
-    r = subst["r"]
-    w_all = frozenset(model.worlds)
-    if rule == "IFCP_O":
-        premise = And(PermS(Or(p, q)), Obl(r))
-        side_ok = truth_set(model, r) <= (w_all - truth_set(model, p))
-        conclusion = PermS(q)
-    elif rule == "IFCP_P":
-        s = subst["s"]
-        premise = And(And(PermS(Or(p, q)), PermW(r)), PermW(s))
-        side_ok = truth_set(model, r) <= truth_set(model, p) and truth_set(
-            model, s
-        ) <= truth_set(model, q)
-        conclusion = And(PermS(p), PermS(q))
-    else:  # IFCP2_P
-        premise = And(PermS(Or(p, q)), PermW(r))
-        side_ok = truth_set(model, r) <= truth_set(model, p)
-        conclusion = PermS(p)
+    guarded = GUARDED_RULES[rule]
+    premise = instantiate(guarded.premise, subst)
+    conclusion = instantiate(guarded.conclusion, subst)
     if not evaluate(model, w, premise):
         raise SearchError("rule countermodel premise failed re-verification")
-    if not side_ok:
+    if not all(model_valid(model, instantiate(side, subst)) for side in guarded.sides):
         raise SearchError("rule countermodel side condition failed re-verification")
     if evaluate(model, w, conclusion):
         raise SearchError("rule countermodel conclusion re-verified true")

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .formula import Schema, schema
-from .frames import FrameProperty
+from .frames import GUARDED_RULES, FrameProperty
 
 __all__ = [
     "SCHEMAS", "RULE_NAMES", "BASE_RULES", "SystemDef", "SystemRegistry",
@@ -50,10 +50,8 @@ SCHEMAS: dict[str, Schema] = {
     "FCP": schema("Ps(p | q) -> Ps p & Ps q", "p q"),
 }
 
-RULE_NAMES = frozenset(
-    {"MP", "Taut", "RE_O", "RE_Ps", "RM_O", "RM_Ps", "IFCP_O", "IFCP_P", "IFCP2_P"}
-)
 BASE_RULES = frozenset({"MP", "Taut", "RE_O", "RE_Ps"})
+RULE_NAMES = BASE_RULES | {"RM_O", "RM_Ps", *GUARDED_RULES}
 
 _P = FrameProperty
 _MIN_CLASS = frozenset({_P.PS_COHERENT, _P.PW_COHERENT})

@@ -61,6 +61,25 @@ class TestClassifyCommand:
         assert payload["IFCPO"]["status"] == "violated"
 
 
+class TestModelLoader:
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ([{"worlds": ["w1"]}], "model document must be an object"),
+            ({"worlds": "w1w2"}, "worlds: expected a list of world names"),
+            ({"worlds": ["w1"], "N_P": []}, "N_P: expected an object"),
+            ({"worlds": ["w1", "w2"], "N_O": {"w1": ["w1"]}}, "N_O(w1): expected a list"),
+            ({"worlds": ["w1", "w2"], "valuation": {"a": "w1"}}, "valuation(a): expected a list"),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_the_field(self, capsys, tmp_path, document, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: " + message)
+
+
 class TestCheckFrame:
     def test_property_violated_exits_1(self, capsys):
         code, out, _ = run(

@@ -54,6 +54,22 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("p q")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p <- q", "unexpected character '<' at position 2"),
+            ("p\t- q", "unexpected character '-' at position 2"),
+            ("p & Abc", "invalid name 'Abc'; atoms match [a-z][a-z0-9_]* at position 4 (expected atom)"),
+            ("  <->p", "unexpected token '<->' at position 2"),
+            ("Ps p T", "unexpected token 'T' after formula at position 5 (expected end of input)"),
+            ("p_1 -> ", "unexpected end of input at position 7"),
+        ],
+    )
+    def test_error_messages_and_positions(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value).startswith(message)
+
 
 class TestRender:
     def test_negated_obligation(self):

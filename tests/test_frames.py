@@ -8,7 +8,7 @@ from deontic import (
     entailment_closure, make_model, recheck_witness, rule_valid_on_frame,
     schema_valid_on_frame, supplementation_closure,
 )
-from deontic.frames import PROPERTY_ENTAILMENTS
+from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS
 from deontic import bundled
 from deontic.systems import SCHEMAS
 
@@ -172,6 +172,48 @@ def test_schema_validity_matches_valuation_sweep(m):
                 naive_valid = False
                 break
         assert (schema_valid_on_frame(m, sch) is None) == naive_valid, name
+
+
+def _rule_failures(m, rule, assignment):
+    """Worlds where the premise holds and the conclusion fails, every side holding everywhere."""
+    from deontic import Atom, instantiate, truth_set
+
+    staged = NeighbourhoodModel(m.worlds, m.n_obl, m.n_perm,
+                                {f"x_{v}": s for v, s in assignment.items()})
+
+    def ts(sch):
+        return truth_set(staged, instantiate(sch, {v: Atom(f"x_{v}") for v in assignment}))
+
+    if any(ts(side) != frozenset(m.worlds) for side in rule.sides):
+        return frozenset()
+    return ts(rule.premise) - ts(rule.conclusion)
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_RULES))
+def test_rule_letters_match_bruteforce(rng, name):
+    # independent oracle: every subset assignment to the rule's letters,
+    # evaluated through the model evaluator
+    from itertools import product as iproduct
+
+    rule = GUARDED_RULES[name]
+    letters = sorted(rule.letters)
+    frames = [random_frame(rng, max_worlds=3) for _ in range(30)]
+    frames += [satisfying_frame(rng, {rule.prop}, max_worlds=3) for _ in range(10)]
+    verdicts = set()
+    for m in frames:
+        subsets = _subsets(frozenset(m.worlds))
+        naive_valid = not any(
+            _rule_failures(m, rule, dict(zip(letters, assignment)))
+            for assignment in iproduct(subsets, repeat=len(letters))
+        )
+        violation = rule_valid_on_frame(m, name)
+        assert (violation is None) == naive_valid, (name, m)
+        if violation is not None:
+            # the reported assignment names every letter and is itself a counterexample
+            assert sorted(violation.assignment) == letters
+            assert violation.world in _rule_failures(m, rule, violation.assignment)
+        verdicts.add(naive_valid)
+    assert verdicts == {True, False}
 
 
 def test_entailments_hold_exhaustively_on_two_worlds():

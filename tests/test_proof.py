@@ -249,6 +249,51 @@ class TestJustifications:
         assert "tier" in result.reason
 
 
+class TestGuardedRuleRejections:
+    # (system, cited lines, derived line, justification, expected reason)
+    CASES = [
+        ("FCP_1", ["Ps(p | q) & O p"], "Ps p & Ps q", "ifcp_p 1 taut taut",
+         "main premise must be Ps(p | q) & Pw r & Pw s"),
+        ("FCP_1", ["Ps(p | q) & Pw p & Pw q"], "Ps q & Ps p", "ifcp_p 1 taut taut",
+         "conclusion must be Ps p & Ps q"),
+        ("FCP_1", ["Ps(p | q) & Pw r & Pw q"], "Ps p & Ps q", "ifcp_p 1 taut taut",
+         "side condition r -> p is not a tautology"),
+        ("FCP_1", ["Ps(p | q) & Pw p & Pw q", "r -> p"], "Ps p & Ps q", "ifcp_p 1 taut 2",
+         "tier violation: side condition must cite a theorem-tier line, line 2 is local"),
+        ("FCP_5", ["Ps(p | q) & Pw p & Pw q"], "Ps p", "ifcp2_p 1 taut",
+         "main premise must be Ps(p | q) & Pw r"),
+        ("FCP_5", ["Ps(p | q) & Pw p"], "Ps q", "ifcp2_p 1 taut",
+         "conclusion must be Ps p"),
+        ("FCP_5", ["Ps(p | q) & Pw r"], "Ps p", "ifcp2_p 1 taut",
+         "side condition r -> p is not a tautology"),
+        ("FCP_1", ["Ps(p | q) & O ~p"], "Ps q", "ifcp_o , side=taut",
+         "main premise must be Ps(p | q) & O r"),
+    ]
+
+    @pytest.mark.parametrize("system,cited,derived,just,reason", CASES)
+    def test_rejected_with_reason(self, registry, system, cited, derived, just, reason):
+        lines = [f"{i}. {f} ; hyp" for i, f in enumerate(cited, start=1)]
+        text = "\n".join(
+            [f"system: {system}", *(f"hyp: {f}" for f in cited), f"goal: {derived}", *lines,
+             f"{len(cited) + 1}. {derived} ; {just}"]
+        )
+        result = check_proof(parse_proof_script(text), registry)
+        assert not result.valid
+        assert (result.line, result.reason) == (len(cited) + 1, reason)
+
+    def test_wrong_cited_side_line(self, registry):
+        text = """
+        system: FCP_5
+        hyp: Ps(p | q) & Pw(p & r)
+        goal: Ps p
+        1. Ps(p | q) & Pw(p & r) ; hyp
+        2. p & r -> r ; taut
+        3. Ps p ; ifcp2_p 1 2
+        """
+        result = check_proof(parse_proof_script(text), registry)
+        assert (result.line, result.reason) == (3, "cited side line 2 does not state p & r -> p")
+
+
 class TestTable1:
     @pytest.mark.parametrize("system", sorted(TABLE1_DERIVABLES))
     def test_derivability_suite(self, registry, system):
