@@ -421,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input is nested too deeply to process", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,12 @@ Concrete syntax (ASCII)::
     atom    := [a-z][a-z0-9_]*
 
 ``O``, ``Ps``, ``Pw``, ``T`` and ``F`` are reserved and not valid atoms.
+
+``eval_bits`` is the one Boolean evaluator: it computes a formula's truth
+as a bitmask, one bit per world or per truth-table row, and asks a
+caller-supplied ``leaf`` for the mask of each atom and modal node.
+``is_tautology`` uses it for bit-parallel truth tables, ``model.truth_mask``
+for truth sets and schema validity.
 """
 
 from __future__ import annotations
@@ -27,14 +33,14 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Not", "And", "Or", "Implies", "Iff",
     "Obl", "PermS", "PermW", "TOP", "BOTTOM",
     "ParseError", "parse", "render", "atoms", "modal_depth", "expand_pw",
     "Schema", "schema", "match_schema", "instantiate",
-    "is_tautology", "tautological_consequence",
+    "eval_bits", "is_tautology", "tautological_consequence",
 ]
 
 
@@ -459,24 +465,29 @@ def _abstraction_units(f: Formula, acc: dict[Formula, None]) -> None:
             raise TypeError(f"not a formula: {f!r}")
 
 
-def _eval_bits(f: Formula, cols: Mapping[Formula, int], full: int) -> int:
+def eval_bits(f: Formula, leaf: Callable[[Formula], int], full: int) -> int:
+    """Bitwise truth of ``f``: ``leaf(node)`` gives the mask of each atom and modal node.
+
+    ``full`` is the all-true mask.  Truth sets on a model, schema validity
+    on a frame and bit-parallel truth tables all evaluate through this walk.
+    """
     match f:
         case Atom() | Obl() | PermS() | PermW():
-            return cols[f]
+            return leaf(f)
         case Top():
             return full
         case Bottom():
             return 0
         case Not(x):
-            return full ^ _eval_bits(x, cols, full)
+            return full ^ eval_bits(x, leaf, full)
         case And(l, r):
-            return _eval_bits(l, cols, full) & _eval_bits(r, cols, full)
+            return eval_bits(l, leaf, full) & eval_bits(r, leaf, full)
         case Or(l, r):
-            return _eval_bits(l, cols, full) | _eval_bits(r, cols, full)
+            return eval_bits(l, leaf, full) | eval_bits(r, leaf, full)
         case Implies(l, r):
-            return (full ^ _eval_bits(l, cols, full)) | _eval_bits(r, cols, full)
+            return (full ^ eval_bits(l, leaf, full)) | eval_bits(r, leaf, full)
         case Iff(l, r):
-            return full ^ _eval_bits(l, cols, full) ^ _eval_bits(r, cols, full)
+            return full ^ eval_bits(l, leaf, full) ^ eval_bits(r, leaf, full)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -496,7 +507,7 @@ def is_tautology(f: Formula) -> bool:
     cols = {u: full - full // ((1 << (1 << i)) + 1) for i, u in enumerate(keys[:_CHUNK_UNITS])}
     for values in itertools.product((0, full), repeat=len(keys[_CHUNK_UNITS:])):
         cols.update(zip(keys[_CHUNK_UNITS:], values))
-        if _eval_bits(f, cols, full) != full:
+        if eval_bits(f, cols.__getitem__, full) != full:
             return False
     return True
 

@@ -7,11 +7,12 @@ variable; the four-variable conditions are restructured internally into
 two-variable loops with precomputed subset predicates.  Intended for
 |W| <= 5, which covers every bundled fixture.
 
+Every check reads the model's one bitmask view (``model.ModelView``).
 Schema validity on a finite frame is decided by assigning every
 metavariable every subset of W as its truth set and evaluating the
-abstracted formula at every world.  This is sound and complete on finite
-frames because every subset is the truth set of some atom under some
-valuation based on the frame.
+schema at all worlds at once with ``model.truth_mask``.  This is sound
+and complete on finite frames because every subset is the truth set of
+some atom under some valuation based on the frame.
 
 The three rule-shaped conditions pair an inference rule with a frame
 condition.  Each one restricts its axiom-shaped counterpart: fixing the
@@ -29,11 +30,8 @@ from enum import Enum
 from itertools import combinations, product
 from typing import Iterable
 
-from .formula import (
-    And, Atom, Bottom, Formula, Iff, Implies, Not, Obl, Or, PermS, PermW,
-    Schema, Top, atoms, schema,
-)
-from .model import NeighbourhoodModel, WorldSet
+from .formula import Schema, atoms, schema
+from .model import ModelView, NeighbourhoodModel, WorldSet, truth_mask
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
@@ -84,33 +82,7 @@ class SchemaViolation:
     world: str
 
 
-class _Bits:
-    """Bitmask view of a model's frame part; world i is bit i."""
-
-    def __init__(self, m: NeighbourhoodModel):
-        self.worlds = m.worlds
-        self.n = len(m.worlds)
-        self.full = (1 << self.n) - 1
-        index = {w: i for i, w in enumerate(m.worlds)}
-        self._index = index
-        self.n_obl = [
-            frozenset(self._mask(s) for s in m.n_obl[w]) for w in m.worlds
-        ]
-        self.n_perm = [
-            frozenset(self._mask(s) for s in m.n_perm[w]) for w in m.worlds
-        ]
-
-    def _mask(self, s: WorldSet) -> int:
-        mask = 0
-        for w in s:
-            mask |= 1 << self._index[w]
-        return mask
-
-    def set_of(self, mask: int) -> WorldSet:
-        return frozenset(w for i, w in enumerate(self.worlds) if mask >> i & 1)
-
-
-def _pw_subset_witness(b: _Bits, no: frozenset[int]) -> list[int | None]:
+def _pw_subset_witness(b: ModelView, no: frozenset[int]) -> list[int | None]:
     # For each mask X, the first Z <= X with complement(Z) not obligatory, if any.
     out: list[int | None] = []
     for x in range(b.full + 1):
@@ -123,7 +95,7 @@ def _pw_subset_witness(b: _Bits, no: frozenset[int]) -> list[int | None]:
     return out
 
 
-def _find_violation(b: _Bits, prop: FrameProperty, wi: int) -> tuple | None:
+def _find_violation(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
     no, np = b.n_obl[wi], b.n_perm[wi]
     full = b.full
     masks = range(full + 1)
@@ -215,7 +187,7 @@ def _find_violation(b: _Bits, prop: FrameProperty, wi: int) -> tuple | None:
 
 def check_property(m: NeighbourhoodModel, prop: FrameProperty) -> PropertyWitness | None:
     """None iff the condition holds at every world; otherwise a concrete witness."""
-    b = _Bits(m)
+    b = m.view
     for wi, w in enumerate(m.worlds):
         hit = _find_violation(b, prop, wi)
         if hit is not None:
@@ -322,49 +294,6 @@ def entailment_closure(props: Iterable[FrameProperty]) -> frozenset[FramePropert
     return frozenset(out)
 
 
-def _truth_mask(f: Formula, env: dict[str, int], b: _Bits) -> int:
-    match f:
-        case Atom(name):
-            return env.get(name, 0)
-        case Top():
-            return b.full
-        case Bottom():
-            return 0
-        case Not(x):
-            return b.full ^ _truth_mask(x, env, b)
-        case And(l, r):
-            return _truth_mask(l, env, b) & _truth_mask(r, env, b)
-        case Or(l, r):
-            return _truth_mask(l, env, b) | _truth_mask(r, env, b)
-        case Implies(l, r):
-            return (b.full ^ _truth_mask(l, env, b)) | _truth_mask(r, env, b)
-        case Iff(l, r):
-            lm, rm = _truth_mask(l, env, b), _truth_mask(r, env, b)
-            return b.full ^ (lm ^ rm)
-        case Obl(x):
-            xm = _truth_mask(x, env, b)
-            mask = 0
-            for i, col in enumerate(b.n_obl):
-                if xm in col:
-                    mask |= 1 << i
-            return mask
-        case PermS(x):
-            xm = _truth_mask(x, env, b)
-            mask = 0
-            for i, col in enumerate(b.n_perm):
-                if xm in col:
-                    mask |= 1 << i
-            return mask
-        case PermW(x):
-            xm = _truth_mask(x, env, b)
-            mask = 0
-            for i, col in enumerate(b.n_obl):
-                if (b.full ^ xm) not in col:
-                    mask |= 1 << i
-            return mask
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation | None:
     """Frame validity of a pure schema, by quantifying metavariables over all subsets of W.
 
@@ -374,11 +303,11 @@ def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation |
     if concrete:
         names = ", ".join(sorted(concrete))
         raise ValueError(f"schema contains concrete atoms ({names}); frame validity needs a pure schema")
-    b = _Bits(m)
+    b = m.view
     variables = sorted(s.metavars & atoms(s.body))
     for assignment in product(range(b.full + 1), repeat=len(variables)):
         env = dict(zip(variables, assignment))
-        mask = _truth_mask(s.body, env, b)
+        mask = truth_mask(b, s.body, env)
         if mask != b.full:
             world = next(w for i, w in enumerate(m.worlds) if not mask >> i & 1)
             return SchemaViolation({v: b.set_of(env[v]) for v in variables}, world)

@@ -11,7 +11,14 @@ sets, and a valuation.  Truth conditions:
 * Boolean connectives are classical.
 
 Atoms absent from the valuation have the empty truth set.  Models are
-treated as immutable after validation; evaluation is read-only.
+treated as immutable after construction; evaluation is read-only.
+
+Evaluation runs on the model's bitmask view (``ModelView``, world i is
+bit i), built on first use and kept on the model.  ``truth_mask`` gives
+the truth clauses above on that view, with the Boolean part from
+``formula.eval_bits``; truth sets pass the valuation's masks as the atoms'
+truth sets, and frame-level schema validity passes one subset per
+metavariable.
 """
 
 from __future__ import annotations
@@ -19,15 +26,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .formula import (
-    And, Atom, Bottom, Formula, Iff, Implies, Not, Obl, Or, PermS, PermW, Top,
-)
+from .formula import Atom, Formula, Obl, PermS, PermW, eval_bits
 
 __all__ = [
-    "WorldSet", "Neighbourhood", "NeighbourhoodModel",
+    "WorldSet", "Neighbourhood", "NeighbourhoodModel", "ModelView", "truth_mask",
     "make_model", "model_from_dict", "model_to_dict", "load_model", "dump_model",
     "validate_model", "evaluate", "truth_set", "model_valid",
 ]
@@ -44,6 +50,55 @@ class NeighbourhoodModel:
     n_obl: Mapping[str, Neighbourhood]
     n_perm: Mapping[str, Neighbourhood]
     valuation: Mapping[str, WorldSet]
+
+    @cached_property
+    def view(self) -> "ModelView":
+        """The bitmask view, built on first use and kept; models do not change after construction."""
+        return ModelView(self)
+
+
+def _holders(cols: list[frozenset[int]]) -> dict[int, int]:
+    # Each set's mask -> the mask of the worlds whose neighbourhood contains it.
+    out: dict[int, int] = {}
+    for i, col in enumerate(cols):
+        for s in col:
+            out[s] = out.get(s, 0) | 1 << i
+    return out
+
+
+class ModelView:
+    """Bitmask view of a model; world i is bit i.
+
+    ``n_obl[i]`` and ``n_perm[i]`` hold the masks of world i's neighbourhoods
+    (read by the frame conditions); ``obl_at`` and ``perm_at`` map a set's
+    mask to the mask of the worlds whose neighbourhood contains it (read by
+    the modal clauses).  A world outside W raises ValueError naming it.
+    """
+
+    def __init__(self, m: NeighbourhoodModel):
+        self.worlds = m.worlds
+        self.full = (1 << len(m.worlds)) - 1
+        self.index = {w: i for i, w in enumerate(m.worlds)}
+        # A world without an entry has the empty neighbourhood, as in make_model.
+        self.n_obl = [frozenset(self._mask(s, f"N_O({w})") for s in m.n_obl.get(w, ()))
+                      for w in m.worlds]
+        self.n_perm = [frozenset(self._mask(s, f"N_P({w})") for s in m.n_perm.get(w, ()))
+                       for w in m.worlds]
+        self.obl_at = _holders(self.n_obl)
+        self.perm_at = _holders(self.n_perm)
+        self.valuation = {a: self._mask(s, f"valuation({a})") for a, s in m.valuation.items()}
+
+    def _mask(self, s: Iterable[str], field: str) -> int:
+        out = 0
+        for w in s:
+            try:
+                out |= 1 << self.index[w]
+            except KeyError:
+                raise ValueError(f"{field}: world {w!r} is not in W") from None
+        return out
+
+    def set_of(self, mask: int) -> WorldSet:
+        return frozenset(w for i, w in enumerate(self.worlds) if mask >> i & 1)
 
 
 def make_model(
@@ -157,50 +212,40 @@ def validate_model(m: NeighbourhoodModel) -> list[str]:
     return violations
 
 
+def truth_mask(view: ModelView, f: Formula, atom_masks: Mapping[str, int]) -> int:
+    """Mask of the worlds where ``f`` is true, with each atom's truth set taken from ``atom_masks``.
+
+    The modal clauses read the view's neighbourhoods; an absent atom is false everywhere.
+    """
+    full = view.full
+
+    def leaf(node: Formula) -> int:
+        match node:
+            case Atom(name):
+                return atom_masks.get(name, 0)
+            case Obl(x):
+                return view.obl_at.get(eval_bits(x, leaf, full), 0)
+            case PermS(x):
+                return view.perm_at.get(eval_bits(x, leaf, full), 0)
+            case PermW(x):
+                return full ^ view.obl_at.get(full ^ eval_bits(x, leaf, full), 0)
+        raise TypeError(f"not a formula: {node!r}")
+
+    return eval_bits(f, leaf, full)
+
+
 def truth_set(m: NeighbourhoodModel, f: Formula) -> WorldSet:
     """The set of worlds where ``f`` is true."""
-    w_all = frozenset(m.worlds)
-
-    def ts(g: Formula) -> WorldSet:
-        match g:
-            case Atom(name):
-                return m.valuation.get(name, frozenset())
-            case Top():
-                return w_all
-            case Bottom():
-                return frozenset()
-            case Not(x):
-                return w_all - ts(x)
-            case And(l, r):
-                return ts(l) & ts(r)
-            case Or(l, r):
-                return ts(l) | ts(r)
-            case Implies(l, r):
-                return (w_all - ts(l)) | ts(r)
-            case Iff(l, r):
-                tl, tr = ts(l), ts(r)
-                return (tl & tr) | ((w_all - tl) & (w_all - tr))
-            case Obl(x):
-                t = ts(x)
-                return frozenset(w for w in m.worlds if t in m.n_obl[w])
-            case PermS(x):
-                t = ts(x)
-                return frozenset(w for w in m.worlds if t in m.n_perm[w])
-            case PermW(x):
-                t = ts(x)
-                return frozenset(w for w in m.worlds if (w_all - t) not in m.n_obl[w])
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ts(f)
+    return m.view.set_of(truth_mask(m.view, f, m.view.valuation))
 
 
 def evaluate(m: NeighbourhoodModel, w: str, f: Formula) -> bool:
     """Truth of ``f`` at world ``w``."""
     if w not in m.worlds:
         raise ValueError(f"unknown world {w!r}")
-    return w in truth_set(m, f)
+    return bool(truth_mask(m.view, f, m.view.valuation) >> m.view.index[w] & 1)
 
 
 def model_valid(m: NeighbourhoodModel, f: Formula) -> bool:
     """True iff ``f`` holds at every world of the model."""
-    return truth_set(m, f) == frozenset(m.worlds)
+    return truth_mask(m.view, f, m.view.valuation) == m.view.full

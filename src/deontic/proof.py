@@ -134,7 +134,8 @@ _SIDE_LABEL = {"ifcp_o": "side="}
 
 
 def _parse_refs(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
+    """Cited line numbers, separated by commas, whitespace or both."""
+    return tuple(int(part) for part in text.replace(",", " ").split())
 
 
 def _parse_subst(text: str) -> tuple[tuple[str, Formula], ...]:
@@ -170,7 +171,7 @@ def _parse_justification(text: str) -> Justification:
         subst = _parse_subst(subst_text) if subst_text else None
         return Justification("ax", schema=name, subst=subst)
     if kind == "mp":
-        refs = _parse_refs(rest.replace(" ", ","))
+        refs = _parse_refs(rest)
         if len(refs) != 2:
             raise ValueError(f"mp needs exactly two line numbers: {text!r}")
         return Justification("mp", refs=refs)

@@ -209,3 +209,25 @@ class TestInclusions:
 
 def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == 2
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("parse", "~" * 3000 + "a"),
+            ("parse", "O " * 600 + "a"),
+            # parses, then exceeds the evaluator's depth
+            ("eval", "O " * 600 + "a", "--model", "corollary3_model1"),
+        ],
+        ids=["parse-3000-not", "parse-600-O", "eval-600-O"],
+    )
+    def test_too_deep_exits_2_with_a_message(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: input is nested too deeply to process\n"
+        assert "Traceback" not in err
+
+    def test_eval_450_nested_obligations(self, capsys):
+        code, out, _ = run(capsys, "eval", "O " * 450 + "a", "--model", "corollary3_model1")
+        assert code == 0 and out == "{}\n"

@@ -10,6 +10,7 @@ from deontic import (
 )
 from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS
 from deontic import bundled
+from deontic import model as model_module
 from deontic.systems import SCHEMAS
 
 from conftest import models, random_frame, satisfying_frame
@@ -57,6 +58,22 @@ class TestClassify:
     def test_empty_neighbourhoods_satisfy_everything(self):
         m = make_model(["w1", "w2"])
         assert classify_frame(m) == set(FrameProperty)
+
+    def test_one_view_per_model(self, monkeypatch, model1):
+        built = []
+
+        class CountingView(model_module.ModelView):
+            def __init__(self, m):
+                built.append(m)
+                super().__init__(m)
+
+        expected = classify_frame(model1)
+        monkeypatch.setattr(model_module, "ModelView", CountingView)
+        fresh = make_model(model1.worlds, model1.n_obl, model1.n_perm, model1.valuation)
+        assert classify_frame(fresh) == expected
+        schema_valid_on_frame(fresh, SCHEMAS["AFCP_O"])
+        rule_valid_on_frame(fresh, "IFCP_O")
+        assert built == [fresh]
 
     def test_fixture_classification(self, model1):
         props = classify_frame(model1)

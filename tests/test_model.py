@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
 from deontic import (
-    And, Atom, Bottom, Iff, Implies, Not, Obl, Or, PermS, PermW, Top,
-    evaluate, expand_pw, make_model, model_from_dict, model_to_dict,
+    And, Atom, Bottom, FrameProperty, Iff, Implies, NeighbourhoodModel, Not, Obl, Or, PermS,
+    PermW, Top,
+    check_property, evaluate, expand_pw, make_model, model_from_dict, model_to_dict,
     model_valid, parse, truth_set, validate_model,
 )
 from deontic import bundled
@@ -122,6 +125,28 @@ class TestSemanticProperties:
         w_all = frozenset(m.worlds)
         assert truth_set(m, Not(f)) == w_all - truth_set(m, f)
         assert truth_set(m, Or(f, g)) == truth_set(m, f) | truth_set(m, g)
+
+
+class TestModelView:
+    @pytest.mark.parametrize(
+        "model,field",
+        [
+            (make_model(["w1"], n_obl={"w1": [["w9"]]}), "N_O(w1)"),
+            (make_model(["w1", "w2"], n_perm={"w2": [["w1", "w9"]]}), "N_P(w2)"),
+            (make_model(["w1"], valuation={"a": ["w9"]}), "valuation(a)"),
+        ],
+    )
+    def test_world_outside_w_names_it(self, model, field):
+        for use in (lambda m: check_property(m, FrameProperty.AFCP_O),
+                    lambda m: truth_set(m, parse("a"))):
+            with pytest.raises(ValueError, match=rf"^{re.escape(field)}: world 'w9' is not in W$"):
+                use(model)
+
+    def test_missing_entry_is_the_empty_neighbourhood(self):
+        direct = NeighbourhoodModel(("w1", "w2"), {"w1": frozenset()}, {}, {"a": frozenset({"w1"})})
+        normalised = make_model(["w1", "w2"], valuation={"a": ["w1"]})
+        for text in ("a", "O a", "Ps ~a", "Pw a"):
+            assert truth_set(direct, parse(text)) == truth_set(normalised, parse(text))
 
 
 def _eval_oracle(m, w, f):

@@ -249,6 +249,27 @@ class TestJustifications:
         assert "tier" in result.reason
 
 
+class TestCitationSpelling:
+    # Cited lines may be separated by commas, whitespace or both.
+    CASES = [
+        ("E", ["p", "p -> q"], "q", "cpl {}"),
+        ("E", ["p", "p -> q"], "q", "mp {}"),
+        ("FCP_1", ["Ps(p | q)", "O ~p"], "Ps q", "ifcp_o {} side=taut"),
+    ]
+
+    @pytest.mark.parametrize("system,cited,derived,just", CASES)
+    @pytest.mark.parametrize("refs", ["1 2", "1,2", "1, 2", "1 ,2"])
+    def test_spellings_agree(self, registry, system, cited, derived, just, refs):
+        lines = [f"{i}. {f} ; hyp" for i, f in enumerate(cited, start=1)]
+        text = "\n".join(
+            [f"system: {system}", *(f"hyp: {f}" for f in cited), f"goal: {derived}", *lines,
+             f"3. {derived} ; {just.format(refs)}"]
+        )
+        script = parse_proof_script(text)
+        assert script.lines[-1].justification.refs == (1, 2)
+        assert check_proof(script, registry).valid
+
+
 class TestGuardedRuleRejections:
     # (system, cited lines, derived line, justification, expected reason)
     CASES = [
