@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Every subcommand returns a ``Report``; ``main`` prints its text, or its
+JSON document under ``--json``, and exits with its code.
+
 Exit codes: 0 success (or countermodel Found), 1 verification failure
 (or search exhaustion), 2 usage/input errors.
 """
@@ -9,57 +12,37 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import bundled
-from .formula import (
-    And, Atom, Bottom, Formula, Iff, Implies, Not, Obl, Or, ParseError, PermS,
-    PermW, Top, parse, render,
-)
+from .formula import Formula, Obl, Or, ParseError, PermW, formula_to_dict, parse, render
 from .model import (
-    NeighbourhoodModel, evaluate, load_model, model_to_dict, truth_set,
+    NeighbourhoodModel, evaluate, load_model, model_to_dict, render_world_set, truth_set,
     validate_model,
 )
 from .frames import (
     GUARDED_RULES, FrameProperty, check_property, rule_valid_on_frame,
     schema_valid_on_frame, supplementation_closure,
 )
-from .systems import SCHEMAS, frame_class
+from .systems import SCHEMAS
 from .proof import (
-    SCENARIOS, TABLE1_DERIVABLES, ScenarioResult, check_proof, parse_proof_script,
-    run_scenario, scenario_registry, verify_inclusions, verify_table1,
+    SCENARIOS, TABLE1_DERIVABLES, check_proof, parse_proof_script, run_scenario,
+    scenario_registry, verify_inclusions, verify_table1,
 )
 from .search import (
-    RemainderError, SearchBounds, SearchTimeout, compute_remainder,
-    find_countermodel,
+    RemainderError, SearchBounds, SearchTimeout, compute_remainder, find_countermodel,
 )
 
 
-def _formula_dict(f: Formula) -> dict:
-    match f:
-        case Atom(name):
-            return {"op": "atom", "name": name}
-        case Top():
-            return {"op": "top"}
-        case Bottom():
-            return {"op": "bottom"}
-        case Not(x):
-            return {"op": "not", "args": [_formula_dict(x)]}
-        case And(l, r):
-            return {"op": "and", "args": [_formula_dict(l), _formula_dict(r)]}
-        case Or(l, r):
-            return {"op": "or", "args": [_formula_dict(l), _formula_dict(r)]}
-        case Implies(l, r):
-            return {"op": "implies", "args": [_formula_dict(l), _formula_dict(r)]}
-        case Iff(l, r):
-            return {"op": "iff", "args": [_formula_dict(l), _formula_dict(r)]}
-        case Obl(x):
-            return {"op": "O", "args": [_formula_dict(x)]}
-        case PermS(x):
-            return {"op": "Ps", "args": [_formula_dict(x)]}
-        case PermW(x):
-            return {"op": "Pw", "args": [_formula_dict(x)]}
-    raise TypeError(f"not a formula: {f!r}")
+@dataclass
+class Report:
+    """What a subcommand prints: ``text``, or ``data`` as JSON; ``code`` is the exit code."""
+
+    text: str
+    data: dict
+    code: int = 0
+    indent: int | None = 2  # None prints the JSON on one line
 
 
 def _load_model_arg(spec: str) -> NeighbourhoodModel:
@@ -86,175 +69,100 @@ def _checked_model(spec: str) -> NeighbourhoodModel:
     return model
 
 
-def _ws(s) -> str:
-    return "{" + ", ".join(sorted(s)) + "}"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> Report:
     f = parse(args.formula)
-    if args.json:
-        print(json.dumps({"formula": render(f), "ast": _formula_dict(f)}, indent=2))
-    else:
-        print(render(f))
-    return 0
+    return Report(render(f), {"formula": render(f), "ast": formula_to_dict(f)})
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> Report:
     model = _checked_model(args.model)
     f = parse(args.formula)
     if args.world is not None:
         value = evaluate(model, args.world, f)
-        if args.json:
-            print(json.dumps({"world": args.world, "value": value}))
-        else:
-            print("true" if value else "false")
-    else:
-        ts = truth_set(model, f)
-        if args.json:
-            print(json.dumps({"truth_set": sorted(ts)}))
-        else:
-            print(_ws(ts))
-    return 0
+        return Report("true" if value else "false", {"world": args.world, "value": value},
+                      indent=None)
+    ts = truth_set(model, f)
+    return Report(render_world_set(ts), {"truth_set": sorted(ts)}, indent=None)
 
 
-def _cmd_classify(args) -> int:
+def _property_status(model: NeighbourhoodModel, prop: FrameProperty) -> dict:
+    witness = check_property(model, prop)
+    return {"status": "satisfied" if witness is None else "violated",
+            "witness": witness.render() if witness else None}
+
+
+def _cmd_classify(args) -> Report:
     model = _checked_model(args.model)
-    rows = []
-    for prop in FrameProperty:
-        witness = check_property(model, prop)
-        if witness is None:
-            rows.append((prop.value, "satisfied", None))
-        else:
-            parts = [f"world {witness.world}"]
-            for label, value in (("X", witness.x), ("Y", witness.y),
-                                 ("Z", witness.z), ("Q", witness.q)):
-                if value is not None:
-                    parts.append(f"{label}={_ws(value)}")
-            rows.append((prop.value, "violated", ", ".join(parts)))
-    if args.json:
-        print(json.dumps({name: {"status": status, "witness": detail}
-                          for name, status, detail in rows}, indent=2))
-    else:
-        for name, status, detail in rows:
-            line = f"{name:14s} {status}"
-            if detail:
-                line += f"  ({detail})"
-            print(line)
-    return 0
+    data = {prop.value: _property_status(model, prop) for prop in FrameProperty}
+    lines = [f"{name:14s} {row['status']}" + (f"  ({row['witness']})" if row["witness"] else "")
+             for name, row in data.items()]
+    return Report("\n".join(lines), data)
 
 
-def _cmd_check_frame(args) -> int:
+def _cmd_check_frame(args) -> Report:
     model = _checked_model(args.model)
     if args.property:
-        witness = check_property(model, FrameProperty.from_name(args.property))
-        if witness is None:
-            print(f"{args.property}: satisfied")
-            return 0
-        parts = [f"world {witness.world}"]
-        for label, value in (("X", witness.x), ("Y", witness.y), ("Z", witness.z), ("Q", witness.q)):
-            if value is not None:
-                parts.append(f"{label}={_ws(value)}")
-        print(f"{args.property}: violated ({', '.join(parts)})")
-        return 1
+        row = _property_status(model, FrameProperty.from_name(args.property))
+        text = f"{args.property}: {row['status']}"
+        if row["witness"] is None:
+            return Report(text, {"property": args.property, **row})
+        return Report(f"{text} ({row['witness']})", {"property": args.property, **row}, 1)
     if args.schema:
         if args.schema not in SCHEMAS:
             raise ValueError(f"unknown schema {args.schema!r}")
         violation = schema_valid_on_frame(model, SCHEMAS[args.schema])
+        kind, name = "schema", args.schema
     else:
         violation = rule_valid_on_frame(model, args.rule)
-    name = args.schema or args.rule
+        kind, name = "rule", args.rule
     if violation is None:
-        print(f"{name}: valid on this frame")
-        return 0
-    assigned = ", ".join(f"{v}={_ws(s)}" for v, s in sorted(violation.assignment.items()))
-    print(f"{name}: violated at {violation.world} under {assigned}")
-    return 1
+        return Report(f"{name}: valid on this frame", {kind: name, "status": "valid"})
+    return Report(f"{name}: violated {violation.render()}",
+                  {kind: name, "status": "violated", **violation.to_dict()}, 1)
 
 
-def _cmd_prove(args) -> int:
+def _cmd_prove(args) -> Report:
     registry = scenario_registry()
     for path in args.system_file or ():
         registry.load_file(path)
-    script = parse_proof_script(Path(args.script).read_text())
-    result = check_proof(script, registry)
-    if args.json:
-        print(json.dumps({"valid": result.valid, "line": result.line, "reason": result.reason}))
-    else:
-        print(str(result))
-    return 0 if result.valid else 1
+    result = check_proof(parse_proof_script(Path(args.script).read_text()), registry)
+    return Report(result.render(), result.to_dict(), 0 if result.valid else 1, indent=None)
 
 
-def _cmd_verify_table1(args) -> int:
-    systems = [args.system] if args.system else list(TABLE1_DERIVABLES)
+def _cmd_verify_table1(args) -> Report:
     registry = scenario_registry()
-    all_ok = True
-    for name in systems:
-        report = verify_table1(name, registry)
-        print(report.render())
-        all_ok = all_ok and report.ok
-    print("all derivability scripts valid" if all_ok else "derivability FAILURES found")
-    return 0 if all_ok else 1
+    reports = [verify_table1(name, registry)
+               for name in ([args.system] if args.system else TABLE1_DERIVABLES)]
+    ok = all(report.ok for report in reports)
+    lines = [report.render() for report in reports]
+    lines.append("all derivability scripts valid" if ok else "derivability FAILURES found")
+    return Report("\n".join(lines), {"ok": ok, "systems": [r.to_dict() for r in reports]},
+                  0 if ok else 1)
 
 
-def _cmd_countermodel(args) -> int:
+def _cmd_countermodel(args) -> Report:
     if args.target in SCHEMAS:
         target = SCHEMAS[args.target]
     elif args.target in GUARDED_RULES:
         target = args.target
     else:
         target = parse(args.target)
-    required = frozenset(
-        FrameProperty.from_name(name) for name in (args.require.split(",") if args.require else [])
-        if name
-    )
+    required = frozenset(FrameProperty.from_name(name) for name in args.require.split(",") if name)
     bounds = SearchBounds(args.max_worlds, args.max_sets,
                           tuple(a for a in args.atoms.split(",") if a))
-    try:
-        report = find_countermodel(target, required, bounds, timeout_secs=args.timeout_secs)
-    except SearchTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        payload = {
-            "outcome": report.outcome,
-            "examined": report.examined,
-            "pruned_by_property": report.pruned_by_property,
-            "elapsed_secs": round(report.elapsed_secs, 6),
-        }
-        if report.found:
-            payload["world"] = report.world
-            payload["model"] = model_to_dict(report.model)
-            if report.assignment is not None:
-                payload["assignment"] = {v: sorted(s) for v, s in report.assignment.items()}
-            if report.instance is not None:
-                payload["falsified"] = render(report.instance)
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"{report.outcome} (examined {report.examined}, "
-              f"pruned {report.pruned_by_property}, {report.elapsed_secs:.3f}s)")
-        if report.found:
-            print(f"world: {report.world}")
-            if report.instance is not None:
-                print(f"falsified: {render(report.instance)}")
-            print(json.dumps(model_to_dict(report.model), indent=2))
-    return 0 if report.found else 1
+    report = find_countermodel(target, required, bounds, timeout_secs=args.timeout_secs)
+    return Report(report.render(), report.to_dict(), 0 if report.found else 1)
 
 
-def _cmd_remainder(args) -> int:
-    disjunction = parse(args.disjunction)
-    disjuncts: list[Formula] = []
+def _disjuncts(f: Formula) -> list[Formula]:
+    return _disjuncts(f.left) + _disjuncts(f.right) if isinstance(f, Or) else [f]
 
-    def flatten(f: Formula):
-        if isinstance(f, Or):
-            flatten(f.left)
-            flatten(f.right)
-        else:
-            disjuncts.append(f)
 
-    flatten(disjunction)
+def _cmd_remainder(args) -> Report:
+    disjuncts = _disjuncts(parse(args.disjunction))
     obligations: list[Formula] = []
     weak: list[Formula] = []
     for raw in Path(args.theory).read_text().splitlines():
@@ -268,80 +176,28 @@ def _cmd_remainder(args) -> int:
             weak.append(f.operand)
         else:
             raise ValueError(f"theory lines must be O ... or Pw ... formulas, got {line!r}")
-    try:
-        result = compute_remainder(
-            disjuncts, obligations, weak, use_implication_sides=args.with_implication_sides
-        )
-    except RemainderError as exc:
-        print(f"inconsistent: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps({
-            "surviving": [render(d) for d in result.surviving],
-            "eliminated": [
-                {"disjunct": render(d), "by": render(ob)} for d, ob in result.eliminated
-            ],
-            "detached": [render(PermS(d)) for d in result.detached],
-        }, indent=2))
-    else:
-        survivor = result.surviving_disjunction()
-        print(f"remainder: {render(PermS(survivor))}")
-        for d, ob in result.eliminated:
-            print(f"eliminated {render(d)} by {render(ob)}")
-        for d in result.detached:
-            print(f"detached: {render(PermS(d))}")
-    return 0
+    result = compute_remainder(disjuncts, obligations, weak,
+                               use_implication_sides=args.with_implication_sides)
+    return Report(result.render(), result.to_dict())
 
 
-def demo_transcript(result: ScenarioResult) -> str:
-    """A scenario's transcript; five-disjuncts adds the remainder before and after O ~s."""
-    out = [result.transcript()]
-    if result.name == "five-disjuncts":
-        disjuncts = [Atom(a) for a in "pqrst"]
-        base = compute_remainder(disjuncts, [Obl(Not(Atom(a))) for a in "pqr"])
-        out.append("remainder after O ~p, O ~q, O ~r: "
-                   + render(PermS(base.surviving_disjunction())))
-        extended = compute_remainder(disjuncts, [Obl(Not(Atom(a))) for a in "pqrs"])
-        out.append("adding O ~s detaches: "
-                   + ", ".join(render(PermS(d)) for d in extended.detached))
-    return "\n".join(out)
-
-
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> Report:
     result = run_scenario(args.name)
-    print(demo_transcript(result))
-    return 0 if result.ok else 1
+    return Report(result.render(), result.to_dict(), 0 if result.ok else 1)
 
 
-def _cmd_inclusions(args) -> int:
+def _cmd_inclusions(args) -> Report:
     verifications = verify_inclusions()
-    all_ok = True
-    for v in verifications:
-        fact = v.fact
-        status = "ok" if v.ok else "FAIL"
-        all_ok = all_ok and v.ok
-        print(f"{fact.smaller} < {fact.larger}: {status}  ({fact.note})")
-        for script_name, result in v.script_results:
-            print(f"    script {script_name}: {result}")
-        if fact.strictness_fixture:
-            print(f"    fixture {fact.strictness_fixture}:")
-            for check, actual in v.fixture_results:
-                line = f"        {check.kind} {check.name}: {actual}"
-                if check.advertised:
-                    line += f"  [advertised: {check.advertised}]"
-                print(line)
-        small, large = frame_class(fact.smaller), frame_class(fact.larger)
-        gained = ", ".join(sorted(p.value for p in large - small))
-        print(f"    frame class gains: {gained or '(none)'}")
-    print("lattice verified" if all_ok else "lattice verification FAILED")
-    return 0 if all_ok else 1
+    ok = all(v.ok for v in verifications)
+    lines = [v.render() for v in verifications]
+    lines.append("lattice verified" if ok else "lattice verification FAILED")
+    return Report("\n".join(lines), {"ok": ok, "inclusions": [v.to_dict() for v in verifications]},
+                  0 if ok else 1)
 
 
-def _cmd_closure(args) -> int:
-    model = _checked_model(args.model)
-    closed = supplementation_closure(model, args.which)
-    print(json.dumps(model_to_dict(closed), indent=2))
-    return 0
+def _cmd_closure(args) -> Report:
+    closed = model_to_dict(supplementation_closure(_checked_model(args.model), args.which))
+    return Report(json.dumps(closed, indent=2), closed)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +273,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except (ParseError, ValueError, FileNotFoundError, OSError) as exc:
+        report = args.func(args)
+        print(json.dumps(report.data, indent=report.indent) if args.json else report.text)
+        return report.code
+    except RemainderError as exc:
+        print(f"inconsistent: {exc}", file=sys.stderr)
+        return 1
+    except (ParseError, ValueError, OSError, SearchTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

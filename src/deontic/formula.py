@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Not", "And", "Or", "Implies", "Iff",
     "Obl", "PermS", "PermW", "TOP", "BOTTOM",
-    "ParseError", "parse", "render", "atoms", "modal_depth", "expand_pw",
+    "ParseError", "parse", "render", "formula_to_dict", "atoms", "modal_depth", "expand_pw",
     "Schema", "schema", "match_schema", "instantiate",
     "eval_bits", "is_tautology", "tautological_consequence",
 ]
@@ -299,6 +299,26 @@ def _render(f: Formula, ctx: int) -> str:
             )
         case Iff(l, r):
             return _wrap(_render(l, _PREC_IFF) + " <-> " + _render(r, _PREC_IFF + 1), _PREC_IFF, ctx)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+_DICT_OPS = {Not: "not", And: "and", Or: "or", Implies: "implies", Iff: "iff",
+             Obl: "O", PermS: "Ps", PermW: "Pw"}
+
+
+def formula_to_dict(f: Formula) -> dict:
+    """JSON form of the AST: ``{"op", "args"}`` nodes, atoms as ``{"op": "atom", "name"}``."""
+    match f:
+        case Atom(name):
+            return {"op": "atom", "name": name}
+        case Top():
+            return {"op": "top"}
+        case Bottom():
+            return {"op": "bottom"}
+        case Not(x) | Obl(x) | PermS(x) | PermW(x):
+            return {"op": _DICT_OPS[type(f)], "args": [formula_to_dict(x)]}
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            return {"op": _DICT_OPS[type(f)], "args": [formula_to_dict(l), formula_to_dict(r)]}
     raise TypeError(f"not a formula: {f!r}")
 
 

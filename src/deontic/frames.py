@@ -31,7 +31,7 @@ from itertools import combinations, product
 from typing import Iterable
 
 from .formula import Schema, atoms, schema
-from .model import ModelView, NeighbourhoodModel, WorldSet, truth_mask
+from .model import ModelView, NeighbourhoodModel, WorldSet, render_world_set, truth_mask
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
@@ -73,6 +73,12 @@ class PropertyWitness:
     z: WorldSet | None = None
     q: WorldSet | None = None
 
+    def render(self) -> str:
+        """``world w, X={...}, ...``, naming only the sets the condition uses."""
+        sets = (("X", self.x), ("Y", self.y), ("Z", self.z), ("Q", self.q))
+        return ", ".join([f"world {self.world}"]
+                         + [f"{label}={render_world_set(s)}" for label, s in sets if s is not None])
+
 
 @dataclass
 class SchemaViolation:
@@ -80,6 +86,15 @@ class SchemaViolation:
 
     assignment: dict[str, WorldSet]
     world: str
+
+    def render(self) -> str:
+        pairs = sorted(self.assignment.items())
+        assigned = ", ".join(f"{v}={render_world_set(s)}" for v, s in pairs)
+        return f"at {self.world} under {assigned}"
+
+    def to_dict(self) -> dict:
+        assigned = {v: sorted(s) for v, s in self.assignment.items()}
+        return {"world": self.world, "assignment": assigned}
 
 
 def _pw_subset_witness(b: ModelView, no: frozenset[int]) -> list[int | None]:

@@ -35,13 +35,18 @@ from .formula import Atom, Formula, Obl, PermS, PermW, eval_bits
 __all__ = [
     "WorldSet", "Neighbourhood", "NeighbourhoodModel", "ModelView", "truth_mask",
     "make_model", "model_from_dict", "model_to_dict", "load_model", "dump_model",
-    "validate_model", "evaluate", "truth_set", "model_valid",
+    "validate_model", "evaluate", "truth_set", "model_valid", "render_world_set",
 ]
 
 WorldSet = frozenset[str]
 Neighbourhood = frozenset[WorldSet]
 
 _ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*")
+
+
+def render_world_set(s: WorldSet) -> str:
+    """Sorted brace notation, as reports print world sets: ``{w1, w2}``."""
+    return "{" + ", ".join(sorted(s)) + "}"
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .formula import (
-    And, Formula, Iff, Implies, Not, Obl, PermS, Schema,
+    And, Atom, Formula, Iff, Implies, Not, Obl, PermS, Schema,
     expand_pw, instantiate, is_tautology, match_schema, parse, render,
     tautological_consequence,
 )
@@ -65,6 +65,7 @@ from .frames import (
     GUARDED_RULES, FrameProperty, check_property, entailment_closure,
     rule_valid_on_frame, schema_valid_on_frame,
 )
+from .search import RemainderResult, compute_remainder
 from .systems import (
     SCHEMAS, FixtureCheck, InclusionFact, SystemDef, SystemRegistry,
     frame_class, inclusion_report,
@@ -116,11 +117,16 @@ class ProofResult:
     reason: str | None = None
     tiers: dict[int, str] = field(default_factory=dict, compare=False)
 
-    def __str__(self) -> str:
+    def render(self) -> str:
         if self.valid:
             return "Valid"
         where = f"line {self.line}: " if self.line is not None else ""
         return f"Invalid ({where}{self.reason})"
+
+    __str__ = render
+
+    def to_dict(self) -> dict:
+        return {"valid": self.valid, "line": self.line, "reason": self.reason}
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +531,18 @@ class Table1Report:
                 out.append(f"  {e.derivable:10s} {status}  [{e.script}]")
         return "\n".join(out)
 
+    def to_dict(self) -> dict:
+        """Each entry's ``result`` is None for a skipped derivable, whose ``note`` says why."""
+        return {
+            "system": self.system,
+            "ok": self.ok,
+            "entries": [
+                {"derivable": e.derivable, "script": e.script,
+                 "result": e.result.to_dict() if e.result is not None else None, "note": e.note}
+                for e in self.entries
+            ],
+        }
+
 
 def verify_table1(system: str, registry: SystemRegistry | None = None) -> Table1Report:
     """Check every bundled derivability script for one system."""
@@ -557,6 +575,10 @@ SCENARIOS: dict[str, tuple[str, ...]] = {
     "five-disjuncts": ("five_disjuncts.proof", "five_disjuncts_extended.proof"),
 }
 
+# Remainder steps replayed after a scenario's scripts: the disjuncts, then the atoms
+# whose negation is obligatory before and after one more obligation is added.
+_SCENARIO_REMAINDERS = {"five-disjuncts": ("pqrst", ("pqr", "pqrs"))}
+
 
 @dataclass
 class ScenarioResult:
@@ -567,6 +589,53 @@ class ScenarioResult:
     @property
     def ok(self) -> bool:
         return all(result.valid for _, _, result in self.entries)
+
+    @property
+    def remainders(self) -> tuple[RemainderResult, ...]:
+        """Remainders replayed after the scripts, before and after the added obligation, if any."""
+        if self.name not in _SCENARIO_REMAINDERS:
+            return ()
+        disjuncts, forbidden_sets = _SCENARIO_REMAINDERS[self.name]
+        return tuple(
+            compute_remainder([Atom(a) for a in disjuncts], [Obl(Not(Atom(a))) for a in forbidden])
+            for forbidden in forbidden_sets
+        )
+
+    def render(self) -> str:
+        """The transcript, then the remainder before and after the added obligation."""
+        out = [self.transcript()]
+        remainders = self.remainders
+        if remainders:
+            base, extended = remainders
+            out.append("remainder after " + ", ".join(render(ob) for _, ob in base.eliminated)
+                       + ": " + render(PermS(base.surviving_disjunction())))
+            added = extended.eliminated[len(base.eliminated):]
+            out.append("adding " + ", ".join(render(ob) for _, ob in added) + " detaches: "
+                       + ", ".join(render(PermS(d)) for d in extended.detached))
+        return "\n".join(out)
+
+    def to_dict(self) -> dict:
+        """Per script its hypotheses, and per line the formula, justification and tier earned."""
+        return {
+            "scenario": self.name,
+            "ok": self.ok,
+            "scripts": [
+                {
+                    "script": script_name,
+                    "system": script.system,
+                    "hypotheses": [{"formula": render(h.formula), "theorem": h.theorem}
+                                   for h in script.hypotheses],
+                    "lines": [{"line": line.index, "formula": render(line.formula),
+                               "justification": _render_justification(line.justification),
+                               "tier": result.tiers.get(line.index)}
+                              for line in script.lines],
+                    "result": result.to_dict(),
+                }
+                for script_name, script, result in self.entries
+            ],
+            "derived": [render(c) for c in self.conclusions],
+            "remainders": [r.to_dict() for r in self.remainders],
+        }
 
     def transcript(self) -> str:
         out = [f"scenario: {self.name}"]
@@ -638,6 +707,45 @@ class InclusionVerification:
         scripts_ok = all(r.valid for _, r in self.script_results)
         fixtures_ok = all(check.expect == actual for check, actual in self.fixture_results)
         return scripts_ok and fixtures_ok and self.antitone
+
+    @property
+    def gains(self) -> list[str]:
+        """The frame conditions the larger system's class adds to the smaller one's."""
+        small, large = frame_class(self.fact.smaller), frame_class(self.fact.larger)
+        return sorted(p.value for p in large - small)
+
+    def render(self) -> str:
+        fact = self.fact
+        out = [f"{fact.smaller} < {fact.larger}: {'ok' if self.ok else 'FAIL'}  ({fact.note})"]
+        out += [f"    script {name}: {result}" for name, result in self.script_results]
+        if fact.strictness_fixture:
+            out.append(f"    fixture {fact.strictness_fixture}:")
+            for check, actual in self.fixture_results:
+                line = f"        {check.kind} {check.name}: {actual}"
+                if check.advertised:
+                    line += f"  [advertised: {check.advertised}]"
+                out.append(line)
+        out.append(f"    frame class gains: {', '.join(self.gains) or '(none)'}")
+        return "\n".join(out)
+
+    def to_dict(self) -> dict:
+        fact = self.fact
+        return {
+            "smaller": fact.smaller,
+            "larger": fact.larger,
+            "ok": self.ok,
+            "note": fact.note,
+            "scripts": [{"script": name, "result": result.to_dict()}
+                        for name, result in self.script_results],
+            "fixture": fact.strictness_fixture,
+            "fixture_checks": [
+                {"kind": check.kind, "name": check.name, "expect": check.expect,
+                 "actual": actual, "advertised": check.advertised}
+                for check, actual in self.fixture_results
+            ],
+            "antitone": self.antitone,
+            "frame_class_gains": self.gains,
+        }
 
 
 def _run_fixture_check(model, check: FixtureCheck) -> str:

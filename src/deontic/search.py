@@ -26,17 +26,20 @@ is returned.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from .formula import (
-    Atom, Formula, Implies, Not, Obl, Or, Schema,
+    Atom, Formula, Implies, Not, Obl, Or, PermS, Schema,
     atoms as formula_atoms, expand_pw, instantiate, is_tautology, modal_depth,
     render,
 )
-from .model import NeighbourhoodModel, WorldSet, evaluate, model_valid, truth_set
+from .model import (
+    NeighbourhoodModel, WorldSet, evaluate, model_to_dict, model_valid, truth_set,
+)
 from .frames import (
     GUARDED_RULES, FrameProperty, SchemaViolation, check_property,
     rule_valid_on_frame, schema_valid_on_frame,
@@ -85,6 +88,32 @@ class CountermodelReport:
     @property
     def outcome(self) -> str:
         return "Found" if self.found else "ExhaustedUpToBounds"
+
+    def render(self) -> str:
+        out = [f"{self.outcome} (examined {self.examined}, "
+               f"pruned {self.pruned_by_property}, {self.elapsed_secs:.3f}s)"]
+        if self.found:
+            out.append(f"world: {self.world}")
+            if self.instance is not None:
+                out.append(f"falsified: {render(self.instance)}")
+            out.append(json.dumps(model_to_dict(self.model), indent=2))
+        return "\n".join(out)
+
+    def to_dict(self) -> dict:
+        out = {
+            "outcome": self.outcome,
+            "examined": self.examined,
+            "pruned_by_property": self.pruned_by_property,
+            "elapsed_secs": round(self.elapsed_secs, 6),
+        }
+        if self.found:
+            out["world"] = self.world
+            out["model"] = model_to_dict(self.model)
+            if self.assignment is not None:
+                out["assignment"] = {v: sorted(s) for v, s in self.assignment.items()}
+            if self.instance is not None:
+                out["falsified"] = render(self.instance)
+        return out
 
 
 class _Clock:
@@ -233,8 +262,9 @@ def _search_models(target, required, bounds, clock) -> CountermodelReport:
         cols = _collections(n, bounds.max_sets)
         mask_range = list(range(1 << n))
         for val_masks in product(mask_range, repeat=k):
-            clock.check()
+            # A valuation spans len(cols) ** (2n) candidates; read the clock every len(cols) ** n.
             for no_cols in product(cols, repeat=n):
+                clock.check()
                 for np_cols in product(cols, repeat=n):
                     if n <= 4 and not _canonical_model(val_masks, no_cols, np_cols, n):
                         continue
@@ -254,7 +284,6 @@ def _search_models(target, required, bounds, clock) -> CountermodelReport:
                         report.instance = target
                         report.elapsed_secs = clock.elapsed()
                         return report
-            clock.check()
     report.elapsed_secs = clock.elapsed()
     return report
 
@@ -352,6 +381,19 @@ class RemainderResult:
         for d in self.surviving[1:]:
             f = Or(f, d)
         return f
+
+    def render(self) -> str:
+        out = [f"remainder: {render(PermS(self.surviving_disjunction()))}"]
+        out += [f"eliminated {render(d)} by {render(ob)}" for d, ob in self.eliminated]
+        out += [f"detached: {render(PermS(d))}" for d in self.detached]
+        return "\n".join(out)
+
+    def to_dict(self) -> dict:
+        return {
+            "surviving": [render(d) for d in self.surviving],
+            "eliminated": [{"disjunct": render(d), "by": render(ob)} for d, ob in self.eliminated],
+            "detached": [render(PermS(d)) for d in self.detached],
+        }
 
 
 def compute_remainder(

@@ -1,8 +1,11 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from deontic.cli import main
+from deontic import bundled
+from deontic.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -231,3 +234,36 @@ class TestDeepNesting:
     def test_eval_450_nested_obligations(self, capsys):
         code, out, _ = run(capsys, "eval", "O " * 450 + "a", "--model", "corollary3_model1")
         assert code == 0 and out == "{}\n"
+
+
+EVERY_SUBCOMMAND_JSON = {
+    "parse": ("parse", "Ps(p | q) & O ~p"),
+    "eval": ("eval", "O a", "--model", "corollary3_model1"),
+    "classify": ("classify", "corollary3_model1"),
+    "check-frame": ("check-frame", "corollary3_model1", "--property", "AFCP2P"),
+    "prove": ("prove", "{proofs}/etiquette.proof"),
+    "verify-table1": ("verify-table1", "--system", "FCP_1"),
+    "countermodel": ("countermodel", "--target", "IFCP_O", "--require", "AFCPO",
+                     "--max-worlds", "3", "--max-sets", "2"),
+    "remainder": ("remainder", "--disjunction", "p | q | r | s | t",
+                  "--theory", "{tests}/golden/theory.txt"),
+    "demo": ("demo", "five-disjuncts"),
+    "inclusions": ("inclusions",),
+    "closure": ("closure", "corollary3_model1", "--which", "Ps"),
+}
+
+
+def test_json_cases_cover_every_subcommand():
+    parser = _build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(EVERY_SUBCOMMAND_JSON) == sorted(commands)
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_SUBCOMMAND_JSON))
+def test_every_json_output_is_one_json_document(capsys, command):
+    paths = {"proofs": Path(bundled.__file__).parent / "fixtures" / "proofs",
+             "tests": Path(__file__).parent}
+    argv = [arg.format(**paths) for arg in EVERY_SUBCOMMAND_JSON[command]]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code in (0, 1) and err == ""
+    assert isinstance(json.loads(out), dict)

@@ -1,9 +1,10 @@
+import time
 from itertools import combinations, permutations, product
 
 import pytest
 
 from deontic import (
-    FrameProperty, RemainderError, SearchBounds, SearchError, check_property,
+    FrameProperty, RemainderError, SearchBounds, SearchError, SearchTimeout, check_property,
     compute_remainder, evaluate, find_countermodel, parse, render,
     rule_valid_on_frame, truth_set, validate_model,
 )
@@ -111,6 +112,17 @@ class TestFindCountermodel:
         monkeypatch.setattr(deontic.search, "evaluate", lambda *args: verdict)
         with pytest.raises(SearchError, match="re-verif"):
             find_countermodel(target, set(), SearchBounds(3, 2, ("p", "q", "r")))
+
+
+def test_timeout_is_kept_within_one_valuation():
+    # One valuation of this search at 3 worlds spans 9 ** 6 candidates and takes about 26 s;
+    # the clock is read once per 9 ** 3, so the search stops soon after its budget.
+    target = parse("Ps(a | b) & Pw a -> Ps a")
+    required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        find_countermodel(target, required, SearchBounds(3, 1, ("a", "b")), timeout_secs=1.0)
+    assert time.monotonic() - start < 3.0
 
 
 def _independent_tuple_count(max_worlds: int, max_sets: int, n_atoms: int) -> int:
