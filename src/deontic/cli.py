@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import bundled
-from .formula import Formula, Obl, Or, ParseError, PermW, formula_to_dict, parse, render
+from .formula import Formula, Obl, Or, ParseError, PermW, flatten, formula_to_dict, parse, render
 from .model import (
     NeighbourhoodModel, evaluate, load_model, model_to_dict, render_world_set, truth_set,
     validate_model,
@@ -157,12 +157,8 @@ def _cmd_countermodel(args) -> Report:
     return Report(report.render(), report.to_dict(), 0 if report.found else 1)
 
 
-def _disjuncts(f: Formula) -> list[Formula]:
-    return _disjuncts(f.left) + _disjuncts(f.right) if isinstance(f, Or) else [f]
-
-
 def _cmd_remainder(args) -> Report:
-    disjuncts = _disjuncts(parse(args.disjunction))
+    disjuncts = flatten(parse(args.disjunction), Or)
     obligations: list[Formula] = []
     weak: list[Formula] = []
     for raw in Path(args.theory).read_text().splitlines():

@@ -7,6 +7,13 @@ clause; ``expand_pw`` rewrites it to the equivalent ``~O~`` form when a
 normalised view is needed (the proof checker uses this to treat the two
 spellings interchangeably).
 
+The node classes are the connective table.  Each states its ``symbol``
+and its JSON ``tag`` once; each ``Binary`` class also states its ``prec``
+and whether it is ``right_assoc``.  ``Not`` is ``Unary``, the three modal
+operators are ``Modal`` (a ``Unary``).  The parser, the renderer, the JSON
+form and the structural walkers read the table and dispatch on these
+shapes; only ``eval_bits`` has a case per connective.
+
 Concrete syntax (ASCII)::
 
     formula := iff
@@ -36,10 +43,10 @@ from functools import reduce
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
-    "Formula", "Atom", "Top", "Bottom", "Not", "And", "Or", "Implies", "Iff",
-    "Obl", "PermS", "PermW", "TOP", "BOTTOM",
+    "Formula", "Atom", "Top", "Bottom", "Unary", "Modal", "Binary",
+    "Not", "And", "Or", "Implies", "Iff", "Obl", "PermS", "PermW", "TOP", "BOTTOM",
     "ParseError", "parse", "render", "formula_to_dict", "atoms", "modal_depth", "expand_pw",
-    "Schema", "schema", "match_schema", "instantiate",
+    "flatten", "Schema", "schema", "match_schema", "instantiate",
     "eval_bits", "is_tautology", "tautological_consequence",
 ]
 
@@ -56,64 +63,78 @@ class Formula:
 @dataclass(frozen=True)
 class Atom(Formula):
     name: str
+    tag = "atom"
 
 
 @dataclass(frozen=True)
 class Top(Formula):
-    pass
+    symbol, tag = "T", "top"
 
 
 @dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    symbol, tag = "F", "bottom"
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class Unary(Formula):
+    """A connective applied to one operand."""
+
     operand: Formula
 
 
+class Not(Unary):
+    symbol, tag = "~", "not"
+
+
+class Modal(Unary):
+    """A modal operator; the propositional abstraction treats its node as an opaque unit."""
+
+
+class Obl(Modal):
+    symbol = tag = "O"
+
+
+class PermS(Modal):
+    symbol = tag = "Ps"
+
+
+class PermW(Modal):
+    symbol = tag = "Pw"
+
+
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
+    """A connective joining two operands; a higher ``prec`` binds tighter."""
+
     left: Formula
     right: Formula
+    right_assoc = False
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    symbol, tag, prec = "&", "and", 4
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(Binary):
+    symbol, tag, prec = "|", "or", 3
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(Binary):
+    symbol, tag, prec, right_assoc = "->", "implies", 2, True
 
 
-@dataclass(frozen=True)
-class Obl(Formula):
-    operand: Formula
-
-
-@dataclass(frozen=True)
-class PermS(Formula):
-    operand: Formula
-
-
-@dataclass(frozen=True)
-class PermW(Formula):
-    operand: Formula
+class Iff(Binary):
+    symbol, tag, prec = "<->", "iff", 1
 
 
 TOP = Top()
 BOTTOM = Bottom()
+
+_UNARY = {c.symbol: c for c in (Not, Obl, PermS, PermW)}
+_BINARY = {c.symbol: c for c in (Iff, Implies, Or, And)}
+_CONSTANTS = {f.symbol: f for f in (TOP, BOTTOM)}
+_PREC_UNARY = 1 + max(c.prec for c in _BINARY.values())  # operands of unary connectives
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +161,13 @@ class _Token(NamedTuple):
 # One token per match, whitespace skipped: an operator, a name, or any other character.
 _TOKEN = re.compile(r"(?P<op><->|->|[&|~()])|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<other>\S)")
 _ATOM = re.compile(r"[a-z][a-z0-9_]*")
-_RESERVED = ("O", "Ps", "Pw", "T", "F")
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
     for m in _TOKEN.finditer(text):
         kind, word, i = m.lastgroup, m.group(), m.start()
-        if kind == "op" or word in _RESERVED:
+        if kind == "op" or word in _UNARY or word in _CONSTANTS:
             out.append(_Token(word, word, i))
         elif kind == "other":
             raise ParseError(f"unexpected character {word!r}", i)
@@ -159,10 +179,17 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-_FORMULA_STARTERS = ("~", "O", "Ps", "Pw", "T", "F", "atom", "(")
+_FORMULA_STARTERS = (*_UNARY, *_CONSTANTS, "atom", "(")
+
+
+def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
+    what = "end of input" if tok.kind == "end" else f"token {tok.text!r}"
+    return ParseError(f"unexpected {what}", tok.pos, expected)
 
 
 class _Parser:
+    """Precedence climbing: ``expr(p)`` reads binary connectives of ``prec`` at least ``p``."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
@@ -175,76 +202,34 @@ class _Parser:
         self.i += 1
         return tok
 
-    def iff(self) -> Formula:
-        f = self.impl()
-        while self.peek().kind == "<->":
-            self.take()
-            f = Iff(f, self.impl())
-        return f
-
-    def impl(self) -> Formula:
-        f = self.disj()
-        if self.peek().kind == "->":
-            self.take()
-            return Implies(f, self.impl())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def expr(self, min_prec: int = 1) -> Formula:
         f = self.unary()
-        while self.peek().kind == "&":
+        while (op := _BINARY.get(self.peek().kind)) and op.prec >= min_prec:
             self.take()
-            f = And(f, self.unary())
+            f = op(f, self.expr(op.prec if op.right_assoc else op.prec + 1))
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.take()
-            return Not(self.unary())
-        if tok.kind == "O":
-            self.take()
-            return Obl(self.unary())
-        if tok.kind == "Ps":
-            self.take()
-            return PermS(self.unary())
-        if tok.kind == "Pw":
-            self.take()
-            return PermW(self.unary())
-        if tok.kind == "T":
-            self.take()
-            return TOP
-        if tok.kind == "F":
-            self.take()
-            return BOTTOM
+        tok = self.take()
+        if tok.kind in _UNARY:
+            return _UNARY[tok.kind](self.unary())
+        if tok.kind in _CONSTANTS:
+            return _CONSTANTS[tok.kind]
         if tok.kind == "atom":
-            self.take()
             return Atom(tok.text)
         if tok.kind == "(":
-            self.take()
-            f = self.iff()
-            closing = self.peek()
+            f = self.expr()
+            closing = self.take()
             if closing.kind != ")":
-                if closing.kind == "end":
-                    raise ParseError("unexpected end of input", closing.pos, (")",))
-                raise ParseError(f"unexpected token {closing.text!r}", closing.pos, (")",))
-            self.take()
+                raise _unexpected(closing, (")",))
             return f
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.pos, _FORMULA_STARTERS)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos, _FORMULA_STARTERS)
+        raise _unexpected(tok, _FORMULA_STARTERS)
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into the unique AST under the stated precedence."""
     p = _Parser(_tokenize(text))
-    f = p.iff()
+    f = p.expr()
     trailing = p.peek()
     if trailing.kind != "end":
         raise ParseError(
@@ -256,16 +241,9 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Rendering
 
-_PREC_IFF, _PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
-
-
 def render(f: Formula) -> str:
     """Minimal-parenthesis text; ``parse(render(f)) == f``."""
     return _render(f, 0)
-
-
-def _wrap(s: str, prec: int, ctx: int) -> str:
-    return f"({s})" if prec < ctx else s
 
 
 def _mod_operand(x: Formula) -> str:
@@ -277,104 +255,85 @@ def _render(f: Formula, ctx: int) -> str:
     match f:
         case Atom(name):
             return name
-        case Top():
-            return "T"
-        case Bottom():
-            return "F"
-        case Not(x):
-            return "~" + _render(x, _PREC_UNARY)
-        case Obl(x):
-            return "O" + _mod_operand(x)
-        case PermS(x):
-            return "Ps" + _mod_operand(x)
-        case PermW(x):
-            return "Pw" + _mod_operand(x)
-        case And(l, r):
-            return _wrap(_render(l, _PREC_AND) + " & " + _render(r, _PREC_AND + 1), _PREC_AND, ctx)
-        case Or(l, r):
-            return _wrap(_render(l, _PREC_OR) + " | " + _render(r, _PREC_OR + 1), _PREC_OR, ctx)
-        case Implies(l, r):
-            return _wrap(
-                _render(l, _PREC_IMPL + 1) + " -> " + _render(r, _PREC_IMPL), _PREC_IMPL, ctx
-            )
-        case Iff(l, r):
-            return _wrap(_render(l, _PREC_IFF) + " <-> " + _render(r, _PREC_IFF + 1), _PREC_IFF, ctx)
+        case Top() | Bottom():
+            return f.symbol
+        case Modal(x):
+            return f.symbol + _mod_operand(x)
+        case Unary(x):
+            return f.symbol + _render(x, _PREC_UNARY)
+        case Binary(l, r):
+            # Only the operand on the associative side may share the connective's precedence.
+            p = f.prec
+            lp, rp = (p + 1, p) if f.right_assoc else (p, p + 1)
+            s = f"{_render(l, lp)} {f.symbol} {_render(r, rp)}"
+            return f"({s})" if p < ctx else s
     raise TypeError(f"not a formula: {f!r}")
-
-
-_DICT_OPS = {Not: "not", And: "and", Or: "or", Implies: "implies", Iff: "iff",
-             Obl: "O", PermS: "Ps", PermW: "Pw"}
 
 
 def formula_to_dict(f: Formula) -> dict:
     """JSON form of the AST: ``{"op", "args"}`` nodes, atoms as ``{"op": "atom", "name"}``."""
-    match f:
-        case Atom(name):
-            return {"op": "atom", "name": name}
-        case Top():
-            return {"op": "top"}
-        case Bottom():
-            return {"op": "bottom"}
-        case Not(x) | Obl(x) | PermS(x) | PermW(x):
-            return {"op": _DICT_OPS[type(f)], "args": [formula_to_dict(x)]}
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return {"op": _DICT_OPS[type(f)], "args": [formula_to_dict(l), formula_to_dict(r)]}
-    raise TypeError(f"not a formula: {f!r}")
+    args = list(map(formula_to_dict, _children(f)))  # first: a non-formula raises TypeError here
+    if isinstance(f, Atom):
+        return {"op": f.tag, "name": f.name}
+    return {"op": f.tag, "args": args} if args else {"op": f.tag}
 
 
 # ---------------------------------------------------------------------------
 # Structural helpers
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    match f:
+        case Unary(x):
+            return (x,)
+        case Binary(l, r):
+            return (l, r)
+        case Atom() | Top() | Bottom():
+            return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _rebuild(f: Formula, walk: Callable[[Formula], Formula]) -> Formula:
+    """``f`` with ``walk`` applied to each direct subformula."""
+    match f:
+        case Unary(x):
+            return type(f)(walk(x))
+        case Binary(l, r):
+            return type(f)(walk(l), walk(r))
+        case Atom() | Top() | Bottom():
+            return f
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def atoms(f: Formula) -> frozenset[str]:
     """Names of all atoms occurring in ``f``."""
-    match f:
-        case Atom(name):
-            return frozenset((name,))
-        case Top() | Bottom():
-            return frozenset()
-        case Not(x) | Obl(x) | PermS(x) | PermW(x):
-            return atoms(x)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return atoms(l) | atoms(r)
-    raise TypeError(f"not a formula: {f!r}")
+    names, todo = set(), [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Atom):
+            names.add(g.name)
+        else:
+            todo += _children(g)
+    return frozenset(names)
 
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting of modal operators."""
-    match f:
-        case Atom() | Top() | Bottom():
-            return 0
-        case Not(x):
-            return modal_depth(x)
-        case Obl(x) | PermS(x) | PermW(x):
-            return 1 + modal_depth(x)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return max(modal_depth(l), modal_depth(r))
-    raise TypeError(f"not a formula: {f!r}")
+    depth = 0
+    for x in _children(f):
+        depth = max(depth, modal_depth(x))
+    return depth + isinstance(f, Modal)
 
 
 def expand_pw(f: Formula) -> Formula:
     """Rewrite every ``Pw x`` to ``~O~x``; the result contains no Pw node."""
-    match f:
-        case Atom() | Top() | Bottom():
-            return f
-        case Not(x):
-            return Not(expand_pw(x))
-        case And(l, r):
-            return And(expand_pw(l), expand_pw(r))
-        case Or(l, r):
-            return Or(expand_pw(l), expand_pw(r))
-        case Implies(l, r):
-            return Implies(expand_pw(l), expand_pw(r))
-        case Iff(l, r):
-            return Iff(expand_pw(l), expand_pw(r))
-        case Obl(x):
-            return Obl(expand_pw(x))
-        case PermS(x):
-            return PermS(expand_pw(x))
-        case PermW(x):
-            return Not(Obl(Not(expand_pw(x))))
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, PermW):
+        return Not(Obl(Not(expand_pw(f.operand))))
+    return _rebuild(f, expand_pw)
+
+
+def flatten(f: Formula, op: type[Binary]) -> list[Formula]:
+    """Operands of the ``op`` chain at the top of ``f``: ``flatten(a | (b | c), Or) == [a, b, c]``."""
+    return flatten(f.left, op) + flatten(f.right, op) if isinstance(f, op) else [f]
 
 
 # ---------------------------------------------------------------------------
@@ -409,24 +368,12 @@ def match_schema(s: Schema, f: Formula) -> dict[str, Formula] | None:
                     binding[name] = tgt
                     return True
                 return seen == tgt
+            case Unary(x):
+                return type(pat) is type(tgt) and walk(x, tgt.operand)
+            case Binary(l, r):
+                return type(pat) is type(tgt) and walk(l, tgt.left) and walk(r, tgt.right)
             case Atom() | Top() | Bottom():
                 return pat == tgt
-            case Not(x):
-                return isinstance(tgt, Not) and walk(x, tgt.operand)
-            case Obl(x):
-                return isinstance(tgt, Obl) and walk(x, tgt.operand)
-            case PermS(x):
-                return isinstance(tgt, PermS) and walk(x, tgt.operand)
-            case PermW(x):
-                return isinstance(tgt, PermW) and walk(x, tgt.operand)
-            case And(l, r):
-                return isinstance(tgt, And) and walk(l, tgt.left) and walk(r, tgt.right)
-            case Or(l, r):
-                return isinstance(tgt, Or) and walk(l, tgt.left) and walk(r, tgt.right)
-            case Implies(l, r):
-                return isinstance(tgt, Implies) and walk(l, tgt.left) and walk(r, tgt.right)
-            case Iff(l, r):
-                return isinstance(tgt, Iff) and walk(l, tgt.left) and walk(r, tgt.right)
         raise TypeError(f"not a formula: {pat!r}")
 
     return dict(binding) if walk(s.body, f) else None
@@ -436,31 +383,12 @@ def instantiate(s: Schema, subst: Mapping[str, Formula]) -> Formula:
     """Homomorphic replacement of metavariables; raises on a missing binding."""
 
     def walk(f: Formula) -> Formula:
-        match f:
-            case Atom(name) if name in s.metavars:
-                try:
-                    return subst[name]
-                except KeyError:
-                    raise ValueError(f"substitution is missing metavariable {name!r}") from None
-            case Atom() | Top() | Bottom():
-                return f
-            case Not(x):
-                return Not(walk(x))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Implies(l, r):
-                return Implies(walk(l), walk(r))
-            case Iff(l, r):
-                return Iff(walk(l), walk(r))
-            case Obl(x):
-                return Obl(walk(x))
-            case PermS(x):
-                return PermS(walk(x))
-            case PermW(x):
-                return PermW(walk(x))
-        raise TypeError(f"not a formula: {f!r}")
+        if isinstance(f, Atom) and f.name in s.metavars:
+            try:
+                return subst[f.name]
+            except KeyError:
+                raise ValueError(f"substitution is missing metavariable {f.name!r}") from None
+        return _rebuild(f, walk)
 
     return walk(s.body)
 
@@ -472,17 +400,11 @@ def _abstraction_units(f: Formula, acc: dict[Formula, None]) -> None:
     # Maximal modal subformulas and atoms become the propositional alphabet;
     # syntactically identical modal subformulas share one unit.
     match f:
-        case Atom() | Obl() | PermS() | PermW():
+        case Atom() | Modal():
             acc.setdefault(f)
-        case Top() | Bottom():
-            pass
-        case Not(x):
-            _abstraction_units(x, acc)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            _abstraction_units(l, acc)
-            _abstraction_units(r, acc)
         case _:
-            raise TypeError(f"not a formula: {f!r}")
+            for x in _children(f):
+                _abstraction_units(x, acc)
 
 
 def eval_bits(f: Formula, leaf: Callable[[Formula], int], full: int) -> int:
@@ -492,7 +414,7 @@ def eval_bits(f: Formula, leaf: Callable[[Formula], int], full: int) -> int:
     on a frame and bit-parallel truth tables all evaluate through this walk.
     """
     match f:
-        case Atom() | Obl() | PermS() | PermW():
+        case Atom() | Modal():
             return leaf(f)
         case Top():
             return full

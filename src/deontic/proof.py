@@ -56,8 +56,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .formula import (
-    And, Atom, Formula, Iff, Implies, Not, Obl, PermS, Schema,
-    expand_pw, instantiate, is_tautology, match_schema, parse, render,
+    And, Atom, Formula, Iff, Implies, Not, Obl, PermS, PermW, Schema,
+    expand_pw, flatten, instantiate, is_tautology, match_schema, parse, render,
     tautological_consequence,
 )
 from . import bundled
@@ -137,6 +137,7 @@ _AX = re.compile(r"^(\w+)\s*(\{.*\})?$")
 # Justification keyword of each guarded rule (ifcp_o, ...), and the label its sides carry.
 _GUARDED_KINDS = {name.lower(): name for name in GUARDED_RULES}
 _SIDE_LABEL = {"ifcp_o": "side="}
+_BOXES = {c.symbol: c for c in (Obl, PermS, PermW)}  # the modalities of re and rm
 
 
 def _parse_refs(text: str) -> tuple[int, ...]:
@@ -188,7 +189,7 @@ def _parse_justification(text: str) -> Justification:
         return Justification("cpl", refs=refs)
     if kind in ("re", "rm"):
         parts = rest.split()
-        if len(parts) != 2 or parts[1] not in ("O", "Ps", "Pw"):
+        if len(parts) != 2 or parts[1] not in _BOXES:
             raise ValueError(f"{kind} needs a line number and a modality (O, Ps, Pw): {text!r}")
         return Justification(kind, refs=(int(parts[0]),), modality=parts[1])
     if kind in _GUARDED_KINDS:
@@ -248,33 +249,19 @@ def _join_tiers(tiers) -> str:
 
 
 def _mk_box(mod: str, x: Formula) -> Formula:
-    if mod == "O":
-        return Obl(x)
-    if mod == "Ps":
-        return PermS(x)
-    return Not(Obl(Not(x)))  # Pw, in normalised form
+    box = _BOXES[mod]
+    return Not(Obl(Not(x))) if box is PermW else box(x)  # Pw in normalised form
 
 
 def _box_operand(f: Formula, mod: str) -> Formula | None:
     """Destructure a normalised formula as [mod] applied to an operand."""
-    if mod == "O" and isinstance(f, Obl):
-        return f.operand
-    if mod == "Ps" and isinstance(f, PermS):
-        return f.operand
-    if (
-        mod == "Pw"
-        and isinstance(f, Not)
-        and isinstance(f.operand, Obl)
-        and isinstance(f.operand.operand, Not)
-    ):
-        return f.operand.operand.operand
+    box = _BOXES[mod]
+    if box is not PermW:
+        return f.operand if type(f) is box else None
+    match f:
+        case Not(Obl(Not(x))):
+            return x
     return None
-
-
-def _flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
 
 
 class _Checker:
@@ -402,7 +389,7 @@ class _Checker:
             return f"rule {name} is not part of {self.system.name}"
         rule = GUARDED_RULES[name]
         # Conjuncts re-joined left to right, so the cited lines may split the premise anywhere.
-        parts = [part for r in j.refs for part in _flatten_and(self.norm(self.forms[r]))]
+        parts = [part for r in j.refs for part in flatten(self.norm(self.forms[r]), And)]
         premise = Schema(self.norm(rule.premise.body), rule.premise.metavars)
         binding = match_schema(premise, reduce(And, parts)) if parts else None
         if binding is None:

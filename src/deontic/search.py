@@ -54,7 +54,7 @@ HARD_WORLD_CAP = 5
 
 
 class SearchTimeout(RuntimeError):
-    pass
+    """Raised when a search runs past its time budget; the message says how far it got."""
 
 
 class SearchError(RuntimeError):
@@ -121,9 +121,12 @@ class _Clock:
         self.start = time.monotonic()
         self.deadline = None if timeout_secs is None else self.start + timeout_secs
 
-    def check(self):
+    def check(self, report: CountermodelReport):
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout("countermodel search exceeded the time budget")
+            raise SearchTimeout(
+                f"countermodel search exceeded the time budget (examined {report.examined}, "
+                f"pruned {report.pruned_by_property}, {self.elapsed():.3f}s)"
+            )
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -264,7 +267,7 @@ def _search_models(target, required, bounds, clock) -> CountermodelReport:
         for val_masks in product(mask_range, repeat=k):
             # A valuation spans len(cols) ** (2n) candidates; read the clock every len(cols) ** n.
             for no_cols in product(cols, repeat=n):
-                clock.check()
+                clock.check(report)
                 for np_cols in product(cols, repeat=n):
                     if n <= 4 and not _canonical_model(val_masks, no_cols, np_cols, n):
                         continue
@@ -299,7 +302,7 @@ def _search_frames(rule, schema_target, required, bounds, clock) -> Countermodel
         no_candidates = [c for c in cols if not supplement_no or _superset_closed(c, full)]
         np_candidates = [c for c in cols if not supplement_np or _superset_closed(c, full)]
         for no_col in no_candidates:
-            clock.check()
+            clock.check(report)
             for np_col in np_candidates:
                 if n <= 4 and not _canonical_pair(no_col, np_col, n):
                     continue

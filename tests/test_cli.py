@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,20 @@ class TestCountermodel:
             "--max-worlds", "2", "--max-sets", "1", "--atoms", "a,b",
         )
         assert code == 2 and "unknown frame property" in err
+
+    @pytest.mark.parametrize("flag", [(), ("--json",)], ids=["text", "json"])
+    def test_timeout_reports_progress(self, capsys, flag):
+        code, out, err = run(
+            capsys, "countermodel", "--target", "Ps(a | b) & Pw a -> Ps a",
+            "--require", "AFCPO,AFCPP", "--max-worlds", "3", "--max-sets", "1",
+            "--atoms", "a,b", "--timeout-secs", "0.2", *flag,
+        )
+        assert code == 2 and out == ""
+        m = re.fullmatch(r"error: countermodel search exceeded the time budget "
+                         r"\(examined (\d+), pruned (\d+), (\d+\.\d{3})s\)\n", err)
+        assert m, err
+        examined, pruned, elapsed = int(m[1]), int(m[2]), float(m[3])
+        assert 0 < examined and pruned <= examined and elapsed >= 0.2
 
 
 class TestRemainder:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from deontic import (
     BOTTOM, And, Atom, Bottom, Formula, Iff, Implies, Not, Obl, Or, ParseError,
     PermS, PermW, Schema, TOP, Top, atoms, expand_pw, instantiate, is_tautology,
-    match_schema, parse, render, schema, tautological_consequence,
+    match_schema, modal_depth, parse, render, schema, tautological_consequence,
 )
+from deontic.formula import _tokenize, flatten, formula_to_dict
 from deontic.systems import SCHEMAS
 
 from conftest import formulas
@@ -69,6 +70,147 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert str(exc.value).startswith(message)
+
+    def test_400_nested_parentheses(self):
+        assert parse("(" * 400 + "a" + ")" * 400) == Atom("a")
+
+
+# Reference for parse: the recursive-descent parser with one method per
+# precedence level, over the same tokenizer.
+
+_ORACLE_STARTERS = ("~", "O", "Ps", "Pw", "T", "F", "atom", "(")
+
+
+class _OracleParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def iff(self):
+        f = self.impl()
+        while self.peek().kind == "<->":
+            self.take()
+            f = Iff(f, self.impl())
+        return f
+
+    def impl(self):
+        f = self.disj()
+        if self.peek().kind == "->":
+            self.take()
+            return Implies(f, self.impl())
+        return f
+
+    def disj(self):
+        f = self.conj()
+        while self.peek().kind == "|":
+            self.take()
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self):
+        f = self.unary()
+        while self.peek().kind == "&":
+            self.take()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self):
+        tok = self.peek()
+        if tok.kind == "~":
+            self.take()
+            return Not(self.unary())
+        if tok.kind == "O":
+            self.take()
+            return Obl(self.unary())
+        if tok.kind == "Ps":
+            self.take()
+            return PermS(self.unary())
+        if tok.kind == "Pw":
+            self.take()
+            return PermW(self.unary())
+        if tok.kind == "T":
+            self.take()
+            return TOP
+        if tok.kind == "F":
+            self.take()
+            return BOTTOM
+        if tok.kind == "atom":
+            self.take()
+            return Atom(tok.text)
+        if tok.kind == "(":
+            self.take()
+            f = self.iff()
+            closing = self.peek()
+            if closing.kind != ")":
+                if closing.kind == "end":
+                    raise ParseError("unexpected end of input", closing.pos, (")",))
+                raise ParseError(f"unexpected token {closing.text!r}", closing.pos, (")",))
+            self.take()
+            return f
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.pos, _ORACLE_STARTERS)
+        raise ParseError(f"unexpected token {tok.text!r}", tok.pos, _ORACLE_STARTERS)
+
+
+def _oracle_parse(text: str) -> Formula:
+    p = _OracleParser(_tokenize(text))
+    f = p.iff()
+    trailing = p.peek()
+    if trailing.kind != "end":
+        raise ParseError(
+            f"unexpected token {trailing.text!r} after formula", trailing.pos, ("end of input",)
+        )
+    return f
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.position, exc.expected
+
+
+_VOCAB = st.sampled_from(["~", "O", "Ps", "Pw", "T", "F", "a", "b", "p_1", "(", ")", "&", "|",
+                          "->", "<->", "<", "-", "Abc", "#"])
+_TEXT_FORMULAS = formulas(max_leaves=12)
+_RANDOM_TOKENS = st.lists(_VOCAB, max_size=20)
+_NESTING = st.integers(0, 60)
+_ONE_IN_FOUR = st.integers(0, 3).map(lambda n: n == 0)
+
+
+@st.composite
+def formula_texts(draw):
+    """Token strings: a rendered formula or random tokens, each time with a token dropped
+    or inserted one in four, inside up to 60 parentheses, unbalanced one in four.  One in
+    four is joined without spaces, so neighbours may merge (``O`` ``a`` gives ``Oa``)."""
+    if draw(st.booleans()):
+        tokens = [t.text for t in _tokenize(render(draw(_TEXT_FORMULAS)))[:-1]]
+    else:
+        tokens = draw(_RANDOM_TOKENS)
+    if tokens and draw(_ONE_IN_FOUR):
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    if draw(_ONE_IN_FOUR):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_VOCAB))
+    opening = draw(_NESTING)
+    closing = draw(_NESTING) if draw(_ONE_IN_FOUR) else opening
+    return ("" if draw(_ONE_IN_FOUR) else " ").join(["("] * opening + tokens + [")"] * closing)
+
+
+class TestParseOracle:
+    """parse against the recursive-descent reference: the same AST or the same error."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(formula_texts())
+    def test_agrees_with_recursive_descent(self, text):
+        assert _outcome(parse, text) == _outcome(_oracle_parse, text)
 
 
 class TestRender:
@@ -326,3 +468,35 @@ class TestTautologicalConsequence:
 def test_atoms_collects_names():
     assert atoms(parse("Ps(p | q) & O ~p")) == frozenset({"p", "q"})
     assert atoms(TOP) == frozenset()
+
+
+def test_flatten_splits_one_connective():
+    f = parse("(a | b) | (a & b | p)")
+    assert flatten(f, Or) == [a, b, And(a, b), p]
+    assert flatten(f, And) == [f]
+
+
+def test_repr_and_equality_name_the_concrete_class():
+    f = And(Not(a), PermW(TOP))
+    assert repr(f) == "And(left=Not(operand=Atom(name='a')), right=PermW(operand=Top()))"
+    assert f == And(Not(Atom("a")), PermW(Top()))
+    assert Obl(a) != PermS(a) and Obl(a) != Not(a) and And(a, b) != Or(a, b)
+
+
+_NON_FORMULA_CALLS = {
+    "render": render,
+    "formula_to_dict": formula_to_dict,
+    "atoms": atoms,
+    "modal_depth": modal_depth,
+    "expand_pw": expand_pw,
+    "instantiate": lambda f: instantiate(Schema(f, frozenset()), {}),
+    "match_schema": lambda f: match_schema(Schema(f, frozenset()), f),
+    "is_tautology": is_tautology,
+}
+
+
+@pytest.mark.parametrize("node", [And(Atom("a"), 3), Not(3)], ids=["and", "not"])
+@pytest.mark.parametrize("name", list(_NON_FORMULA_CALLS))
+def test_non_formula_child_raises_type_error(name, node):
+    with pytest.raises(TypeError, match="not a formula: 3"):
+        _NON_FORMULA_CALLS[name](node)
