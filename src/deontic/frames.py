@@ -8,6 +8,12 @@ two-variable loops with precomputed subset predicates.  Intended for
 |W| <= 5, which covers every bundled fixture.
 
 Every check reads the model's one bitmask view (``model.ModelView``).
+``find_violation`` and ``find_schema_violation`` are the checks
+themselves, on a view and in masks, for callers that hold a view without
+world names (the countermodel search); ``check_property``,
+``schema_valid_on_frame`` and ``rule_valid_on_frame`` run them on a
+model's view and name the worlds of the result.
+
 Schema validity on a finite frame is decided by assigning every
 metavariable every subset of W as its truth set and evaluating the
 schema at all worlds at once with ``model.truth_mask``.  This is sound
@@ -30,13 +36,14 @@ from enum import Enum
 from itertools import combinations, product
 from typing import Iterable
 
-from .formula import Schema, atoms, schema
+from .formula import Formula, Schema, atoms, schema
 from .model import ModelView, NeighbourhoodModel, WorldSet, render_world_set, truth_mask
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
-    "check_property", "recheck_witness", "classify_frame",
-    "schema_valid_on_frame", "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
+    "check_property", "find_violation", "recheck_witness", "classify_frame",
+    "schema_valid_on_frame", "schema_variables", "find_schema_violation",
+    "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
     "supplementation_closure", "entailment_closure", "PROPERTY_ENTAILMENTS",
 ]
 
@@ -110,7 +117,7 @@ def _pw_subset_witness(b: ModelView, no: frozenset[int]) -> list[int | None]:
     return out
 
 
-def _find_violation(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
+def _violation_at(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
     no, np = b.n_obl[wi], b.n_perm[wi]
     full = b.full
     masks = range(full + 1)
@@ -200,22 +207,26 @@ def _find_violation(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
     raise ValueError(f"unhandled frame property {prop!r}")
 
 
+def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | None:
+    """The first world index violating the condition and its witness masks (x, y, z, q), or None.
+
+    The one implementation of each frame condition; ``check_property`` names its result.
+    """
+    for wi in range(len(b.worlds)):
+        hit = _violation_at(b, prop, wi)
+        if hit is not None:
+            return wi, hit
+    return None
+
+
 def check_property(m: NeighbourhoodModel, prop: FrameProperty) -> PropertyWitness | None:
     """None iff the condition holds at every world; otherwise a concrete witness."""
     b = m.view
-    for wi, w in enumerate(m.worlds):
-        hit = _find_violation(b, prop, wi)
-        if hit is not None:
-            x, y, z, q = hit
-            return PropertyWitness(
-                prop,
-                w,
-                b.set_of(x) if x is not None else None,
-                b.set_of(y) if y is not None else None,
-                b.set_of(z) if z is not None else None,
-                b.set_of(q) if q is not None else None,
-            )
-    return None
+    found = find_violation(b, prop)
+    if found is None:
+        return None
+    wi, hit = found
+    return PropertyWitness(prop, m.worlds[wi], *(None if x is None else b.set_of(x) for x in hit))
 
 
 def recheck_witness(m: NeighbourhoodModel, wit: PropertyWitness) -> bool:
@@ -309,24 +320,42 @@ def entailment_closure(props: Iterable[FrameProperty]) -> frozenset[FramePropert
     return frozenset(out)
 
 
+def schema_variables(s: Schema) -> list[str]:
+    """The metavariables of a pure schema, sorted; a concrete atom raises ValueError."""
+    concrete = atoms(s.body) - s.metavars
+    if concrete:
+        names = ", ".join(sorted(concrete))
+        raise ValueError(f"schema contains concrete atoms ({names}); frame validity needs a pure schema")
+    return sorted(s.metavars & atoms(s.body))
+
+
+def find_schema_violation(b: ModelView, body: Formula,
+                          variables: list[str]) -> tuple[int, tuple[int, ...]] | None:
+    """The first subset assignment to ``variables`` (as masks) falsifying ``body``, with the
+    index of the first world where it is false; None when ``body`` is valid on the frame.
+
+    The one implementation of schema validity; ``schema_valid_on_frame`` names its result.
+    """
+    full = b.full
+    for assignment in product(range(full + 1), repeat=len(variables)):
+        false_at = full ^ truth_mask(b, body, dict(zip(variables, assignment)))
+        if false_at:
+            return (false_at & -false_at).bit_length() - 1, assignment
+    return None
+
+
 def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation | None:
     """Frame validity of a pure schema, by quantifying metavariables over all subsets of W.
 
     Returns None when valid, otherwise the falsifying subset assignment and world.
     """
-    concrete = atoms(s.body) - s.metavars
-    if concrete:
-        names = ", ".join(sorted(concrete))
-        raise ValueError(f"schema contains concrete atoms ({names}); frame validity needs a pure schema")
+    variables = schema_variables(s)
     b = m.view
-    variables = sorted(s.metavars & atoms(s.body))
-    for assignment in product(range(b.full + 1), repeat=len(variables)):
-        env = dict(zip(variables, assignment))
-        mask = truth_mask(b, s.body, env)
-        if mask != b.full:
-            world = next(w for i, w in enumerate(m.worlds) if not mask >> i & 1)
-            return SchemaViolation({v: b.set_of(env[v]) for v in variables}, world)
-    return None
+    found = find_schema_violation(b, s.body, variables)
+    if found is None:
+        return None
+    wi, assignment = found
+    return SchemaViolation({v: b.set_of(x) for v, x in zip(variables, assignment)}, m.worlds[wi])
 
 
 @dataclass(frozen=True)

@@ -75,32 +75,61 @@ class ModelView:
     """Bitmask view of a model; world i is bit i.
 
     ``n_obl[i]`` and ``n_perm[i]`` hold the masks of world i's neighbourhoods
-    (read by the frame conditions); ``obl_at`` and ``perm_at`` map a set's
-    mask to the mask of the worlds whose neighbourhood contains it (read by
-    the modal clauses).  A world outside W raises ValueError naming it.
+    (read by the frame conditions) and ``valuation`` each atom's mask;
+    ``obl_at`` and ``perm_at`` map a set's mask to the mask of the worlds whose
+    neighbourhood contains it (read by the modal clauses).  Built from a
+    model, a world outside W raises ValueError naming it; ``from_masks``
+    builds the same view from masks directly.  ``index``, ``obl_at`` and
+    ``perm_at`` are derived on first use, so a view that only meets frame
+    conditions never builds them.
     """
 
     def __init__(self, m: NeighbourhoodModel):
-        self.worlds = m.worlds
-        self.full = (1 << len(m.worlds)) - 1
-        self.index = {w: i for i, w in enumerate(m.worlds)}
-        # A world without an entry has the empty neighbourhood, as in make_model.
-        self.n_obl = [frozenset(self._mask(s, f"N_O({w})") for s in m.n_obl.get(w, ()))
-                      for w in m.worlds]
-        self.n_perm = [frozenset(self._mask(s, f"N_P({w})") for s in m.n_perm.get(w, ()))
-                       for w in m.worlds]
-        self.obl_at = _holders(self.n_obl)
-        self.perm_at = _holders(self.n_perm)
-        self.valuation = {a: self._mask(s, f"valuation({a})") for a, s in m.valuation.items()}
+        index = {w: i for i, w in enumerate(m.worlds)}
 
-    def _mask(self, s: Iterable[str], field: str) -> int:
-        out = 0
-        for w in s:
-            try:
-                out |= 1 << self.index[w]
-            except KeyError:
-                raise ValueError(f"{field}: world {w!r} is not in W") from None
-        return out
+        def mask(s: Iterable[str], field: str) -> int:
+            out = 0
+            for w in s:
+                try:
+                    out |= 1 << index[w]
+                except KeyError:
+                    raise ValueError(f"{field}: world {w!r} is not in W") from None
+            return out
+
+        # A world without an entry has the empty neighbourhood, as in make_model.
+        self._fill(
+            m.worlds,
+            [frozenset(mask(s, f"N_O({w})") for s in m.n_obl.get(w, ())) for w in m.worlds],
+            [frozenset(mask(s, f"N_P({w})") for s in m.n_perm.get(w, ())) for w in m.worlds],
+            {a: mask(s, f"valuation({a})") for a, s in m.valuation.items()},
+        )
+
+    @classmethod
+    def from_masks(cls, worlds: tuple[str, ...], n_obl: list[frozenset[int]],
+                   n_perm: list[frozenset[int]], valuation: dict[str, int]) -> "ModelView":
+        """The view of the model whose world i is ``worlds[i]``, given as masks."""
+        view = cls.__new__(cls)
+        view._fill(worlds, n_obl, n_perm, valuation)
+        return view
+
+    def _fill(self, worlds, n_obl, n_perm, valuation) -> None:
+        self.worlds = worlds
+        self.full = (1 << len(worlds)) - 1
+        self.n_obl = n_obl
+        self.n_perm = n_perm
+        self.valuation = valuation
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.worlds)}
+
+    @cached_property
+    def obl_at(self) -> dict[int, int]:
+        return _holders(self.n_obl)
+
+    @cached_property
+    def perm_at(self) -> dict[int, int]:
+        return _holders(self.n_perm)
 
     def set_of(self, mask: int) -> WorldSet:
         return frozenset(w for i, w in enumerate(self.worlds) if mask >> i & 1)

@@ -6,10 +6,8 @@ ascending, then candidates in lexicographic order":
 * Formula targets walk the full model space: for each world count, all
   valuations over the given atoms in lexicographic bit order, then all
   neighbourhood collections (at most ``max_sets`` subsets each) in
-  lexicographic order of sorted subset lists.  Candidates that are not
-  canonical under world permutation are skipped when |W| <= 4.  This
-  regime is meant for tiny bounds; its cost is the product of all three
-  dimensions.
+  lexicographic order of sorted subset lists.  This regime is meant for
+  tiny bounds; its cost is the product of all three dimensions.
 
 * Schema and rule targets only need frames.  Because every named schema
   and rule has modal depth one, a falsifying subset assignment at a world
@@ -20,8 +18,21 @@ ascending, then candidates in lexicographic order":
   model falsifying the target while meeting the required properties
   contains such a pair.
 
-Every Found result is re-verified through the public evaluator before it
-is returned.
+In both regimes a candidate that is not canonical under world
+permutation (the least encoding of its orbit) is skipped, at every world
+count; ``_perm_tables`` gives each permutation as a mask-to-mask table.
+Because candidates are visited in ascending encoding order and truth and
+frame conditions are invariant under permuting worlds, the first
+falsifying candidate is the least of its orbit, so skipping the others
+never changes what is found.  The time budget is checked once per
+candidate.
+
+Candidates stay masks until one is found: each is checked on a
+``ModelView`` built from its masks with ``frames.find_violation`` and
+``frames.find_schema_violation`` (the checks themselves) or
+``model.truth_mask``.  Only the found candidate becomes a named model;
+the public checks re-derive its witness on that model, and the public
+evaluator re-verifies it before it is returned.
 """
 
 from __future__ import annotations
@@ -29,7 +40,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import cache
+from itertools import islice, permutations, product
 from typing import Iterable, Sequence
 
 from .formula import (
@@ -38,11 +50,12 @@ from .formula import (
     render,
 )
 from .model import (
-    NeighbourhoodModel, WorldSet, evaluate, model_to_dict, model_valid, truth_set,
+    ModelView, NeighbourhoodModel, WorldSet, evaluate, model_to_dict, model_valid, truth_mask,
+    truth_set,
 )
 from .frames import (
-    GUARDED_RULES, FrameProperty, SchemaViolation, check_property,
-    rule_valid_on_frame, schema_valid_on_frame,
+    GUARDED_RULES, FrameProperty, SchemaViolation, check_property, find_schema_violation,
+    find_violation, rule_valid_on_frame, schema_valid_on_frame, schema_variables,
 )
 
 __all__ = [
@@ -150,37 +163,46 @@ def _collections(n_worlds: int, max_sets: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _remap_mask(mask: int, perm: Sequence[int]) -> int:
-    out = 0
-    for i, target in enumerate(perm):
-        if mask >> i & 1:
-            out |= 1 << target
-    return out
+@cache
+def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """``(inverse, table)`` for every non-identity permutation of n worlds.
+
+    ``table[mask]`` is the image of a world-set mask; ``inverse[j]`` is the
+    world that the permutation moves to world j.  Built once per world count.
+    """
+    out = []
+    for perm in islice(permutations(range(n)), 1, None):  # the first is the identity
+        table = tuple(sum(1 << perm[i] for i in range(n) if mask >> i & 1)
+                      for mask in range(1 << n))
+        inverse = tuple(sorted(range(n), key=perm.__getitem__))
+        out.append((inverse, table))
+    return tuple(out)
 
 
 def _canonical_model(valuation: tuple[int, ...], no: tuple[tuple[int, ...], ...],
-                     np_: tuple[tuple[int, ...], ...], n: int) -> bool:
-    encoding = (valuation, no, np_)
-    for perm in permutations(range(n)):
-        remapped_val = tuple(_remap_mask(m, perm) for m in valuation)
-        remapped_no = [None] * n
-        remapped_np = [None] * n
-        for i in range(n):
-            remapped_no[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in no[i]))
-            remapped_np[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in np_[i]))
-        if (remapped_val, tuple(remapped_no), tuple(remapped_np)) < encoding:
+                     np_: tuple[tuple[int, ...], ...], tables) -> bool:
+    """True iff no world permutation maps the candidate to a smaller encoding (valuation, N_O, N_P)."""
+    for inverse, t in tables:
+        remapped = tuple([t[m] for m in valuation])
+        if remapped != valuation:
+            if remapped < valuation:
+                return False
+            continue
+        remapped = tuple(tuple(sorted([t[m] for m in no[i]])) for i in inverse)
+        if remapped != no:
+            if remapped < no:
+                return False
+            continue
+        if tuple(tuple(sorted([t[m] for m in np_[i]])) for i in inverse) < np_:
             return False
     return True
 
 
-def _canonical_pair(no: tuple[int, ...], np_: tuple[int, ...], n: int) -> bool:
-    encoding = (no, np_)
-    for perm in permutations(range(n)):
-        remapped = (
-            tuple(sorted(_remap_mask(m, perm) for m in no)),
-            tuple(sorted(_remap_mask(m, perm) for m in np_)),
-        )
-        if remapped < encoding:
+def _canonical_pair(no: tuple[int, ...], np_: tuple[int, ...], tables) -> bool:
+    """True iff no world permutation maps one world's pair (N_O, N_P) to a smaller encoding."""
+    for _, t in tables:
+        remapped = tuple(sorted([t[m] for m in no]))
+        if remapped < no or remapped == no and tuple(sorted([t[m] for m in np_])) < np_:
             return False
     return True
 
@@ -201,8 +223,13 @@ def _build_model(worlds, val_masks, no_cols, np_cols, atom_names) -> Neighbourho
     return NeighbourhoodModel(worlds, n_obl, n_perm, valuation)
 
 
-def _required_ok(model: NeighbourhoodModel, required: Iterable[FrameProperty]) -> bool:
-    return all(check_property(model, p) is None for p in required)
+def _required_ok(view: ModelView, required: Iterable[FrameProperty]) -> bool:
+    return all(find_violation(view, p) is None for p in required)
+
+
+def _verify_required(model: NeighbourhoodModel, required: Iterable[FrameProperty]) -> None:
+    if any(check_property(model, p) is not None for p in required):
+        raise SearchError("countermodel failed re-verification of a required frame property")
 
 
 def _superset_closed(col: tuple[int, ...], full: int) -> bool:
@@ -241,7 +268,7 @@ def find_countermodel(
     if isinstance(target, Schema):
         if modal_depth(target.body) > 1:
             raise ValueError("schema targets with nested modalities are not supported")
-        variables = sorted(target.metavars & formula_atoms(target.body))
+        variables = schema_variables(target)
         if len(variables) > len(bounds.atoms):
             raise ValueError(
                 f"target needs {len(variables)} atoms to realise a falsifying valuation, "
@@ -262,63 +289,84 @@ def _search_models(target, required, bounds, clock) -> CountermodelReport:
     k = len(bounds.atoms)
     for n in range(1, bounds.max_worlds + 1):
         worlds = _worlds(n)
-        cols = _collections(n, bounds.max_sets)
-        mask_range = list(range(1 << n))
-        for val_masks in product(mask_range, repeat=k):
-            # A valuation spans len(cols) ** (2n) candidates; read the clock every len(cols) ** n.
+        full = (1 << n) - 1
+        tables = _perm_tables(n)
+        cols = {c: frozenset(c) for c in _collections(n, bounds.max_sets)}
+        for val_masks in product(range(1 << n), repeat=k):
+            valuation = dict(zip(bounds.atoms, val_masks))
             for no_cols in product(cols, repeat=n):
-                clock.check(report)
+                n_obl = [cols[c] for c in no_cols]
                 for np_cols in product(cols, repeat=n):
-                    if n <= 4 and not _canonical_model(val_masks, no_cols, np_cols, n):
+                    clock.check(report)
+                    if not _canonical_model(val_masks, no_cols, np_cols, tables):
                         continue
                     report.examined += 1
-                    model = _build_model(worlds, val_masks, no_cols, np_cols, bounds.atoms)
-                    if not _required_ok(model, required):
+                    view = ModelView.from_masks(worlds, n_obl, [cols[c] for c in np_cols], valuation)
+                    if not _required_ok(view, required):
                         report.pruned_by_property += 1
                         continue
+                    if truth_mask(view, target, valuation) == full:
+                        continue
+                    model = _build_model(worlds, val_masks, no_cols, np_cols, bounds.atoms)
+                    _verify_required(model, required)
                     ts = truth_set(model, target)
-                    if ts != frozenset(worlds):
-                        world = next(w for w in worlds if w not in ts)
-                        if evaluate(model, world, target):
-                            raise SearchError("formula countermodel failed re-verification")
-                        report.found = True
-                        report.model = model
-                        report.world = world
-                        report.instance = target
-                        report.elapsed_secs = clock.elapsed()
-                        return report
+                    world = next((w for w in worlds if w not in ts), None)
+                    if world is None or evaluate(model, world, target):
+                        raise SearchError("formula countermodel failed re-verification")
+                    report.found = True
+                    report.model = model
+                    report.world = world
+                    report.instance = target
+                    report.elapsed_secs = clock.elapsed()
+                    return report
     report.elapsed_secs = clock.elapsed()
     return report
 
 
 def _search_frames(rule, schema_target, required, bounds, clock) -> CountermodelReport:
     report = CountermodelReport(found=False)
+    if rule is not None:
+        prop = GUARDED_RULES[rule].prop
+    else:
+        variables = schema_variables(schema_target)
     supplement_no = FrameProperty.O_SUPPLEMENTED in required
     supplement_np = FrameProperty.P_SUPPLEMENTED in required
     for n in range(1, bounds.max_worlds + 1):
         worlds = _worlds(n)
         full = (1 << n) - 1
+        tables = _perm_tables(n)
+        rest = [frozenset()] * (n - 1)  # the other worlds keep empty neighbourhoods
         cols = _collections(n, bounds.max_sets)
         no_candidates = [c for c in cols if not supplement_no or _superset_closed(c, full)]
         np_candidates = [c for c in cols if not supplement_np or _superset_closed(c, full)]
+        np_sets = [frozenset(c) for c in np_candidates]
         for no_col in no_candidates:
-            clock.check(report)
-            for np_col in np_candidates:
-                if n <= 4 and not _canonical_pair(no_col, np_col, n):
+            n_obl = [frozenset(no_col), *rest]
+            for np_col, np_set in zip(np_candidates, np_sets):
+                clock.check(report)
+                if not _canonical_pair(no_col, np_col, tables):
                     continue
                 report.examined += 1
+                view = ModelView.from_masks(worlds, n_obl, [np_set, *rest], {})
+                if not _required_ok(view, required):
+                    report.pruned_by_property += 1
+                    continue
+                if rule is not None:
+                    hit = find_violation(view, prop)
+                else:
+                    hit = find_schema_violation(view, schema_target.body, variables)
+                if hit is None:
+                    continue
                 no_cols = (no_col,) + ((),) * (n - 1)
                 np_cols = (np_col,) + ((),) * (n - 1)
                 model = _build_model(worlds, (), no_cols, np_cols, ())
-                if not _required_ok(model, required):
-                    report.pruned_by_property += 1
-                    continue
+                _verify_required(model, required)
                 if rule is not None:
                     violation = rule_valid_on_frame(model, rule)
                 else:
                     violation = schema_valid_on_frame(model, schema_target)
                 if violation is None:
-                    continue
+                    raise SearchError("frame countermodel failed re-verification")
                 witness = _realise_violation(model, rule, schema_target, violation, bounds)
                 report.found = True
                 report.model = witness[0]

@@ -1,14 +1,22 @@
+import math
+import random
 import time
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import deontic.search
 from deontic import (
     FrameProperty, RemainderError, SearchBounds, SearchError, SearchTimeout, check_property,
     compute_remainder, evaluate, find_countermodel, parse, render,
-    rule_valid_on_frame, truth_set, validate_model,
+    rule_valid_on_frame, schema, truth_set, validate_model,
 )
-from deontic.systems import SCHEMAS
+from deontic.model import ModelView
+from deontic.search import (
+    _build_model, _canonical_model, _canonical_pair, _collections, _perm_tables, _worlds,
+)
+from deontic.systems import FRAME_CLASSES, SCHEMAS
 
 
 class TestBounds:
@@ -91,8 +99,6 @@ class TestFindCountermodel:
         assert check_property(report.model, FrameProperty.O_SUPPLEMENTED) is None
 
     def test_rejects_nested_modalities(self):
-        from deontic import schema
-
         deep = schema("O O p -> O p", "p")
         with pytest.raises(ValueError, match="nested"):
             find_countermodel(deep, set(), SearchBounds(2, 1, ("a",)))
@@ -113,10 +119,18 @@ class TestFindCountermodel:
         with pytest.raises(SearchError, match="re-verif"):
             find_countermodel(target, set(), SearchBounds(3, 2, ("p", "q", "r")))
 
+    @pytest.mark.parametrize("target", [parse("O p -> Ps p"), SCHEMAS["M_O"], "IFCP_O"])
+    def test_required_properties_are_reverified_on_the_named_model(self, monkeypatch, target):
+        # Candidates are filtered on their bitmask view; the found one is checked again by name.
+        monkeypatch.setattr(deontic.search, "check_property", lambda *args: "violated")
+        with pytest.raises(SearchError, match="re-verif"):
+            find_countermodel(target, {FrameProperty.PW_COHERENT},
+                              SearchBounds(3, 2, ("p", "q", "r")))
+
 
 def test_timeout_is_kept_within_one_valuation():
-    # One valuation of this search at 3 worlds spans 9 ** 6 candidates and takes about 26 s;
-    # the clock is read once per 9 ** 3, so the search stops soon after its budget.
+    # One valuation of this search at 3 worlds spans 9 ** 6 candidates; the clock is read
+    # once per candidate, so the search stops soon after its budget.
     target = parse("Ps(a | b) & Pw a -> Ps a")
     required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
     start = time.monotonic()
@@ -166,6 +180,210 @@ def test_exhaustion_count_matches_direct_tuple_counting():
     assert not report.found
     assert report.pruned_by_property == 0
     assert report.examined == _independent_tuple_count(2, 1, 1)
+
+
+def _independent_pair_count(max_worlds: int, max_sets: int) -> int:
+    """Count one world's (N_O, N_P) pairs up to world permutation, as orbits."""
+    total = 0
+    for n in range(1, max_worlds + 1):
+        masks = range(1 << n)
+        collections = [c for k in range(max_sets + 1) for c in combinations(masks, k)]
+
+        def image(col, perm):
+            return tuple(sorted(sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in col))
+
+        orbits = {
+            min((image(no, perm), image(np_, perm)) for perm in permutations(range(n)))
+            for no in collections for np_ in collections
+        }
+        total += len(orbits)
+    return total
+
+
+def test_frame_exhaustion_count_matches_orbit_counting():
+    report = find_countermodel(schema("O p -> O p", "p"), set(), SearchBounds(3, 3, ("a",)))
+    assert not report.found
+    assert report.pruned_by_property == 0
+    assert report.examined == _independent_pair_count(3, 3)
+
+
+def _remap_mask(mask, perm):
+    out = 0
+    for i, target in enumerate(perm):
+        if mask >> i & 1:
+            out |= 1 << target
+    return out
+
+
+def _canonical_model_oracle(valuation, no, np_, n):
+    """The bit-loop canonicity check the permutation tables replaced."""
+    encoding = (valuation, no, np_)
+    for perm in permutations(range(n)):
+        remapped_val = tuple(_remap_mask(m, perm) for m in valuation)
+        remapped_no = [None] * n
+        remapped_np = [None] * n
+        for i in range(n):
+            remapped_no[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in no[i]))
+            remapped_np[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in np_[i]))
+        if (remapped_val, tuple(remapped_no), tuple(remapped_np)) < encoding:
+            return False
+    return True
+
+
+def _canonical_pair_oracle(no, np_, n):
+    encoding = (no, np_)
+    for perm in permutations(range(n)):
+        remapped = (
+            tuple(sorted(_remap_mask(m, perm) for m in no)),
+            tuple(sorted(_remap_mask(m, perm) for m in np_)),
+        )
+        if remapped < encoding:
+            return False
+    return True
+
+
+def _orbit_least_model(valuation, no, np_, n):
+    best = (valuation, no, np_)
+    for perm in permutations(range(n)):
+        moved_no, moved_np = [None] * n, [None] * n
+        for i in range(n):
+            moved_no[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in no[i]))
+            moved_np[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in np_[i]))
+        best = min(best, (tuple(_remap_mask(m, perm) for m in valuation),
+                          tuple(moved_no), tuple(moved_np)))
+    return best
+
+
+class TestCanonicity:
+    @pytest.mark.parametrize("n, max_sets", [(1, 2), (2, 4), (3, 3)])
+    def test_pair_agrees_with_oracle_on_every_candidate(self, n, max_sets):
+        tables = _perm_tables(n)
+        cols = _collections(n, max_sets)
+        for no, np_ in product(cols, repeat=2):
+            assert _canonical_pair(no, np_, tables) == _canonical_pair_oracle(no, np_, n), (no, np_)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_pair_agrees_with_oracle_on_a_sample(self, n):
+        rng = random.Random(n)
+        tables = _perm_tables(n)
+        cols = _collections(n, 3)
+        for _ in range(400):
+            no, np_ = rng.choice(cols), rng.choice(cols)
+            assert _canonical_pair(no, np_, tables) == _canonical_pair_oracle(no, np_, n), (no, np_)
+
+    def test_model_agrees_with_oracle_on_every_candidate(self):
+        for n in (1, 2):
+            tables = _perm_tables(n)
+            cols = _collections(n, 2)
+            for val in product(range(1 << n), repeat=1):
+                for no in product(cols, repeat=n):
+                    for np_ in product(cols, repeat=n):
+                        assert (_canonical_model(val, no, np_, tables)
+                                == _canonical_model_oracle(val, no, np_, n)), (val, no, np_)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_model_agrees_with_oracle_on_a_sample(self, n):
+        # Random candidates are rarely canonical, so each one's orbit least is checked too.
+        rng = random.Random(n)
+        tables = _perm_tables(n)
+        cols = _collections(n, 2)
+        for _ in range(150):
+            val = tuple(rng.randrange(1 << n) for _ in range(rng.randint(0, 2)))
+            no = tuple(rng.choice(cols) for _ in range(n))
+            np_ = tuple(rng.choice(cols) for _ in range(n))
+            least = _orbit_least_model(val, no, np_, n)
+            assert _canonical_model(*least, tables)
+            for candidate in ((val, no, np_), least):
+                assert (_canonical_model(*candidate, tables)
+                        == _canonical_model_oracle(*candidate, n)), candidate
+
+    def test_tables_are_the_non_identity_permutations(self):
+        for n in range(1, 6):
+            tables = _perm_tables(n)
+            images = {t for _, t in tables}
+            assert len(images) == len(tables) == math.factorial(n) - 1
+            assert tuple(range(1 << n)) not in images
+            for inverse, t in tables:
+                perm = [t[1 << i].bit_length() - 1 for i in range(n)]
+                assert [perm[j] for j in inverse] == list(range(n))
+                assert all(t[m] == _remap_mask(m, perm) for m in range(1 << n))
+
+
+# (examined, pruned_by_property) of the exhaustive benchmark's searches; each exhausts its
+# bounds, so these count every canonical candidate and every one a required property prunes.
+EXHAUSTIVE_COUNTS = [
+    ("AFCP2_P", "FCP_2", 4, 2, 1692, 1544),
+    ("AFCP2_P", "FCP_2", 3, 3, 1919, 1778),
+    ("AFCP_O", "FCP_2", 3, 3, 1919, 1778),
+    ("D_s", "Min", 3, 3, 1919, 1324),
+    ("M_Ps", "FCP_3", 3, 3, 238, 203),
+    ("AFCP_O", "FCP_2", 3, 2, 407, 339),
+    ("AFCP_P", "FCP_2", 3, 2, 407, 339),
+    ("AFCP2_P", "FCP_4", 3, 2, 407, 339),
+    ("AFCP_O", "FCP_4", 3, 2, 407, 339),
+    ("D_w", "Min", 3, 2, 407, 182),
+    ("P_sP_w", "Min", 3, 2, 407, 182),
+    ("IFCP2_P", "FCP_1", 3, 3, 1919, 1801),
+    ("IFCP_O", "FCP_1", 3, 2, 407, 342),
+    ("IFCP_P", "FCP_5", 3, 2, 407, 342),
+]
+
+
+class TestCounters:
+    @pytest.mark.parametrize("name, cls, worlds, sets, examined, pruned", EXHAUSTIVE_COUNTS)
+    def test_frame_search_counters(self, name, cls, worlds, sets, examined, pruned):
+        target = SCHEMAS.get(name, name)
+        report = find_countermodel(target, FRAME_CLASSES[cls],
+                                   SearchBounds(worlds, sets, ("a", "b", "c")))
+        assert not report.found
+        assert (report.examined, report.pruned_by_property) == (examined, pruned)
+
+    def test_formula_search_counters(self):
+        target = parse("Ps(a | b) & Pw a -> Ps a")
+        required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
+        report = find_countermodel(target, required, SearchBounds(2, 1, ("a", "b")))
+        assert not report.found
+        assert (report.examined, report.pruned_by_property) == (5086, 3882)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_view_from_masks_is_the_model_view(self, data):
+        n = data.draw(st.integers(1, 4))
+        cols = _collections(n, 3)
+        val = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
+        no = tuple(data.draw(st.sampled_from(cols)) for _ in range(n))
+        np_ = tuple(data.draw(st.sampled_from(cols)) for _ in range(n))
+        atom_names = ("a", "b", "c")[:len(val)]
+        worlds = _worlds(n)
+        named = _build_model(worlds, val, no, np_, atom_names).view
+        view = ModelView.from_masks(worlds, [frozenset(c) for c in no],
+                                    [frozenset(c) for c in np_], dict(zip(atom_names, val)))
+        for field in ("worlds", "full", "n_obl", "n_perm", "valuation", "index", "obl_at",
+                      "perm_at"):
+            assert getattr(view, field) == getattr(named, field), field
+
+
+class OneCandidateClock(deontic.search._Clock):
+    """A clock whose budget is spent as soon as it has been read once."""
+
+    def check(self, report):
+        super().check(report)
+        self.deadline = float("-inf")
+
+
+@pytest.mark.parametrize(
+    "target, required, bounds",
+    [
+        (SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], SearchBounds(4, 2, ("a", "b"))),
+        (parse("Ps(a | b) & Pw a -> Ps a"), {FrameProperty.AFCP_O, FrameProperty.AFCP_P},
+         SearchBounds(4, 1, ("a", "b"))),
+    ],
+    ids=["frames", "models"],
+)
+def test_clock_is_read_once_per_candidate(monkeypatch, target, required, bounds):
+    monkeypatch.setattr(deontic.search, "_Clock", OneCandidateClock)
+    with pytest.raises(SearchTimeout, match=r"examined [01],"):
+        find_countermodel(target, required, bounds)
 
 
 class TestRemainder:
