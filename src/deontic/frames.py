@@ -16,9 +16,9 @@ model's view and name the worlds of the result.
 
 Schema validity on a finite frame is decided by assigning every
 metavariable every subset of W as its truth set and evaluating the
-schema at all worlds at once with ``model.truth_mask``.  This is sound
-and complete on finite frames because every subset is the truth set of
-some atom under some valuation based on the frame.
+schema under all assignments and at all worlds in one ``model.truth_mask``
+walk.  This is sound and complete on finite frames because every subset
+is the truth set of some atom under some valuation based on the frame.
 
 The three rule-shaped conditions pair an inference rule with a frame
 condition.  Each one restricts its axiom-shaped counterpart: fixing the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import combinations, product
 from typing import Iterable
 
@@ -119,6 +120,10 @@ def _pw_subset_witness(b: ModelView, no: frozenset[int]) -> list[int | None]:
 
 def _violation_at(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
     no, np = b.n_obl[wi], b.n_perm[wi]
+    # Each condition needs a member of N_O(w) or N_P(w) (IFCP_O one of N_O, and the
+    # rest one they quantify over or (x | y) in N_P), so an empty world meets all ten.
+    if not no and not np:
+        return None
     full = b.full
     masks = range(full + 1)
 
@@ -329,18 +334,38 @@ def schema_variables(s: Schema) -> list[str]:
     return sorted(s.metavars & atoms(s.body))
 
 
+_BLOCK_BITS = 1 << 13  # assignment-world bits in one walk: ints of at most 1 KB
+
+
+@cache
+def _block(n: int, k: int) -> tuple[int, int, list[int]]:
+    # The m last variables that fit one block, its low, and their columns in product order.
+    m = 0
+    while m < k and n << n * (m + 1) <= _BLOCK_BITS:
+        m += 1
+    rows = range(1 << n * m)
+    cols = [sum((a >> n * (m - 1 - j) & (1 << n) - 1) << a * n for a in rows) for j in range(m)]
+    return m, sum(1 << a * n for a in rows), cols
+
+
 def find_schema_violation(b: ModelView, body: Formula,
                           variables: list[str]) -> tuple[int, tuple[int, ...]] | None:
     """The first subset assignment to ``variables`` (as masks) falsifying ``body``, with the
     index of the first world where it is false; None when ``body`` is valid on the frame.
 
+    Bit-parallel: the last variables that fit ``_BLOCK_BITS`` share one ``truth_mask`` block,
+    the rest are fixed per block in product order, so the lowest false bit comes first.
     The one implementation of schema validity; ``schema_valid_on_frame`` names its result.
     """
-    full = b.full
-    for assignment in product(range(full + 1), repeat=len(variables)):
-        false_at = full ^ truth_mask(b, body, dict(zip(variables, assignment)))
+    n = len(b.worlds)
+    m, low, cols = _block(n, len(variables))
+    full = b.full * low
+    for fixed in product(range(b.full + 1), repeat=len(variables) - m):
+        atom_masks = dict(zip(variables, [x * low for x in fixed] + cols))
+        false_at = full ^ truth_mask(b, body, atom_masks, low)
         if false_at:
-            return (false_at & -false_at).bit_length() - 1, assignment
+            a, wi = divmod((false_at & -false_at).bit_length() - 1, n)
+            return wi, fixed + tuple(a >> n * (m - 1 - j) & b.full for j in range(m))
     return None
 
 

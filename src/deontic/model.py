@@ -16,9 +16,10 @@ treated as immutable after construction; evaluation is read-only.
 Evaluation runs on the model's bitmask view (``ModelView``, world i is
 bit i), built on first use and kept on the model.  ``truth_mask`` gives
 the truth clauses above on that view, with the Boolean part from
-``formula.eval_bits``; truth sets pass the valuation's masks as the atoms'
-truth sets, and frame-level schema validity passes one subset per
-metavariable.
+``formula.eval_bits``, for a block of assignments at once: bit a·n + w is
+world w under assignment a.  Truth sets are the one-assignment block,
+with the valuation's masks as the atoms' truth sets; frame-level schema
+validity passes one column per metavariable holding every subset of W.
 """
 
 from __future__ import annotations
@@ -246,23 +247,37 @@ def validate_model(m: NeighbourhoodModel) -> list[str]:
     return violations
 
 
-def truth_mask(view: ModelView, f: Formula, atom_masks: Mapping[str, int]) -> int:
+def truth_mask(view: ModelView, f: Formula, atom_masks: Mapping[str, int], low: int = 1) -> int:
     """Mask of the worlds where ``f`` is true, with each atom's truth set taken from ``atom_masks``.
 
+    Evaluates a block of assignments: bit ``a·n + w`` is world w under assignment a,
+    and ``low`` has bit ``a·n`` set for each a (``1``: one assignment, a truth set).
     The modal clauses read the view's neighbourhoods; an absent atom is false everywhere.
     """
-    full = view.full
+    full = view.full * low
+    n = len(view.worlds)
+
+    def holders(table: dict[int, int], x: int) -> int:
+        # For each set S: the assignments whose n-bit chunk of x equals S, times S's holders.
+        out = 0
+        for s, at in table.items():
+            eq = full ^ x ^ s * low
+            hit = eq & low
+            for i in range(1, n):
+                hit &= eq >> i
+            out |= hit * at
+        return out
 
     def leaf(node: Formula) -> int:
         match node:
             case Atom(name):
                 return atom_masks.get(name, 0)
             case Obl(x):
-                return view.obl_at.get(eval_bits(x, leaf, full), 0)
+                return holders(view.obl_at, eval_bits(x, leaf, full))
             case PermS(x):
-                return view.perm_at.get(eval_bits(x, leaf, full), 0)
+                return holders(view.perm_at, eval_bits(x, leaf, full))
             case PermW(x):
-                return full ^ view.obl_at.get(full ^ eval_bits(x, leaf, full), 0)
+                return full ^ holders(view.obl_at, full ^ eval_bits(x, leaf, full))
         raise TypeError(f"not a formula: {node!r}")
 
     return eval_bits(f, leaf, full)

@@ -234,11 +234,12 @@ class TestDeepNesting:
         "argv",
         [
             ("parse", "~" * 3000 + "a"),
-            ("parse", "O " * 600 + "a"),
+            # too deep for the parser whatever each walker spends per level
+            ("parse", "O " * 3000 + "a"),
             # parses, then exceeds the evaluator's depth
             ("eval", "O " * 600 + "a", "--model", "corollary3_model1"),
         ],
-        ids=["parse-3000-not", "parse-600-O", "eval-600-O"],
+        ids=["parse-3000-not", "parse-3000-O", "eval-600-O"],
     )
     def test_too_deep_exits_2_with_a_message(self, capsys, argv):
         code, out, err = run(capsys, *argv)

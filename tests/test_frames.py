@@ -1,19 +1,23 @@
-from itertools import combinations
+import time
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from deontic import (
     FrameProperty, NeighbourhoodModel, check_property, classify_frame,
     entailment_closure, make_model, recheck_witness, rule_valid_on_frame,
     schema_valid_on_frame, supplementation_closure,
 )
-from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS
+from deontic import frames
+from deontic.formula import Atom, Obl, PermS, PermW, atoms, eval_bits, schema
+from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS, find_schema_violation
 from deontic import bundled
 from deontic import model as model_module
 from deontic.systems import SCHEMAS
 
-from conftest import models, random_frame, satisfying_frame
+from conftest import formulas, models, random_frame, satisfying_frame
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +249,95 @@ def test_entailments_hold_exhaustively_on_two_worlds():
             for premises, conclusion in PROPERTY_ENTAILMENTS:
                 if premises <= props:
                     assert conclusion in props, (premises, conclusion, no, np_)
+
+
+def _truth_mask_one_assignment(view, f, atom_masks):
+    """Worlds where ``f`` holds under one assignment, each modal clause one neighbourhood lookup."""
+    full = view.full
+
+    def leaf(node):
+        match node:
+            case Atom(name):
+                return atom_masks.get(name, 0)
+            case Obl(x):
+                return view.obl_at.get(eval_bits(x, leaf, full), 0)
+            case PermS(x):
+                return view.perm_at.get(eval_bits(x, leaf, full), 0)
+            case PermW(x):
+                return full ^ view.obl_at.get(full ^ eval_bits(x, leaf, full), 0)
+        raise TypeError(node)
+
+    return eval_bits(f, leaf, full)
+
+
+def _schema_violation_oracle(b, body, variables):
+    """One walk per subset assignment, in product order: the first false world and its assignment."""
+    full = b.full
+    for assignment in product(range(full + 1), repeat=len(variables)):
+        false_at = full ^ _truth_mask_one_assignment(b, body, dict(zip(variables, assignment)))
+        if false_at:
+            return (false_at & -false_at).bit_length() - 1, assignment
+    return None
+
+
+def _view(n, n_obl, n_perm):
+    return model_module.ModelView.from_masks(tuple(f"w{i + 1}" for i in range(n)), n_obl, n_perm, {})
+
+
+@st.composite
+def schema_on_frame(draw):
+    """A pure schema body of 0-3 metavariables and a view with neighbourhoods at every world.
+
+    Three metavariables go up to 4 worlds, where the oracle walks at most 4 096 assignments.
+    """
+    named = st.sampled_from([s.body for s in SCHEMAS.values()])
+    body = draw(st.one_of(named, formulas("pqr", max_leaves=10)))
+    variables = sorted(atoms(body))
+    n = draw(st.integers(1, 5 if len(variables) <= 2 else 4))
+    col = st.frozensets(st.integers(0, (1 << n) - 1), max_size=3)
+    view = _view(n, [draw(col) for _ in range(n)], [draw(col) for _ in range(n)])
+    return view, body, variables
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_on_frame())
+def test_schema_violation_matches_per_assignment_oracle(case):
+    view, body, variables = case
+    assert find_schema_violation(view, body, variables) == _schema_violation_oracle(view, body, variables)
+
+
+class TestBlockCap:
+    FOUR = "O(p | q) & Ps(r & s) -> O(q | p) & Ps(s & r)"  # valid on every frame
+
+    def test_four_variables_at_four_worlds_match_the_oracle(self, rng):
+        # Two variables are fixed per block here; the first two schemas fail with p or q
+        # non-empty, in a later block, and the valid one walks all 256 blocks once.
+        variables = ["p", "q", "r", "s"]
+        texts = ["Ps(p | q) & Pw(r <-> s) -> O(p & r) | Ps q", "Ps(p & ~q) -> Ps r | O s",
+                 self.FOUR]
+        for i in range(3):
+            cols = [frozenset(rng.randrange(16) for _ in range(3)) for _ in range(8)]
+            view = _view(4, cols[:4], cols[4:])
+            for text in texts[:2] if i else texts:
+                body = schema(text, variables).body
+                assert (find_schema_violation(view, body, variables)
+                        == _schema_violation_oracle(view, body, variables)), (text, view.n_obl)
+
+    def test_valid_four_variable_schema_at_five_worlds_stays_small(self):
+        ws = [f"w{i}" for i in range(1, 6)]
+        m = make_model(ws, n_obl={"w1": [["w1", "w2"], ["w3"]], "w4": [["w5"]]},
+                       n_perm={"w1": [["w2"]], "w2": [["w1", "w5"], []]})
+        frames._block.cache_clear()  # the peak includes building the block's columns
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert schema_valid_on_frame(m, schema(self.FOUR, "p q r s")) is None
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5.0
+        assert peak < 1 << 20
 
 
 class TestSchemaValidity:
