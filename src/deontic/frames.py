@@ -7,12 +7,12 @@ variable; the four-variable conditions are restructured internally into
 two-variable loops with precomputed subset predicates.  Intended for
 |W| <= 5, which covers every bundled fixture.
 
-Every check reads the model's one bitmask view (``model.ModelView``).
-``find_violation`` and ``find_schema_violation`` are the checks
-themselves, on a view and in masks, for callers that hold a view without
-world names (the countermodel search); ``check_property``,
-``schema_valid_on_frame`` and ``rule_valid_on_frame`` run them on a
-model's view and name the worlds of the result.
+A condition at a world reads only W and the world's two neighbourhoods,
+so ``pair_violation`` decides it on one pair of mask sets; the
+countermodel search calls it directly.  ``find_violation`` runs it at
+every world of a bitmask view (``model.ModelView``), and
+``check_property``, ``schema_valid_on_frame`` and ``rule_valid_on_frame``
+name the worlds of what the view checks find.
 
 Schema validity on a finite frame is decided by assigning every
 metavariable every subset of W as its truth set and evaluating the
@@ -42,7 +42,7 @@ from .model import ModelView, NeighbourhoodModel, WorldSet, render_world_set, tr
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
-    "check_property", "find_violation", "recheck_witness", "classify_frame",
+    "check_property", "find_violation", "pair_violation", "recheck_witness", "classify_frame",
     "schema_valid_on_frame", "schema_variables", "find_schema_violation",
     "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
     "supplementation_closure", "entailment_closure", "PROPERTY_ENTAILMENTS",
@@ -105,26 +105,27 @@ class SchemaViolation:
         return {"world": self.world, "assignment": assigned}
 
 
-def _pw_subset_witness(b: ModelView, no: frozenset[int]) -> list[int | None]:
+def _pw_subset_witness(full: int, no: frozenset[int]) -> list[int | None]:
     # For each mask X, the first Z <= X with complement(Z) not obligatory, if any.
     out: list[int | None] = []
-    for x in range(b.full + 1):
+    for x in range(full + 1):
         found = None
         for z in range(x + 1):
-            if z & x == z and (b.full ^ z) not in no:
+            if z & x == z and (full ^ z) not in no:
                 found = z
                 break
         out.append(found)
     return out
 
 
-def _violation_at(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
-    no, np = b.n_obl[wi], b.n_perm[wi]
+def pair_violation(no: frozenset[int], np: frozenset[int], full: int,
+                   prop: FrameProperty) -> tuple | None:
+    """Witness masks (x, y, z, q) violating the condition at a world whose neighbourhoods are
+    ``no`` and ``np`` in W = ``full``, or None.  The one implementation of each condition."""
     # Each condition needs a member of N_O(w) or N_P(w) (IFCP_O one of N_O, and the
     # rest one they quantify over or (x | y) in N_P), so an empty world meets all ten.
     if not no and not np:
         return None
-    full = b.full
     masks = range(full + 1)
 
     if prop is FrameProperty.O_SUPPLEMENTED or prop is FrameProperty.P_SUPPLEMENTED:
@@ -188,7 +189,7 @@ def _violation_at(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
         return None
 
     if prop is FrameProperty.IFCP_P:
-        pw_sub = _pw_subset_witness(b, no)
+        pw_sub = _pw_subset_witness(full, no)
         for x in masks:
             if pw_sub[x] is None:
                 continue
@@ -200,7 +201,7 @@ def _violation_at(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
         return None
 
     if prop is FrameProperty.IFCP2_P:
-        pw_sub = _pw_subset_witness(b, no)
+        pw_sub = _pw_subset_witness(full, no)
         for x in masks:
             if x in np or pw_sub[x] is None:
                 continue
@@ -213,12 +214,9 @@ def _violation_at(b: ModelView, prop: FrameProperty, wi: int) -> tuple | None:
 
 
 def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | None:
-    """The first world index violating the condition and its witness masks (x, y, z, q), or None.
-
-    The one implementation of each frame condition; ``check_property`` names its result.
-    """
+    """The first world index violating the condition and its witness masks, or None."""
     for wi in range(len(b.worlds)):
-        hit = _violation_at(b, prop, wi)
+        hit = pair_violation(b.n_obl[wi], b.n_perm[wi], b.full, prop)
         if hit is not None:
             return wi, hit
     return None

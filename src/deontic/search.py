@@ -18,21 +18,24 @@ ascending, then candidates in lexicographic order":
   model falsifying the target while meeting the required properties
   contains such a pair.
 
-In both regimes a candidate that is not canonical under world
-permutation (the least encoding of its orbit) is skipped, at every world
-count; ``_perm_tables`` gives each permutation as a mask-to-mask table.
-Because candidates are visited in ascending encoding order and truth and
-frame conditions are invariant under permuting worlds, the first
-falsifying candidate is the least of its orbit, so skipping the others
-never changes what is found.  The time budget is checked once per
-candidate.
+Candidates are generated canonical (orderly generation, McKay 1998): only
+the least encoding of each orbit under world permutation, at every world
+count.  Encodings compare level by level (valuation, N_O columns, N_P
+columns; or world 1's N_O, then its N_P), so ``_canonical`` tests a level
+only against the permutations fixing the levels before it, usually none,
+and a prefix that is not least skips its block.  Candidates come in
+ascending order and truth and frame conditions are invariant under
+permuting worlds, so the first falsifying candidate is least in its orbit
+and generating only those never changes what is found.  The clock is read
+once per collection built and once per key the generation tries: once per
+generated candidate, and while a skipped block is passed over.
 
-Candidates stay masks until one is found: each is checked on a
-``ModelView`` built from its masks with ``frames.find_violation`` and
-``frames.find_schema_violation`` (the checks themselves) or
-``model.truth_mask``.  Only the found candidate becomes a named model;
-the public checks re-derive its witness on that model, and the public
-evaluator re-verifies it before it is returned.
+Candidates stay masks until one is found.  Frame conditions are decided
+on one world's pair (``frames.pair_violation``): world 1's in the frame
+regime, once per column pair and world count in the formula regime.  A
+survivor alone gets a ``ModelView`` (for ``frames.find_schema_violation``
+or ``model.truth_mask``); the found one becomes a named model on which the
+public checks and evaluator re-verify it before it is returned.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import islice, permutations, product
 from typing import Iterable, Sequence
 
@@ -55,7 +58,7 @@ from .model import (
 )
 from .frames import (
     GUARDED_RULES, FrameProperty, SchemaViolation, check_property, find_schema_violation,
-    find_violation, rule_valid_on_frame, schema_valid_on_frame, schema_variables,
+    pair_violation, rule_valid_on_frame, schema_valid_on_frame, schema_variables,
 )
 
 __all__ = [
@@ -145,18 +148,22 @@ class _Clock:
         return time.monotonic() - self.start
 
 
-def _collections(n_worlds: int, max_sets: int) -> list[tuple[int, ...]]:
-    """All sorted subset lists of size <= max_sets, in lexicographic order."""
-    masks = list(range(1 << n_worlds))
+def _collections(n_worlds: int, max_sets: int, tick=lambda: None,
+                 closed: bool = False) -> list[tuple[int, ...]]:
+    """All sorted subset lists of size <= max_sets (only superset-closed ones with ``closed``),
+    in lexicographic order; ``tick()`` runs per list tried, so a time budget holds here too."""
+    full = (1 << n_worlds) - 1
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], start: int):
-        out.append(tuple(prefix))
+        tick()
+        if not closed or _superset_closed(prefix, full):
+            out.append(tuple(prefix))
         if len(prefix) == max_sets:
             return
-        for k in range(start, len(masks)):
-            prefix.append(masks[k])
-            rec(prefix, k + 1)
+        for mask in range(start, full + 1):
+            prefix.append(mask)
+            rec(prefix, mask + 1)
             prefix.pop()
 
     rec([], 0)
@@ -179,32 +186,46 @@ def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def _canonical_model(valuation: tuple[int, ...], no: tuple[tuple[int, ...], ...],
-                     np_: tuple[tuple[int, ...], ...], tables) -> bool:
-    """True iff no world permutation maps the candidate to a smaller encoding (valuation, N_O, N_P)."""
-    for inverse, t in tables:
-        remapped = tuple([t[m] for m in valuation])
-        if remapped != valuation:
-            if remapped < valuation:
-                return False
-            continue
-        remapped = tuple(tuple(sorted([t[m] for m in no[i]])) for i in inverse)
-        if remapped != no:
-            if remapped < no:
-                return False
-            continue
-        if tuple(tuple(sorted([t[m] for m in np_[i]])) for i in inverse) < np_:
-            return False
-    return True
+def _image_masks(perm, masks: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([perm[1][m] for m in masks])
 
 
-def _canonical_pair(no: tuple[int, ...], np_: tuple[int, ...], tables) -> bool:
-    """True iff no world permutation maps one world's pair (N_O, N_P) to a smaller encoding."""
-    for _, t in tables:
-        remapped = tuple(sorted([t[m] for m in no]))
-        if remapped < no or remapped == no and tuple(sorted([t[m] for m in np_])) < np_:
-            return False
-    return True
+def _image_col(perm, col: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted([perm[1][m] for m in col]))
+
+
+def _image_cols(perm, cols: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple([_image_col(perm, cols[i]) for i in perm[0]])
+
+
+def _stabiliser(key, perms, image) -> list | None:
+    """None if one of ``perms`` maps ``key`` below itself, else those that fix it."""
+    fixing = []
+    for perm in perms:
+        moved = image(perm, key)
+        if moved < key:
+            return None
+        if moved == key:
+            fixing.append(perm)
+    return fixing
+
+
+def _canonical(levels, perms, tick, prefix=()):
+    """The encodings least in their orbit under ``perms``, in ascending order.
+
+    An encoding has one key per level; a level is ``(keys, image)``, where
+    ``keys()`` iterates its keys in ascending order and ``image(perm, key)``
+    moves one by a ``_perm_tables`` entry.  A key is tested only against the
+    stabiliser of the keys before it.  ``tick()`` runs once per key tried.
+    """
+    (keys, image), *rest = levels
+    for key in keys():
+        tick()
+        fixing = _stabiliser(key, perms, image)
+        if fixing is not None and rest:
+            yield from _canonical(rest, fixing, tick, prefix + (key,))
+        elif fixing is not None:
+            yield prefix + (key,)
 
 
 def _worlds(n: int) -> tuple[str, ...]:
@@ -223,27 +244,15 @@ def _build_model(worlds, val_masks, no_cols, np_cols, atom_names) -> Neighbourho
     return NeighbourhoodModel(worlds, n_obl, n_perm, valuation)
 
 
-def _required_ok(view: ModelView, required: Iterable[FrameProperty]) -> bool:
-    return all(find_violation(view, p) is None for p in required)
-
-
 def _verify_required(model: NeighbourhoodModel, required: Iterable[FrameProperty]) -> None:
     if any(check_property(model, p) is not None for p in required):
         raise SearchError("countermodel failed re-verification of a required frame property")
 
 
-def _superset_closed(col: tuple[int, ...], full: int) -> bool:
+def _superset_closed(col, full: int) -> bool:
+    # Closed under adding one world at a time is closed under every superset.
     members = set(col)
-    for m in col:
-        rest = full ^ m
-        sub = rest
-        while True:
-            if (m | sub) not in members:
-                return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-    return True
+    return all(m | 1 << i in members for m in col for i in range(full.bit_length()))
 
 
 def find_countermodel(
@@ -286,45 +295,46 @@ def find_countermodel(
 
 def _search_models(target, required, bounds, clock) -> CountermodelReport:
     report = CountermodelReport(found=False)
-    k = len(bounds.atoms)
+    tick = partial(clock.check, report)
     for n in range(1, bounds.max_worlds + 1):
         worlds = _worlds(n)
         full = (1 << n) - 1
-        tables = _perm_tables(n)
-        cols = {c: frozenset(c) for c in _collections(n, bounds.max_sets)}
-        for val_masks in product(range(1 << n), repeat=k):
+        cols = _collections(n, bounds.max_sets, tick)
+
+        @cache
+        def pair_ok(no_col, np_col) -> bool:  # one verdict per column pair and world count
+            no, np_ = frozenset(no_col), frozenset(np_col)
+            return all(pair_violation(no, np_, full, p) is None for p in required)
+
+        columns = (partial(product, cols, repeat=n), _image_cols)
+        levels = [(partial(product, range(1 << n), repeat=len(bounds.atoms)), _image_masks),
+                  columns, columns]
+        for val_masks, no_cols, np_cols in _canonical(levels, _perm_tables(n), tick):
+            report.examined += 1
+            if not all(map(pair_ok, no_cols, np_cols)):
+                report.pruned_by_property += 1
+                continue
             valuation = dict(zip(bounds.atoms, val_masks))
-            for no_cols in product(cols, repeat=n):
-                n_obl = [cols[c] for c in no_cols]
-                for np_cols in product(cols, repeat=n):
-                    clock.check(report)
-                    if not _canonical_model(val_masks, no_cols, np_cols, tables):
-                        continue
-                    report.examined += 1
-                    view = ModelView.from_masks(worlds, n_obl, [cols[c] for c in np_cols], valuation)
-                    if not _required_ok(view, required):
-                        report.pruned_by_property += 1
-                        continue
-                    if truth_mask(view, target, valuation) == full:
-                        continue
-                    model = _build_model(worlds, val_masks, no_cols, np_cols, bounds.atoms)
-                    _verify_required(model, required)
-                    ts = truth_set(model, target)
-                    world = next((w for w in worlds if w not in ts), None)
-                    if world is None or evaluate(model, world, target):
-                        raise SearchError("formula countermodel failed re-verification")
-                    report.found = True
-                    report.model = model
-                    report.world = world
-                    report.instance = target
-                    report.elapsed_secs = clock.elapsed()
-                    return report
+            view = ModelView.from_masks(worlds, list(map(frozenset, no_cols)),
+                                        list(map(frozenset, np_cols)), valuation)
+            if truth_mask(view, target, valuation) == full:
+                continue
+            model = _build_model(worlds, val_masks, no_cols, np_cols, bounds.atoms)
+            _verify_required(model, required)
+            ts = truth_set(model, target)
+            world = next((w for w in worlds if w not in ts), None)
+            if world is None or evaluate(model, world, target):
+                raise SearchError("formula countermodel failed re-verification")
+            report.found, report.model, report.world, report.instance = True, model, world, target
+            report.elapsed_secs = clock.elapsed()
+            return report
     report.elapsed_secs = clock.elapsed()
     return report
 
 
 def _search_frames(rule, schema_target, required, bounds, clock) -> CountermodelReport:
     report = CountermodelReport(found=False)
+    tick = partial(clock.check, report)
     if rule is not None:
         prop = GUARDED_RULES[rule].prop
     else:
@@ -334,47 +344,38 @@ def _search_frames(rule, schema_target, required, bounds, clock) -> Countermodel
     for n in range(1, bounds.max_worlds + 1):
         worlds = _worlds(n)
         full = (1 << n) - 1
-        tables = _perm_tables(n)
         rest = [frozenset()] * (n - 1)  # the other worlds keep empty neighbourhoods
-        cols = _collections(n, bounds.max_sets)
-        no_candidates = [c for c in cols if not supplement_no or _superset_closed(c, full)]
-        np_candidates = [c for c in cols if not supplement_np or _superset_closed(c, full)]
-        np_sets = [frozenset(c) for c in np_candidates]
-        for no_col in no_candidates:
-            n_obl = [frozenset(no_col), *rest]
-            for np_col, np_set in zip(np_candidates, np_sets):
-                clock.check(report)
-                if not _canonical_pair(no_col, np_col, tables):
+        cols = {closed: _collections(n, bounds.max_sets, tick, closed)
+                for closed in {supplement_no, supplement_np}}
+        levels = [(cols[supplement_no].__iter__, _image_col),
+                  (cols[supplement_np].__iter__, _image_col)]
+        for no_col, np_col in _canonical(levels, _perm_tables(n), tick):
+            report.examined += 1
+            no_set, np_set = frozenset(no_col), frozenset(np_col)
+            if not all(pair_violation(no_set, np_set, full, p) is None for p in required):
+                report.pruned_by_property += 1
+                continue
+            if rule is not None:
+                if pair_violation(no_set, np_set, full, prop) is None:
                     continue
-                report.examined += 1
-                view = ModelView.from_masks(worlds, n_obl, [np_set, *rest], {})
-                if not _required_ok(view, required):
-                    report.pruned_by_property += 1
+            else:
+                view = ModelView.from_masks(worlds, [no_set, *rest], [np_set, *rest], {})
+                if find_schema_violation(view, schema_target.body, variables) is None:
                     continue
-                if rule is not None:
-                    hit = find_violation(view, prop)
-                else:
-                    hit = find_schema_violation(view, schema_target.body, variables)
-                if hit is None:
-                    continue
-                no_cols = (no_col,) + ((),) * (n - 1)
-                np_cols = (np_col,) + ((),) * (n - 1)
-                model = _build_model(worlds, (), no_cols, np_cols, ())
-                _verify_required(model, required)
-                if rule is not None:
-                    violation = rule_valid_on_frame(model, rule)
-                else:
-                    violation = schema_valid_on_frame(model, schema_target)
-                if violation is None:
-                    raise SearchError("frame countermodel failed re-verification")
-                witness = _realise_violation(model, rule, schema_target, violation, bounds)
-                report.found = True
-                report.model = witness[0]
-                report.world = violation.world
-                report.assignment = violation.assignment
-                report.instance = witness[1]
-                report.elapsed_secs = clock.elapsed()
-                return report
+            model = _build_model(worlds, (), [no_col, *rest], [np_col, *rest], ())
+            _verify_required(model, required)
+            if rule is not None:
+                violation = rule_valid_on_frame(model, rule)
+            else:
+                violation = schema_valid_on_frame(model, schema_target)
+            if violation is None:
+                raise SearchError("frame countermodel failed re-verification")
+            report.model, report.instance = _realise_violation(model, rule, schema_target,
+                                                               violation, bounds)
+            report.world, report.assignment = violation.world, violation.assignment
+            report.found = True
+            report.elapsed_secs = clock.elapsed()
+            return report
     report.elapsed_secs = clock.elapsed()
     return report
 

@@ -169,6 +169,30 @@ def test_check_property_matches_naive_quantification(m):
         assert (check_property(m, prop) is None) == _naive_property_check(m, prop), prop
 
 
+@settings(max_examples=100, deadline=None)
+@given(models(max_worlds=4))
+def test_pair_violation_is_the_per_world_check(m):
+    # pair_violation sees one world's two neighbourhoods and W, and nothing else.
+    b = m.view
+    for prop in FrameProperty:
+        hits = [(wi, frames.pair_violation(b.n_obl[wi], b.n_perm[wi], b.full, prop))
+                for wi in range(len(m.worlds))]
+        for wi, hit in hits:
+            if hit is not None:
+                named = [None if x is None else b.set_of(x) for x in hit]
+                assert recheck_witness(m, frames.PropertyWitness(prop, m.worlds[wi], *named))
+        first = next(((wi, hit) for wi, hit in hits if hit is not None), None)
+        assert frames.find_violation(b, prop) == first, prop
+        wit = check_property(m, prop)
+        if first is None:
+            assert wit is None, prop
+        else:
+            wi, hit = first
+            assert wit.world == m.worlds[wi], prop
+            assert ([wit.x, wit.y, wit.z, wit.q]
+                    == [None if x is None else b.set_of(x) for x in hit]), prop
+
+
 @settings(max_examples=60, deadline=None)
 @given(models(max_worlds=3))
 def test_schema_validity_matches_valuation_sweep(m):

@@ -14,7 +14,8 @@ from deontic import (
 )
 from deontic.model import ModelView
 from deontic.search import (
-    _build_model, _canonical_model, _canonical_pair, _collections, _perm_tables, _worlds,
+    _build_model, _canonical, _collections, _image_col, _image_cols, _image_masks,
+    _perm_tables, _stabiliser, _worlds,
 )
 from deontic.systems import FRAME_CLASSES, SCHEMAS
 
@@ -139,6 +140,17 @@ def test_timeout_is_kept_within_one_valuation():
     assert time.monotonic() - start < 3.0
 
 
+def test_timeout_holds_while_collections_are_built():
+    # Up to 4 worlds this search takes about 0.1 s.  At 5 worlds and 8 sets there are about
+    # 15 M subset lists to try, so the budget must hold while they are built.
+    required = {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout, match="examined 803,"):
+        find_countermodel(schema("O p -> O p", "p"), required, SearchBounds(5, 8, ("a",)),
+                          timeout_secs=1.0)
+    assert time.monotonic() - start < 2.0
+
+
 def _independent_tuple_count(max_worlds: int, max_sets: int, n_atoms: int) -> int:
     """Count (W, N_O, N_P, V) tuples up to world permutation, directly."""
     total = 0
@@ -254,13 +266,79 @@ def _orbit_least_model(valuation, no, np_, n):
     return best
 
 
+def _no_tick():
+    pass
+
+
+def _canonical_pairs(no_cols, np_cols, tables):
+    """The frame regime's generation: world 1's N_O, then its N_P."""
+    return list(_canonical([(no_cols.__iter__, _image_col), (np_cols.__iter__, _image_col)],
+                           tables, _no_tick))
+
+
+def _canonical_models(n, n_atoms, cols, tables):
+    """The formula regime's generation: valuation, N_O columns, N_P columns."""
+    columns = (lambda: product(cols, repeat=n), _image_cols)
+    levels = [(lambda: product(range(1 << n), repeat=n_atoms), _image_masks), columns, columns]
+    return list(_canonical(levels, tables, _no_tick))
+
+
+def _pair_is_generated(no, np_, tables):
+    """The level-by-level test that ``_canonical`` makes, on one frame-regime candidate."""
+    fixing = _stabiliser(no, tables, _image_col)
+    return fixing is not None and _stabiliser(np_, fixing, _image_col) is not None
+
+
+def _model_is_generated(val, no, np_, tables):
+    """The level-by-level test that ``_canonical`` makes, on one formula-regime candidate."""
+    fixing = _stabiliser(val, tables, _image_masks)
+    for key in (no, np_):
+        if fixing is None:
+            return False
+        fixing = _stabiliser(key, fixing, _image_cols)
+    return fixing is not None
+
+
+def _searched(monkeypatch, target, bounds):
+    """Per world count, the candidates a search builds a view for, in the order it does.
+
+    With no required property, a valid target gives every generated candidate a view.
+    """
+    seen = {}
+    from_masks = ModelView.from_masks
+
+    def record(worlds, n_obl, n_perm, valuation):
+        cols = tuple(tuple(tuple(sorted(c)) for c in side) for side in (n_obl, n_perm))
+        seen.setdefault(len(worlds), []).append((tuple(valuation.values()), *cols))
+        return from_masks(worlds, n_obl, n_perm, valuation)
+
+    monkeypatch.setattr(ModelView, "from_masks", staticmethod(record))
+    assert not find_countermodel(target, set(), bounds).found
+    return seen
+
+
+def _oracle_models(n, n_atoms, cols):
+    return [(val, no, np_) for val in product(range(1 << n), repeat=n_atoms)
+            for no in product(cols, repeat=n) for np_ in product(cols, repeat=n)
+            if _canonical_model_oracle(val, no, np_, n)]
+
+
 class TestCanonicity:
+    # Generation must yield exactly the candidates the oracle accepts, in ascending order.
     @pytest.mark.parametrize("n, max_sets", [(1, 2), (2, 4), (3, 3)])
-    def test_pair_agrees_with_oracle_on_every_candidate(self, n, max_sets):
-        tables = _perm_tables(n)
+    def test_pair_agrees_with_oracle_on_every_candidate(self, monkeypatch, n, max_sets):
         cols = _collections(n, max_sets)
-        for no, np_ in product(cols, repeat=2):
-            assert _canonical_pair(no, np_, tables) == _canonical_pair_oracle(no, np_, n), (no, np_)
+        expected = [c for c in product(cols, repeat=2) if _canonical_pair_oracle(*c, n)]
+        assert _canonical_pairs(cols, cols, _perm_tables(n)) == expected
+        seen = _searched(monkeypatch, schema("O p -> O p", "p"), SearchBounds(n, max_sets, ("a",)))
+        assert [(no[0], np_[0]) for _, no, np_ in seen[n]] == expected
+
+    def test_pair_generation_on_a_sample_of_n_o_at_4_worlds(self):
+        cols = _collections(4, 2)
+        no_cols = sorted(random.Random(4).sample(cols, 40))
+        expected = [(no, np_) for no in no_cols for np_ in cols
+                    if _canonical_pair_oracle(no, np_, 4)]
+        assert _canonical_pairs(no_cols, cols, _perm_tables(4)) == expected
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_pair_agrees_with_oracle_on_a_sample(self, n):
@@ -269,17 +347,22 @@ class TestCanonicity:
         cols = _collections(n, 3)
         for _ in range(400):
             no, np_ = rng.choice(cols), rng.choice(cols)
-            assert _canonical_pair(no, np_, tables) == _canonical_pair_oracle(no, np_, n), (no, np_)
+            assert (_pair_is_generated(no, np_, tables)
+                    == _canonical_pair_oracle(no, np_, n)), (no, np_)
 
-    def test_model_agrees_with_oracle_on_every_candidate(self):
+    def test_model_agrees_with_oracle_on_every_candidate(self, monkeypatch):
+        seen = _searched(monkeypatch, parse("a | ~a"), SearchBounds(2, 2, ("a",)))
         for n in (1, 2):
-            tables = _perm_tables(n)
-            cols = _collections(n, 2)
-            for val in product(range(1 << n), repeat=1):
-                for no in product(cols, repeat=n):
-                    for np_ in product(cols, repeat=n):
-                        assert (_canonical_model(val, no, np_, tables)
-                                == _canonical_model_oracle(val, no, np_, n)), (val, no, np_)
+            expected = _oracle_models(n, 1, _collections(n, 2))
+            assert _canonical_models(n, 1, _collections(n, 2), _perm_tables(n)) == expected
+            assert seen[n] == expected
+
+    @pytest.mark.parametrize("n, n_atoms, size", [(3, 1, 4), (4, 0, 3), (4, 1, 2)])
+    def test_model_generation_on_a_sample_of_columns(self, n, n_atoms, size):
+        # Every product of a sorted column sample, so both sides see the same candidates.
+        cols = sorted(random.Random(n).sample(_collections(n, 2), size))
+        assert (_canonical_models(n, n_atoms, cols, _perm_tables(n))
+                == _oracle_models(n, n_atoms, cols))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_model_agrees_with_oracle_on_a_sample(self, n):
@@ -292,9 +375,9 @@ class TestCanonicity:
             no = tuple(rng.choice(cols) for _ in range(n))
             np_ = tuple(rng.choice(cols) for _ in range(n))
             least = _orbit_least_model(val, no, np_, n)
-            assert _canonical_model(*least, tables)
+            assert _model_is_generated(*least, tables)
             for candidate in ((val, no, np_), least):
-                assert (_canonical_model(*candidate, tables)
+                assert (_model_is_generated(*candidate, tables)
                         == _canonical_model_oracle(*candidate, n)), candidate
 
     def test_tables_are_the_non_identity_permutations(self):
