@@ -45,8 +45,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Unary", "Modal", "Binary",
     "Not", "And", "Or", "Implies", "Iff", "Obl", "PermS", "PermW", "TOP", "BOTTOM",
-    "ParseError", "parse", "render", "formula_to_dict", "atoms", "modal_depth", "expand_pw",
-    "flatten", "Schema", "schema", "match_schema", "instantiate",
+    "ParseError", "parse", "render", "formula_to_dict", "atoms", "bare_atoms", "modal_depth",
+    "expand_pw", "flatten", "Schema", "schema", "match_schema", "instantiate",
     "eval_bits", "is_tautology", "tautological_consequence",
 ]
 
@@ -312,6 +312,18 @@ def atoms(f: Formula) -> frozenset[str]:
         if isinstance(g, Atom):
             names.add(g.name)
         else:
+            todo += _children(g)
+    return frozenset(names)
+
+
+def bare_atoms(f: Formula) -> frozenset[str]:
+    """Names of the atoms with an occurrence outside every modal operator."""
+    names, todo = set(), [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Atom):
+            names.add(g.name)
+        elif not isinstance(g, Modal):
             todo += _children(g)
     return frozenset(names)
 

@@ -1,40 +1,39 @@
 """Bounded countermodel search and remainder detachment.
 
-Two enumeration regimes share the deterministic ordering "world count
-ascending, then candidates in lexicographic order":
+One loop serves every target.  For each world count, ascending, it walks
+candidates in lexicographic order of a three-level encoding: a valuation
+of the bounds' atoms (formula targets only), then the ``N_O`` columns,
+then the ``N_P`` columns.  A target of modal depth <= 1 (every rule and
+named schema, and such a formula) gets world 1's column only, the others
+left empty: its truth at a world w reads only the valuation and N(w), and
+empty neighbourhoods meet all ten frame conditions, so emptying every
+world but w of a countermodel falsified at w, then swapping w with w1,
+gives one of these candidates, and exhaustion stays sound.  A deeper
+formula gets every world's column.  A schema or rule countermodel gets a
+valuation realising its falsifying subset assignment.
 
-* Formula targets walk the full model space: for each world count, all
-  valuations over the given atoms in lexicographic bit order, then all
-  neighbourhood collections (at most ``max_sets`` subsets each) in
-  lexicographic order of sorted subset lists.  This regime is meant for
-  tiny bounds; its cost is the product of all three dimensions.
+Only canonical candidates are generated (orderly generation, McKay 1998):
+the least encoding of each orbit under a group of world permutations.
+Renaming all worlds gives an isomorphic model, so every permutation
+applies at every-world levels.  At one-world levels a permutation renames
+the sets in world 1's pair but leaves it at world 1.  That keeps what is
+falsified for a rule, decided by its frame condition, and for a target
+with no atom outside a modal operator (all named schemas), whose truth at
+w reads N(w) but not which world w is.  Otherwise only permutations fixing
+world 1 apply: ``O p -> p`` is false at w1 under p = {w2}, not {w1}.
+Levels compare one at a time, so ``_canonical`` tests a level only against
+the stabiliser of the levels before it, usually empty, and a prefix that
+is not least skips its block.  Candidates come in ascending order and the
+group keeps what is falsified, so the first falsifying candidate is least
+in its orbit and is always generated.
 
-* Schema and rule targets only need frames.  Because every named schema
-  and rule has modal depth one, a falsifying subset assignment at a world
-  depends only on that world's two neighbourhoods, so the search
-  enumerates single-world neighbourhood pairs (same lexicographic order),
-  keeps the remaining worlds empty, and synthesises a valuation realising
-  the falsifying assignment.  Exhaustion here is still sound: any bounded
-  model falsifying the target while meeting the required properties
-  contains such a pair.
-
-Candidates are generated canonical (orderly generation, McKay 1998): only
-the least encoding of each orbit under world permutation, at every world
-count.  Encodings compare level by level (valuation, N_O columns, N_P
-columns; or world 1's N_O, then its N_P), so ``_canonical`` tests a level
-only against the permutations fixing the levels before it, usually none,
-and a prefix that is not least skips its block.  Candidates come in
-ascending order and truth and frame conditions are invariant under
-permuting worlds, so the first falsifying candidate is least in its orbit
-and generating only those never changes what is found.  The clock is read
-once per collection built and once per key the generation tries: once per
-generated candidate, and while a skipped block is passed over.
-
-Candidates stay masks until one is found.  Frame conditions are decided
-on one world's pair (``frames.pair_violation``): world 1's in the frame
-regime, once per column pair and world count in the formula regime.  A
-survivor alone gets a ``ModelView`` (for ``frames.find_schema_violation``
-or ``model.truth_mask``); the found one becomes a named model on which the
+A column is named by its index in ``_collections``' sorted list, and
+``_index_tables`` maps every index through every permutation once per
+world count.  The clock is read once per collection and table built and
+once per key tried.  Frame conditions are decided once per column pair
+(``frames.pair_violation``), as is a rule target on world 1's pair; a
+survivor alone gets a ``ModelView`` for ``frames.find_schema_violation``
+or ``model.truth_mask``, and the found one a named model on which the
 public checks and evaluator re-verify it before it is returned.
 """
 
@@ -49,7 +48,7 @@ from typing import Iterable, Sequence
 
 from .formula import (
     Atom, Formula, Implies, Not, Obl, Or, PermS, Schema,
-    atoms as formula_atoms, expand_pw, instantiate, is_tautology, modal_depth,
+    atoms as formula_atoms, bare_atoms, expand_pw, instantiate, is_tautology, modal_depth,
     render,
 )
 from .model import (
@@ -194,8 +193,42 @@ def _image_col(perm, col: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted([perm[1][m] for m in col]))
 
 
-def _image_cols(perm, cols: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple([_image_col(perm, cols[i]) for i in perm[0]])
+def _index_tables(perms, cols: list[tuple[int, ...]], tick) -> list[tuple[int, ...]]:
+    """Per permutation, ``table[i]``: the index in ``cols`` (sorted, closed under permuting
+    worlds) of column i's image, so indices compare as columns do.  ``tick()`` runs per table."""
+    index = {col: i for i, col in enumerate(cols)}
+    out = []
+    for perm in perms:
+        tick()
+        out.append(tuple([index[_image_col(perm, col)] for col in cols]))
+    return out
+
+
+def _image_index(side: int, perm, i: int) -> int:
+    return perm[side][i]
+
+
+def _image_indices(side: int, perm, key: tuple[int, ...]) -> tuple[int, ...]:
+    table = perm[side]
+    return tuple([table[key[i]] for i in perm[0]])
+
+
+def _generation(n: int, max_sets: int, closed, n_atoms: int, every_world: bool,
+                all_perms: bool, tick):
+    """``[no_cols, np_cols], levels, perms`` for ``_canonical`` at n worlds: a valuation of
+    ``n_atoms`` atoms, then N_O and N_P column indices of every world or of world 1 alone
+    (superset-closed on side k with ``closed[k]``); a permutation is ``(inverse, mask table,
+    N_O index table, N_P index table)``, every one or, without ``all_perms``, those fixing w1."""
+    cols = {c: _collections(n, max_sets, tick, c) for c in set(closed)}
+    perms = [p for p in _perm_tables(n) if all_perms or p[0][0] == 0]
+    tables = {c: _index_tables(perms, cols[c], tick) for c in cols}
+    perms = [(*p, *t) for p, *t in zip(perms, tables[closed[0]], tables[closed[1]])]
+    levels = [(partial(product, range(1 << n), repeat=n_atoms), _image_masks)]
+    for side, c in enumerate(closed, 2):
+        keys = range(len(cols[c]))
+        levels.append((partial(product, keys, repeat=n), partial(_image_indices, side))
+                      if every_world else (keys.__iter__, partial(_image_index, side)))
+    return [cols[c] for c in closed], levels, perms
 
 
 def _stabiliser(key, perms, image) -> list | None:
@@ -215,7 +248,7 @@ def _canonical(levels, perms, tick, prefix=()):
 
     An encoding has one key per level; a level is ``(keys, image)``, where
     ``keys()`` iterates its keys in ascending order and ``image(perm, key)``
-    moves one by a ``_perm_tables`` entry.  A key is tested only against the
+    moves one by a ``_generation`` permutation.  A key is tested only against the
     stabiliser of the keys before it.  ``tick()`` runs once per key tried.
     """
     (keys, image), *rest = levels
@@ -255,6 +288,12 @@ def _superset_closed(col, full: int) -> bool:
     return all(m | 1 << i in members for m in col for i in range(full.bit_length()))
 
 
+def _check_atoms(needed: int, bounds: SearchBounds) -> None:
+    if needed > len(bounds.atoms):
+        raise ValueError(f"target needs {needed} atoms to realise a falsifying valuation, "
+                         f"bounds provide {len(bounds.atoms)}")
+
+
 def find_countermodel(
     target: Formula | Schema | str,
     required: Iterable[FrameProperty],
@@ -267,112 +306,78 @@ def find_countermodel(
     guarded-permission rule.  ``required`` filters the search to frames
     satisfying the given properties.
     """
-    required = frozenset(required)
-    clock = _Clock(timeout_secs)
     if isinstance(target, str):
         if target not in GUARDED_RULES:
             known = ", ".join(sorted(GUARDED_RULES))
             raise ValueError(f"unknown rule target {target!r} (known: {known})")
-        return _search_frames(target, None, required, bounds, clock)
-    if isinstance(target, Schema):
+    elif isinstance(target, Schema):
         if modal_depth(target.body) > 1:
             raise ValueError("schema targets with nested modalities are not supported")
-        variables = schema_variables(target)
-        if len(variables) > len(bounds.atoms):
-            raise ValueError(
-                f"target needs {len(variables)} atoms to realise a falsifying valuation, "
-                f"bounds provide {len(bounds.atoms)}"
-            )
-        return _search_frames(None, target, required, bounds, clock)
-    if isinstance(target, Formula):
+        _check_atoms(len(schema_variables(target)), bounds)
+    elif isinstance(target, Formula):
         missing = formula_atoms(target) - set(bounds.atoms)
         if missing:
             names = ", ".join(sorted(missing))
             raise ValueError(f"target atoms not covered by the search bounds: {names}")
-        return _search_models(target, required, bounds, clock)
-    raise TypeError(f"unsupported target {target!r}")
-
-
-def _search_models(target, required, bounds, clock) -> CountermodelReport:
-    report = CountermodelReport(found=False)
-    tick = partial(clock.check, report)
-    for n in range(1, bounds.max_worlds + 1):
-        worlds = _worlds(n)
-        full = (1 << n) - 1
-        cols = _collections(n, bounds.max_sets, tick)
-
-        @cache
-        def pair_ok(no_col, np_col) -> bool:  # one verdict per column pair and world count
-            no, np_ = frozenset(no_col), frozenset(np_col)
-            return all(pair_violation(no, np_, full, p) is None for p in required)
-
-        columns = (partial(product, cols, repeat=n), _image_cols)
-        levels = [(partial(product, range(1 << n), repeat=len(bounds.atoms)), _image_masks),
-                  columns, columns]
-        for val_masks, no_cols, np_cols in _canonical(levels, _perm_tables(n), tick):
-            report.examined += 1
-            if not all(map(pair_ok, no_cols, np_cols)):
-                report.pruned_by_property += 1
-                continue
-            valuation = dict(zip(bounds.atoms, val_masks))
-            view = ModelView.from_masks(worlds, list(map(frozenset, no_cols)),
-                                        list(map(frozenset, np_cols)), valuation)
-            if truth_mask(view, target, valuation) == full:
-                continue
-            model = _build_model(worlds, val_masks, no_cols, np_cols, bounds.atoms)
-            _verify_required(model, required)
-            ts = truth_set(model, target)
-            world = next((w for w in worlds if w not in ts), None)
-            if world is None or evaluate(model, world, target):
-                raise SearchError("formula countermodel failed re-verification")
-            report.found, report.model, report.world, report.instance = True, model, world, target
-            report.elapsed_secs = clock.elapsed()
-            return report
-    report.elapsed_secs = clock.elapsed()
-    return report
-
-
-def _search_frames(rule, schema_target, required, bounds, clock) -> CountermodelReport:
-    report = CountermodelReport(found=False)
-    tick = partial(clock.check, report)
-    if rule is not None:
-        prop = GUARDED_RULES[rule].prop
     else:
-        variables = schema_variables(schema_target)
-    supplement_no = FrameProperty.O_SUPPLEMENTED in required
-    supplement_np = FrameProperty.P_SUPPLEMENTED in required
+        raise TypeError(f"unsupported target {target!r}")
+    return _search(target, frozenset(required), bounds, _Clock(timeout_secs))
+
+
+def _search(target, required, bounds, clock) -> CountermodelReport:
+    report = CountermodelReport(found=False)
+    tick = partial(clock.check, report)
+    formula = isinstance(target, Formula)
+    body = target if formula else getattr(target, "body", None)  # None for a rule
+    n_atoms, every_world = (len(bounds.atoms), modal_depth(target) > 1) if formula else (0, False)
+    all_perms = body is None or every_world or not bare_atoms(body)
+    variables = schema_variables(target) if isinstance(target, Schema) else None
+    closed = (FrameProperty.O_SUPPLEMENTED in required, FrameProperty.P_SUPPLEMENTED in required)
     for n in range(1, bounds.max_worlds + 1):
-        worlds = _worlds(n)
-        full = (1 << n) - 1
-        rest = [frozenset()] * (n - 1)  # the other worlds keep empty neighbourhoods
-        cols = {closed: _collections(n, bounds.max_sets, tick, closed)
-                for closed in {supplement_no, supplement_np}}
-        levels = [(cols[supplement_no].__iter__, _image_col),
-                  (cols[supplement_np].__iter__, _image_col)]
-        for no_col, np_col in _canonical(levels, _perm_tables(n), tick):
+        worlds, full = _worlds(n), (1 << n) - 1
+        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, n_atoms,
+                                                        every_world, all_perms, tick)
+        no_sets, np_sets = list(map(frozenset, no_cols)), list(map(frozenset, np_cols))
+
+        def pair_ok(i, j) -> bool:
+            return all(pair_violation(no_sets[i], np_sets[j], full, p) is None for p in required)
+
+        if n_atoms or every_world:  # a pair recurs across valuations or worlds: one verdict each
+            pair_ok = cache(pair_ok)
+        rest = (0,) * (n - 1)  # column 0 is the empty one, the other worlds' at one-world levels
+        for val_masks, no, np_ in _canonical(levels, perms, tick):
             report.examined += 1
-            no_set, np_set = frozenset(no_col), frozenset(np_col)
-            if not all(pair_violation(no_set, np_set, full, p) is None for p in required):
+            if not (all(map(pair_ok, no, np_)) if every_world else pair_ok(no, np_)):
                 report.pruned_by_property += 1
                 continue
-            if rule is not None:
-                if pair_violation(no_set, np_set, full, prop) is None:
-                    continue
+            no_ix, np_ix = (no, np_) if every_world else ((no, *rest), (np_, *rest))
+            valuation = dict(zip(bounds.atoms, val_masks))
+            if body is None:
+                falsified = pair_violation(no_sets[no], np_sets[np_], full,
+                                           GUARDED_RULES[target].prop) is not None
             else:
-                view = ModelView.from_masks(worlds, [no_set, *rest], [np_set, *rest], {})
-                if find_schema_violation(view, schema_target.body, variables) is None:
-                    continue
-            model = _build_model(worlds, (), [no_col, *rest], [np_col, *rest], ())
+                view = ModelView.from_masks(worlds, [no_sets[i] for i in no_ix],
+                                            [np_sets[j] for j in np_ix], valuation)
+                falsified = (truth_mask(view, target, valuation) != full if formula
+                             else find_schema_violation(view, body, variables) is not None)
+            if not falsified:
+                continue
+            model = _build_model(worlds, val_masks, [no_cols[i] for i in no_ix],
+                                 [np_cols[j] for j in np_ix], bounds.atoms)
             _verify_required(model, required)
-            if rule is not None:
-                violation = rule_valid_on_frame(model, rule)
+            if formula:
+                ts = truth_set(model, target)
+                report.world = next((w for w in worlds if w not in ts), None)
+                if report.world is None or evaluate(model, report.world, target):
+                    raise SearchError("formula countermodel failed re-verification")
+                report.model, report.instance = model, target
             else:
-                violation = schema_valid_on_frame(model, schema_target)
-            if violation is None:
-                raise SearchError("frame countermodel failed re-verification")
-            report.model, report.instance = _realise_violation(model, rule, schema_target,
-                                                               violation, bounds)
-            report.world, report.assignment = violation.world, violation.assignment
+                violation = (rule_valid_on_frame(model, target) if body is None
+                             else schema_valid_on_frame(model, target))
+                if violation is None:
+                    raise SearchError("frame countermodel failed re-verification")
+                report.model, report.instance = _realise_violation(model, target, violation, bounds)
+                report.world, report.assignment = violation.world, violation.assignment
             report.found = True
             report.elapsed_secs = clock.elapsed()
             return report
@@ -380,28 +385,23 @@ def _search_frames(rule, schema_target, required, bounds, clock) -> Countermodel
     return report
 
 
-def _realise_violation(frame_model, rule, schema_target, violation: SchemaViolation, bounds):
+def _realise_violation(frame_model, target, violation: SchemaViolation, bounds):
     """Attach a valuation realising the falsifying assignment, then re-verify."""
     variables = sorted(violation.assignment)
-    if len(variables) > len(bounds.atoms):
-        raise ValueError(
-            f"target needs {len(variables)} atoms to realise a falsifying valuation, "
-            f"bounds provide {len(bounds.atoms)}"
-        )
+    _check_atoms(len(variables), bounds)
     var_to_atom = dict(zip(variables, bounds.atoms))
     valuation = {var_to_atom[v]: violation.assignment[v] for v in variables}
-    model = NeighbourhoodModel(
-        frame_model.worlds, dict(frame_model.n_obl), dict(frame_model.n_perm), valuation
-    )
+    model = NeighbourhoodModel(frame_model.worlds, dict(frame_model.n_obl),
+                               dict(frame_model.n_perm), valuation)
     subst = {v: Atom(var_to_atom[v]) for v in variables}
     w = violation.world
-    if rule is None:
-        instance = instantiate(schema_target, subst)
+    if isinstance(target, Schema):
+        instance = instantiate(target, subst)
         if evaluate(model, w, instance):
             raise SearchError("schema countermodel failed re-verification")
         return model, instance
 
-    guarded = GUARDED_RULES[rule]
+    guarded = GUARDED_RULES[target]
     premise = instantiate(guarded.premise, subst)
     conclusion = instantiate(guarded.conclusion, subst)
     if not evaluate(model, w, premise):

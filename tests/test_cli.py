@@ -162,8 +162,9 @@ class TestCountermodel:
 
     @pytest.mark.parametrize("flag", [(), ("--json",)], ids=["text", "json"])
     def test_timeout_reports_progress(self, capsys, flag):
+        # Modal depth 2, so every world's columns are walked: 0.2 s is far too short.
         code, out, err = run(
-            capsys, "countermodel", "--target", "Ps(a | b) & Pw a -> Ps a",
+            capsys, "countermodel", "--target", "Ps(a | b) & Pw a -> Ps a | O Ps a",
             "--require", "AFCPO,AFCPP", "--max-worlds", "3", "--max-sets", "1",
             "--atoms", "a,b", "--timeout-secs", "0.2", *flag,
         )

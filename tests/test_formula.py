@@ -11,7 +11,7 @@ from deontic import (
     PermS, PermW, Schema, TOP, Top, atoms, expand_pw, instantiate, is_tautology,
     match_schema, modal_depth, parse, render, schema, tautological_consequence,
 )
-from deontic.formula import _tokenize, flatten, formula_to_dict
+from deontic.formula import _tokenize, bare_atoms, flatten, formula_to_dict
 from deontic.systems import SCHEMAS
 
 from conftest import formulas
@@ -468,6 +468,12 @@ class TestTautologicalConsequence:
 def test_atoms_collects_names():
     assert atoms(parse("Ps(p | q) & O ~p")) == frozenset({"p", "q"})
     assert atoms(TOP) == frozenset()
+
+
+def test_bare_atoms_are_those_outside_every_modal_operator():
+    assert bare_atoms(parse("O p -> p & Ps(q | ~r)")) == frozenset({"p"})
+    assert bare_atoms(parse("Ps(a | b) & Pw a -> Ps a")) == frozenset()
+    assert bare_atoms(parse("~(a <-> O Pw b)")) == frozenset({"a"})
 
 
 def test_flatten_splits_one_connective():

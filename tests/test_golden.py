@@ -53,6 +53,12 @@ SEARCHES = {
                        "--max-worlds", "3", "--max-sets", "1", "--atoms", "a,b"),
     "formula-exhausts": ("--target", "Ps(a | b) & Pw a -> Ps a", "--require", "AFCPO,AFCPP",
                          "--max-worlds", "2", "--max-sets", "1", "--atoms", "a,b"),
+    # Depth 1 and found at 2 worlds: only permutations fixing world 1 apply to the first,
+    # since its atom occurs outside every modal operator, and all of them to the second.
+    "formula-depth1-bare-atom": ("--target", "O a -> a", "--require", "OSupplemented,PwCoherent",
+                                 "--max-worlds", "2", "--max-sets", "2", "--atoms", "a"),
+    "formula-depth1": ("--target", "O a & O b -> O(a & b)", "--require", "PsCoherent",
+                       "--max-worlds", "2", "--max-sets", "2", "--atoms", "a,b"),
 }
 
 # Remainder disjunctions against THEORY: a partial elimination (r only with implication

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from functools import partial
 from itertools import combinations, permutations, product
 
 import pytest
@@ -12,10 +13,14 @@ from deontic import (
     compute_remainder, evaluate, find_countermodel, parse, render,
     rule_valid_on_frame, schema, truth_set, validate_model,
 )
+from deontic.formula import (
+    BOTTOM, TOP, And, Atom, Iff, Implies, Not, Obl, Or, PermS, PermW, atoms, modal_depth,
+)
+from deontic.frames import find_schema_violation, find_violation
 from deontic.model import ModelView
 from deontic.search import (
-    _build_model, _canonical, _collections, _image_col, _image_cols, _image_masks,
-    _perm_tables, _stabiliser, _worlds,
+    _build_model, _canonical, _collections, _generation, _image_col, _perm_tables, _stabiliser,
+    _worlds,
 )
 from deontic.systems import FRAME_CLASSES, SCHEMAS
 
@@ -99,6 +104,21 @@ class TestFindCountermodel:
         assert report.found
         assert check_property(report.model, FrameProperty.O_SUPPLEMENTED) is None
 
+    def test_bare_atom_schema_is_searched_under_world_1_fixing_permutations(self):
+        # O p -> p reads p at the world itself: with world 1 keeping its pair, p = {w2}
+        # falsifies it at w1 but p = {w1} does not, so no permutation moving w1 applies.
+        target = schema("O p -> p", "p")
+        required = {FrameProperty.O_SUPPLEMENTED, FrameProperty.PW_COHERENT}
+        report = find_countermodel(target, required, SearchBounds(2, 2, ("a",)))
+        assert report.found
+        m = report.model
+        assert validate_model(m) == []
+        assert all(check_property(m, p) is None for p in required)
+        assert m.n_obl["w1"] == {frozenset({"w2"}), frozenset({"w1", "w2"})}
+        assert (report.world, report.assignment) == ("w1", {"p": frozenset({"w2"})})
+        assert not evaluate(m, report.world, report.instance)
+        assert render(report.instance) == "O a -> a"
+
     def test_rejects_nested_modalities(self):
         deep = schema("O O p -> O p", "p")
         with pytest.raises(ValueError, match="nested"):
@@ -130,9 +150,10 @@ class TestFindCountermodel:
 
 
 def test_timeout_is_kept_within_one_valuation():
-    # One valuation of this search at 3 worlds spans 9 ** 6 candidates; the clock is read
-    # once per candidate, so the search stops soon after its budget.
-    target = parse("Ps(a | b) & Pw a -> Ps a")
+    # The target has modal depth 2, so every world's columns are walked: one valuation of
+    # this search at 3 worlds spans 9 ** 6 candidates.  The clock is read once per candidate,
+    # so the search stops soon after its budget.
+    target = parse("Ps(a | b) & Pw a -> Ps a | O Ps a")
     required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
     start = time.monotonic()
     with pytest.raises(SearchTimeout):
@@ -187,8 +208,9 @@ def _independent_tuple_count(max_worlds: int, max_sets: int, n_atoms: int) -> in
 
 
 def test_exhaustion_count_matches_direct_tuple_counting():
+    # A tautology of modal depth 2: the every-world walk, under every permutation.
     bounds = SearchBounds(2, 1, ("a",))
-    report = find_countermodel(parse("a | ~a"), set(), bounds)
+    report = find_countermodel(parse("O Ps a | ~O Ps a"), set(), bounds)
     assert not report.found
     assert report.pruned_by_property == 0
     assert report.examined == _independent_tuple_count(2, 1, 1)
@@ -217,6 +239,32 @@ def test_frame_exhaustion_count_matches_orbit_counting():
     assert not report.found
     assert report.pruned_by_property == 0
     assert report.examined == _independent_pair_count(3, 3)
+
+
+def _independent_one_world_count(max_worlds, max_sets, atom_names, required) -> tuple[int, int]:
+    """Count (V, N_O(w1), N_P(w1)) encodings, the other worlds empty, up to permuting worlds
+    in V and in the sets of world 1's pair (which stays at w1), as orbits; and the orbits a
+    required property prunes, checked on a named model."""
+    examined = pruned = 0
+    for n in range(1, max_worlds + 1):
+        masks = range(1 << n)
+        collections = [c for k in range(max_sets + 1) for c in combinations(masks, k)]
+
+        def image(col, perm):
+            return tuple(sorted(_remap_mask(m, perm) for m in col))
+
+        orbits = {
+            min((tuple(_remap_mask(m, perm) for m in val), image(no, perm), image(np_, perm))
+                for perm in permutations(range(n)))
+            for val in product(masks, repeat=len(atom_names))
+            for no in collections for np_ in collections
+        }
+        examined += len(orbits)
+        empty = [()] * (n - 1)
+        for val, no, np_ in orbits:
+            model = _build_model(_worlds(n), val, [no, *empty], [np_, *empty], atom_names)
+            pruned += any(check_property(model, p) is not None for p in required)
+    return examined, pruned
 
 
 def _remap_mask(mask, perm):
@@ -254,6 +302,19 @@ def _canonical_pair_oracle(no, np_, n):
     return True
 
 
+def _one_world_oracle(n, n_atoms, cols, perms):
+    """One-world encodings (V, N_O(w1), N_P(w1)) least under ``perms``, each renaming the
+    worlds in V and in the sets of world 1's pair, which stays at w1."""
+    def moved(val, no, np_, perm):
+        return (tuple(_remap_mask(m, perm) for m in val),
+                tuple(sorted(_remap_mask(m, perm) for m in no)),
+                tuple(sorted(_remap_mask(m, perm) for m in np_)))
+
+    return [(val, no, np_) for val in product(range(1 << n), repeat=n_atoms)
+            for no in cols for np_ in cols
+            if all(moved(val, no, np_, perm) >= (val, no, np_) for perm in perms)]
+
+
 def _orbit_least_model(valuation, no, np_, n):
     best = (valuation, no, np_)
     for perm in permutations(range(n)):
@@ -270,33 +331,34 @@ def _no_tick():
     pass
 
 
-def _canonical_pairs(no_cols, np_cols, tables):
-    """The frame regime's generation: world 1's N_O, then its N_P."""
-    return list(_canonical([(no_cols.__iter__, _image_col), (np_cols.__iter__, _image_col)],
-                           tables, _no_tick))
+def _setup(n, max_sets, n_atoms=0, every_world=False, all_perms=True):
+    """The search's column list, levels and permutations at n worlds, no column closed."""
+    (cols, _), levels, perms = _generation(n, max_sets, (False, False), n_atoms, every_world,
+                                           all_perms, _no_tick)
+    return cols, levels, perms
 
 
-def _canonical_models(n, n_atoms, cols, tables):
-    """The formula regime's generation: valuation, N_O columns, N_P columns."""
-    columns = (lambda: product(cols, repeat=n), _image_cols)
-    levels = [(lambda: product(range(1 << n), repeat=n_atoms), _image_masks), columns, columns]
-    return list(_canonical(levels, tables, _no_tick))
+def _as_columns(cols, encodings, every_world):
+    """Encodings with their column indices read back as columns."""
+    if every_world:
+        return [(val, tuple(cols[i] for i in no), tuple(cols[j] for j in np_))
+                for val, no, np_ in encodings]
+    return [(val, cols[no], cols[np_]) for val, no, np_ in encodings]
 
 
-def _pair_is_generated(no, np_, tables):
-    """The level-by-level test that ``_canonical`` makes, on one frame-regime candidate."""
-    fixing = _stabiliser(no, tables, _image_col)
-    return fixing is not None and _stabiliser(np_, fixing, _image_col) is not None
+def _generated(n, max_sets, n_atoms=0, every_world=False, all_perms=True):
+    """What the search generates at n worlds, as columns."""
+    cols, levels, perms = _setup(n, max_sets, n_atoms, every_world, all_perms)
+    return _as_columns(cols, _canonical(levels, perms, _no_tick), every_world)
 
 
-def _model_is_generated(val, no, np_, tables):
-    """The level-by-level test that ``_canonical`` makes, on one formula-regime candidate."""
-    fixing = _stabiliser(val, tables, _image_masks)
-    for key in (no, np_):
-        if fixing is None:
+def _is_generated(encoding, levels, perms):
+    """The level-by-level test that ``_canonical`` makes, on one encoding of index keys."""
+    for key, (_, image) in zip(encoding, levels):
+        perms = _stabiliser(key, perms, image)
+        if perms is None:
             return False
-        fixing = _stabiliser(key, fixing, _image_cols)
-    return fixing is not None
+    return True
 
 
 def _searched(monkeypatch, target, bounds):
@@ -329,55 +391,77 @@ class TestCanonicity:
     def test_pair_agrees_with_oracle_on_every_candidate(self, monkeypatch, n, max_sets):
         cols = _collections(n, max_sets)
         expected = [c for c in product(cols, repeat=2) if _canonical_pair_oracle(*c, n)]
-        assert _canonical_pairs(cols, cols, _perm_tables(n)) == expected
+        assert [(no, np_) for _, no, np_ in _generated(n, max_sets)] == expected
         seen = _searched(monkeypatch, schema("O p -> O p", "p"), SearchBounds(n, max_sets, ("a",)))
         assert [(no[0], np_[0]) for _, no, np_ in seen[n]] == expected
 
     def test_pair_generation_on_a_sample_of_n_o_at_4_worlds(self):
-        cols = _collections(4, 2)
-        no_cols = sorted(random.Random(4).sample(cols, 40))
-        expected = [(no, np_) for no in no_cols for np_ in cols
-                    if _canonical_pair_oracle(no, np_, 4)]
-        assert _canonical_pairs(no_cols, cols, _perm_tables(4)) == expected
+        cols, levels, perms = _setup(4, 2)
+        sample = sorted(random.Random(4).sample(range(len(cols)), 40))
+        levels[1] = (sample.__iter__, levels[1][1])
+        expected = [((), cols[i], np_) for i in sample for np_ in cols
+                    if _canonical_pair_oracle(cols[i], np_, 4)]
+        assert _as_columns(cols, _canonical(levels, perms, _no_tick), False) == expected
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_pair_agrees_with_oracle_on_a_sample(self, n):
         rng = random.Random(n)
-        tables = _perm_tables(n)
-        cols = _collections(n, 3)
+        cols, levels, perms = _setup(n, 3)
         for _ in range(400):
-            no, np_ = rng.choice(cols), rng.choice(cols)
-            assert (_pair_is_generated(no, np_, tables)
-                    == _canonical_pair_oracle(no, np_, n)), (no, np_)
+            i, j = rng.randrange(len(cols)), rng.randrange(len(cols))
+            assert (_is_generated(((), i, j), levels, perms)
+                    == _canonical_pair_oracle(cols[i], cols[j], n)), (cols[i], cols[j])
+
+    @pytest.mark.parametrize("all_perms", [False, True], ids=["fixing-w1", "all"])
+    @pytest.mark.parametrize("n, max_sets, n_atoms", [(1, 2, 2), (2, 3, 2), (3, 2, 1)])
+    def test_one_world_generation_agrees_with_oracle(self, monkeypatch, all_perms, n, max_sets,
+                                                     n_atoms):
+        perms = [perm for perm in permutations(range(n)) if all_perms or perm[0] == 0]
+        expected = _one_world_oracle(n, n_atoms, _collections(n, max_sets), perms)
+        assert _generated(n, max_sets, n_atoms, all_perms=all_perms) == expected
+        # Tautologies of modal depth <= 1, with an atom outside every modal operator or none.
+        text = {(False, 1): "a | ~a", (False, 2): "a & b -> a",
+                (True, 1): "Pw a | O ~a", (True, 2): "Pw(a & b) | O ~(a & b)"}[all_perms, n_atoms]
+        seen = _searched(monkeypatch, parse(text), SearchBounds(n, max_sets, ("a", "b")[:n_atoms]))
+        empty = ((),) * (n - 1)
+        assert seen[n] == [(val, (no, *empty), (np_, *empty)) for val, no, np_ in expected]
 
     def test_model_agrees_with_oracle_on_every_candidate(self, monkeypatch):
-        seen = _searched(monkeypatch, parse("a | ~a"), SearchBounds(2, 2, ("a",)))
+        # A tautology of modal depth 2: the every-world walk, under every permutation.
+        seen = _searched(monkeypatch, parse("O Ps a | ~O Ps a"), SearchBounds(2, 2, ("a",)))
         for n in (1, 2):
             expected = _oracle_models(n, 1, _collections(n, 2))
-            assert _canonical_models(n, 1, _collections(n, 2), _perm_tables(n)) == expected
+            assert _generated(n, 2, 1, every_world=True) == expected
             assert seen[n] == expected
 
     @pytest.mark.parametrize("n, n_atoms, size", [(3, 1, 4), (4, 0, 3), (4, 1, 2)])
     def test_model_generation_on_a_sample_of_columns(self, n, n_atoms, size):
         # Every product of a sorted column sample, so both sides see the same candidates.
-        cols = sorted(random.Random(n).sample(_collections(n, 2), size))
-        assert (_canonical_models(n, n_atoms, cols, _perm_tables(n))
-                == _oracle_models(n, n_atoms, cols))
+        cols, levels, perms = _setup(n, 2, n_atoms, every_world=True)
+        sample = sorted(random.Random(n).sample(range(len(cols)), size))
+        for k in (1, 2):
+            levels[k] = (partial(product, sample, repeat=n), levels[k][1])
+        assert (_as_columns(cols, _canonical(levels, perms, _no_tick), True)
+                == _oracle_models(n, n_atoms, [cols[i] for i in sample]))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_model_agrees_with_oracle_on_a_sample(self, n):
         # Random candidates are rarely canonical, so each one's orbit least is checked too.
         rng = random.Random(n)
-        tables = _perm_tables(n)
-        cols = _collections(n, 2)
+        cols, levels, perms = _setup(n, 2, every_world=True)
+        index = {col: i for i, col in enumerate(cols)}
+
+        def key(val, no, np_):
+            return val, tuple(index[c] for c in no), tuple(index[c] for c in np_)
+
         for _ in range(150):
             val = tuple(rng.randrange(1 << n) for _ in range(rng.randint(0, 2)))
             no = tuple(rng.choice(cols) for _ in range(n))
             np_ = tuple(rng.choice(cols) for _ in range(n))
             least = _orbit_least_model(val, no, np_, n)
-            assert _model_is_generated(*least, tables)
+            assert _is_generated(key(*least), levels, perms)
             for candidate in ((val, no, np_), least):
-                assert (_model_is_generated(*candidate, tables)
+                assert (_is_generated(key(*candidate), levels, perms)
                         == _canonical_model_oracle(*candidate, n)), candidate
 
     def test_tables_are_the_non_identity_permutations(self):
@@ -390,6 +474,21 @@ class TestCanonicity:
                 perm = [t[1 << i].bit_length() - 1 for i in range(n)]
                 assert [perm[j] for j in inverse] == list(range(n))
                 assert all(t[m] == _remap_mask(m, perm) for m in range(1 << n))
+
+    @pytest.mark.parametrize("closed", [(False, False), (True, False), (False, True)])
+    def test_index_tables_name_the_image_columns(self, closed):
+        # Indices compare as columns only if each list is sorted; column 0 is the empty one.
+        for n in range(1, 5):
+            cols, _, perms = _generation(n, 2, closed, 0, False, True, _no_tick)
+            assert len(perms) == math.factorial(n) - 1
+            for side, side_cols in enumerate(cols, 2):
+                assert side_cols == sorted(side_cols) and side_cols[0] == ()
+                for perm in perms:
+                    assert [side_cols[i] for i in perm[side]] == [_image_col(perm, c)
+                                                                   for c in side_cols]
+            _, _, fixing = _generation(n, 2, closed, 0, False, False, _no_tick)
+            assert [p[0] for p in fixing] == [p[0] for p in perms if p[0][0] == 0]
+            assert len(fixing) == math.factorial(n - 1) - 1
 
 
 # (examined, pruned_by_property) of the exhaustive benchmark's searches; each exhausts its
@@ -426,7 +525,8 @@ class TestCounters:
         required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
         report = find_countermodel(target, required, SearchBounds(2, 1, ("a", "b")))
         assert not report.found
-        assert (report.examined, report.pruned_by_property) == (5086, 3882)
+        assert (report.examined, report.pruned_by_property) == (254, 118)
+        assert _independent_one_world_count(2, 1, ("a", "b"), required) == (254, 118)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -446,6 +546,48 @@ class TestCounters:
             assert getattr(view, field) == getattr(named, field), field
 
 
+def _depth_one_formulas(atom_names: str) -> st.SearchStrategy:
+    def connectives(sub):
+        return st.one_of(st.builds(Not, sub), *(st.builds(c, sub, sub) for c in (And, Or, Implies, Iff)))
+
+    leaf = st.one_of(st.builds(Atom, st.sampled_from(atom_names)), st.just(TOP), st.just(BOTTOM))
+    propositional = st.recursive(leaf, connectives, max_leaves=4)
+    modal = st.one_of(leaf, *(st.builds(op, propositional) for op in (Obl, PermS, PermW)))
+    return st.recursive(modal, connectives, max_leaves=5)
+
+
+def _brute_force_found(target, required, bounds) -> bool:
+    """Whether some model within the bounds meets ``required`` and falsifies ``target``: every
+    frame, with every world's columns and no symmetry, under every valuation at once."""
+    names = sorted(atoms(target))
+    for n in range(1, bounds.max_worlds + 1):
+        cols = [frozenset(c) for c in _collections(n, bounds.max_sets)]
+        for no in product(cols, repeat=n):
+            for np_ in product(cols, repeat=n):
+                view = ModelView.from_masks(_worlds(n), list(no), list(np_), {})
+                if (all(find_violation(view, p) is None for p in required)
+                        and find_schema_violation(view, target, names) is not None):
+                    return True
+    return False
+
+
+class TestOneWorldReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_found_agrees_with_brute_force(self, data):
+        atom_names = ("a", "b")[:data.draw(st.integers(1, 2))]
+        target = data.draw(_depth_one_formulas("".join(atom_names)))
+        required = data.draw(st.sets(st.sampled_from(list(FrameProperty)), max_size=3))
+        bounds = SearchBounds(data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2)),
+                              atom_names)
+        assert modal_depth(target) <= 1
+        report = find_countermodel(target, required, bounds)
+        assert report.found == _brute_force_found(target, required, bounds)
+        if report.found:
+            assert all(check_property(report.model, p) is None for p in required)
+            assert not evaluate(report.model, report.world, target)
+
+
 class OneCandidateClock(deontic.search._Clock):
     """A clock whose budget is spent as soon as it has been read once."""
 
@@ -460,8 +602,10 @@ class OneCandidateClock(deontic.search._Clock):
         (SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], SearchBounds(4, 2, ("a", "b"))),
         (parse("Ps(a | b) & Pw a -> Ps a"), {FrameProperty.AFCP_O, FrameProperty.AFCP_P},
          SearchBounds(4, 1, ("a", "b"))),
+        (parse("Ps(a | b) & Pw a -> Ps a | O Ps a"), {FrameProperty.AFCP_O, FrameProperty.AFCP_P},
+         SearchBounds(4, 1, ("a", "b"))),
     ],
-    ids=["frames", "models"],
+    ids=["frames", "models", "every-world-models"],
 )
 def test_clock_is_read_once_per_candidate(monkeypatch, target, required, bounds):
     monkeypatch.setattr(deontic.search, "_Clock", OneCandidateClock)
