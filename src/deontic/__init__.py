@@ -24,13 +24,12 @@ from .frames import (
     schema_valid_on_frame, supplementation_closure,
 )
 from .systems import (
-    BASE_RULES, RULE_NAMES, SCHEMAS, FixtureCheck, InclusionFact, SystemDef,
-    SystemRegistry, frame_class, inclusion_report,
+    BASE_RULES, RULE_NAMES, SCHEMAS, SystemDef, SystemRegistry, frame_class,
 )
 from .proof import (
     Hypothesis, Justification, ProofLine, ProofResult, ProofScript,
     check_proof, parse_proof_script, run_scenario, scenario_registry,
-    verify_inclusions, verify_table1,
+    strength_lattice, verify_table1,
 )
 from .search import (
     CountermodelReport, RemainderError, RemainderResult, SearchBounds,

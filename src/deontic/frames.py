@@ -293,8 +293,11 @@ def classify_frame(m: NeighbourhoodModel) -> set[FrameProperty]:
 # (instantiate the auxiliary variable as the complement of the second set,
 # or as the whole first set); P-supplementation closes the gap in the
 # other direction because it lets a detached subset be inflated back to
-# the set of interest.  Each fact has a direct set-theoretic proof and is
-# re-verified exhaustively on small frames in the test suite.
+# the set of interest.  The obligation guard and the two-disjunct guard
+# together give the one-disjunct guard: when the second set's complement
+# is obligatory the obligation guard detaches the first set, and otherwise
+# the two-disjunct guard does.  Each fact has a direct set-theoretic proof
+# and is re-verified exhaustively on small frames in the test suite.
 PROPERTY_ENTAILMENTS: tuple[tuple[frozenset[FrameProperty], FrameProperty], ...] = (
     (frozenset({FrameProperty.IFCP_O}), FrameProperty.AFCP_O),
     (frozenset({FrameProperty.IFCP_P}), FrameProperty.AFCP_P),
@@ -307,6 +310,8 @@ PROPERTY_ENTAILMENTS: tuple[tuple[frozenset[FrameProperty], FrameProperty], ...]
         frozenset({FrameProperty.P_SUPPLEMENTED, FrameProperty.AFCP_O, FrameProperty.AFCP_P}),
         FrameProperty.IFCP_P,
     ),
+    (frozenset({FrameProperty.AFCP_O, FrameProperty.AFCP_P}), FrameProperty.AFCP2_P),
+    (frozenset({FrameProperty.IFCP_O, FrameProperty.IFCP_P}), FrameProperty.IFCP2_P),
 )
 
 

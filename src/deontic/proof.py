@@ -51,6 +51,7 @@ Body-line justifications:
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -62,20 +63,20 @@ from .formula import (
 )
 from . import bundled
 from .frames import (
-    GUARDED_RULES, FrameProperty, check_property, entailment_closure,
-    rule_valid_on_frame, schema_valid_on_frame,
+    GUARDED_RULES, classify_frame, entailment_closure, rule_valid_on_frame,
+    schema_valid_on_frame,
 )
-from .search import RemainderResult, compute_remainder
-from .systems import (
-    SCHEMAS, FixtureCheck, InclusionFact, SystemDef, SystemRegistry,
-    frame_class, inclusion_report,
+from .model import model_to_dict
+from .search import (
+    CountermodelReport, RemainderResult, SearchBounds, compute_remainder, find_countermodel,
 )
+from .systems import FRAME_CLASSES, SCHEMAS, SystemDef, SystemRegistry, frame_class
 
 __all__ = [
     "Hypothesis", "Justification", "ProofLine", "ProofScript", "ProofResult",
     "parse_proof_script", "check_proof", "scenario_registry",
     "verify_table1", "Table1Report", "SCENARIOS", "run_scenario", "ScenarioResult",
-    "verify_inclusions", "InclusionVerification",
+    "strength_lattice", "StrengthLattice", "Relation",
 ]
 
 
@@ -459,7 +460,7 @@ TABLE1_DERIVABLES: dict[str, tuple[tuple[str, str | None], ...]] = {
         ("AFCP_O", "fcp1__afcp_o.proof"),
         ("AFCP_P", "fcp1__afcp_p.proof"),
     ),
-    "FCP_2": (("P_sP_w", "fcp2__ps_pw.proof"),),
+    "FCP_2": (("P_sP_w", "fcp2__ps_pw.proof"), ("AFCP2_P", "fcp2__afcp2_p.proof")),
     "FCP_3": (
         ("P_sP_w", "fcp3__ps_pw.proof"),
         ("IFCP_O", "fcp3__ifcp_o.proof"),
@@ -680,91 +681,145 @@ def run_scenario(name: str, registry: SystemRegistry | None = None) -> ScenarioR
 
 
 # ---------------------------------------------------------------------------
-# Strength-lattice verification
+# Strength lattice
+
+# Bounds of every separator search; each one finds its frame or exhausts in well under a second.
+SEPARATOR_BOUNDS = SearchBounds(3, 3, ("a", "b", "c", "d"))
+
 
 @dataclass
-class InclusionVerification:
-    fact: InclusionFact
-    script_results: list[tuple[str, ProofResult]]
-    fixture_results: list[tuple[FixtureCheck, str]]
-    antitone: bool
+class Relation:
+    """An equality or covering relation between built-in systems, with its evidence.
 
-    @property
-    def ok(self) -> bool:
-        scripts_ok = all(r.valid for _, r in self.script_results)
-        fixtures_ok = all(check.expect == actual for check, actual in self.fixture_results)
-        return scripts_ok and fixtures_ok and self.antitone
+    ``kind`` is "=", "<", or "<=" when no search found a separator; ``note`` then says
+    whether the two frame classes are the same.  ``scripts`` put each system's axioms and
+    rules in the other (for "=") or in ``upper``.  ``searches`` look, under ``lower``'s frame
+    class, for a frame falsifying an axiom or rule of ``upper``; a found one must re-verify.
+    """
 
-    @property
-    def gains(self) -> list[str]:
-        """The frame conditions the larger system's class adds to the smaller one's."""
-        small, large = frame_class(self.fact.smaller), frame_class(self.fact.larger)
-        return sorted(p.value for p in large - small)
+    lower: str
+    upper: str
+    kind: str
+    scripts: tuple[str, ...]
+    searches: list[tuple[str, CountermodelReport]] = field(default_factory=list)
+    note: str = ""
+    verified: bool = True
 
     def render(self) -> str:
-        fact = self.fact
-        out = [f"{fact.smaller} < {fact.larger}: {'ok' if self.ok else 'FAIL'}  ({fact.note})"]
-        out += [f"    script {name}: {result}" for name, result in self.script_results]
-        if fact.strictness_fixture:
-            out.append(f"    fixture {fact.strictness_fixture}:")
-            for check, actual in self.fixture_results:
-                line = f"        {check.kind} {check.name}: {actual}"
-                if check.advertised:
-                    line += f"  [advertised: {check.advertised}]"
-                out.append(line)
-        out.append(f"    frame class gains: {', '.join(self.gains) or '(none)'}")
+        head = f"{self.lower} {self.kind} {self.upper}"
+        out = [head + (f": {self.note}" if self.note else "")]
+        out += [f"    script {name}" for name in self.scripts]
+        for target, report in self.searches:
+            out.append(f"    separator for {target}: {report.render().splitlines()[0]}")
+            if report.found:
+                status = "re-verified" if self.verified else "FAILED re-verification"
+                out.append(f"        {status} at {report.world}: "
+                           + json.dumps(model_to_dict(report.model)))
         return "\n".join(out)
 
     def to_dict(self) -> dict:
-        fact = self.fact
-        return {
-            "smaller": fact.smaller,
-            "larger": fact.larger,
-            "ok": self.ok,
-            "note": fact.note,
-            "scripts": [{"script": name, "result": result.to_dict()}
-                        for name, result in self.script_results],
-            "fixture": fact.strictness_fixture,
-            "fixture_checks": [
-                {"kind": check.kind, "name": check.name, "expect": check.expect,
-                 "actual": actual, "advertised": check.advertised}
-                for check, actual in self.fixture_results
-            ],
-            "antitone": self.antitone,
-            "frame_class_gains": self.gains,
-        }
+        return {"lower": self.lower, "relation": self.kind, "upper": self.upper,
+                "note": self.note, "scripts": list(self.scripts), "verified": self.verified,
+                "searches": [{"target": t, **r.to_dict()} for t, r in self.searches]}
 
 
-def _run_fixture_check(model, check: FixtureCheck) -> str:
-    if check.kind == "property":
-        outcome = check_property(model, FrameProperty.from_name(check.name))
-    elif check.kind == "schema":
-        outcome = schema_valid_on_frame(model, SCHEMAS[check.name])
-    elif check.kind == "rule":
-        outcome = rule_valid_on_frame(model, check.name)
-    else:
-        raise ValueError(f"unknown fixture check kind {check.kind!r}")
-    return "satisfied" if outcome is None else "violated"
+@dataclass
+class StrengthLattice:
+    relations: list[Relation]
+    failed_scripts: list[tuple[str, ProofResult]]
+    chain: str | None  # the order in one line, when it is total
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed_scripts and all(r.verified for r in self.relations)
+
+    def render(self) -> str:
+        out = [r.render() for r in self.relations]
+        out += [f"script {name}: FAIL ({result})" for name, result in self.failed_scripts]
+        if self.chain:
+            out.append(f"order: {self.chain}")
+        out.append("lattice verified" if self.ok else "lattice verification FAILED")
+        return "\n".join(out)
+
+    def to_dict(self) -> dict:
+        return {"ok": self.ok, "chain": self.chain,
+                "relations": [r.to_dict() for r in self.relations],
+                "failed_scripts": [{"script": n, "result": r.to_dict()}
+                                   for n, r in self.failed_scripts]}
 
 
-def verify_inclusions(registry: SystemRegistry | None = None) -> list[InclusionVerification]:
-    """Re-check every inclusion: derivation scripts, fixtures, frame-class antitonicity."""
+def _falsifies(model, target: str) -> bool:
+    if target in SCHEMAS:
+        return schema_valid_on_frame(model, SCHEMAS[target]) is not None
+    return rule_valid_on_frame(model, target) is not None
+
+
+def strength_lattice(registry: SystemRegistry | None = None) -> StrengthLattice:
+    """The strength order of the built-in systems, computed from their axioms and rules.
+
+    A <= B when each axiom and non-base rule of A is one of B's, or is certified by a valid
+    Table 1 script of a built-in system whose own axioms and rules B has; the relation is then
+    closed under transitivity.  Systems below each other are equal.  For each covering
+    A < B, the bounded search looks under A's frame class for a frame falsifying an axiom or
+    rule of B that A does not derive; the first one found, re-verified, separates them.
+    """
     registry = registry or scenario_registry()
-    out = []
-    for fact in inclusion_report():
-        script_results = []
-        for script_name in fact.derivation_scripts:
-            script = load_script(script_name)
-            script_results.append((script_name, check_proof(script, registry)))
-        fixture_results = []
-        if fact.strictness_fixture is not None:
-            model = bundled.load_fixture_model(fact.strictness_fixture)
-            for check in fact.fixture_checks:
-                fixture_results.append((check, _run_fixture_check(model, check)))
-        # The stronger system's frame class imposes every condition the weaker
-        # one does, up to the provable implications between conditions.
-        antitone = entailment_closure(frame_class(fact.larger)) >= entailment_closure(
-            frame_class(fact.smaller)
-        )
-        out.append(InclusionVerification(fact, script_results, fixture_results, antitone))
-    return out
+    systems = [registry.get(name) for name in FRAME_CLASSES]
+    names = [d.name for d in systems]
+    tables = [verify_table1(name, registry) for name in TABLE1_DERIVABLES]
+    certified = [(t.system, e) for t in tables for e in t.entries
+                 if e.result is not None and e.result.valid]
+
+    def derived(b) -> dict[str, tuple[str, ...]]:
+        # Each axiom or rule b has, with the script certifying it (b's own scripts first).
+        out = {x: () for x in b.own}
+        for system, e in sorted(certified, key=lambda c: c[0] != b.name):
+            if registry.get(system).own <= b.own:
+                out.setdefault(e.derivable, (e.script,))
+        return out
+
+    def unique(scripts) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(scripts))
+
+    has = {d.name: derived(d) for d in systems}
+    le = {(a.name, b.name): unique(s for x in sorted(a.own) for s in has[b.name][x])
+          for a in systems for b in systems if a.own <= has[b.name].keys()}
+    for k in names:
+        for i in names:
+            for j in names:
+                if (i, k) in le and (k, j) in le and (i, j) not in le:
+                    le[i, j] = unique(le[i, k] + le[k, j])
+
+    rep = {x: next(y for y in names if (x, y) in le and (y, x) in le) for x in names}
+    relations = [Relation(rep[x], x, "=", unique(le[rep[x], x] + le[x, rep[x]]))
+                 for x in names if rep[x] != x]
+    # Each class by its first member, lowest first: fewest systems below it.
+    reps = sorted(dict.fromkeys(rep.values()), key=lambda x: sum((c, x) in le for c in names))
+    below = {(a, b) for a in reps for b in reps if (a, b) in le and (b, a) not in le}
+    covers = [(a, b) for a in reps for b in reps if (a, b) in below
+              and not any((a, c) in below and (c, b) in below for c in reps)]
+    for a, b in covers:
+        known = set().union(*(has[c] for c in names if (c, a) in le))
+        rel = Relation(a, b, "<=", le[a, b])
+        for target in sorted(registry.get(b).own - known):
+            report = find_countermodel(SCHEMAS.get(target, target), frame_class(a),
+                                       SEPARATOR_BOUNDS)
+            rel.searches.append((target, report))
+            if report.found:
+                rel.kind = "<"
+                rel.verified = (classify_frame(report.model) >= frame_class(a)
+                                and _falsifies(report.model, target))
+                break
+        else:
+            same = entailment_closure(frame_class(a)) == entailment_closure(frame_class(b))
+            rel.note = "same frame class; derivation pending" if same else "undecided up to bounds"
+        relations.append(rel)
+
+    chain = None
+    if covers == list(zip(reps, reps[1:])):
+        classes = [" = ".join(x for x in names if rep[x] == r) for r in reps]
+        kinds = [rel.kind for rel in relations if rel.kind != "="]
+        chain = classes[0] + "".join(f" {k} {c}" for k, c in zip(kinds, classes[1:]))
+    failed = [(e.script, e.result) for t in tables for e in t.entries
+              if e.result is not None and not e.result.valid]
+    return StrengthLattice(relations, failed, chain)

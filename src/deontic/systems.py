@@ -12,6 +12,13 @@ carries the base rules MP, Taut, RE_O, RE_Ps):
     FCP_5  = Min   + rules IFCP_O, IFCP2_P
     FCP_6  = FCP_4 + M_O, M_Ps
 
+A built-in system's adequate frame class is read off its axioms and
+rules: ``CONDITIONS`` maps each of them to its frame condition (the M
+axioms to supplementation, the D axioms to coherence, each guarded axiom
+and rule to its own condition).  User-defined systems carry no class.
+How the built-in systems are ordered by strength is computed, not
+recorded: see ``proof.strength_lattice``.
+
 Monotonicity (RM) is not stored for FCP_3 and FCP_6: the proof checker
 admits RM lines for a modality exactly when the matching M axiom is
 present (or RM itself is listed, as in diagnostic systems).
@@ -33,8 +40,7 @@ from .frames import GUARDED_RULES, FrameProperty
 
 __all__ = [
     "SCHEMAS", "RULE_NAMES", "BASE_RULES", "SystemDef", "SystemRegistry",
-    "frame_class", "FRAME_CLASSES", "InclusionFact", "FixtureCheck",
-    "inclusion_report",
+    "CONDITIONS", "frame_class", "FRAME_CLASSES",
 ]
 
 
@@ -53,18 +59,16 @@ SCHEMAS: dict[str, Schema] = {
 BASE_RULES = frozenset({"MP", "Taut", "RE_O", "RE_Ps"})
 RULE_NAMES = BASE_RULES | {"RM_O", "RM_Ps", *GUARDED_RULES}
 
-_P = FrameProperty
-_MIN_CLASS = frozenset({_P.PS_COHERENT, _P.PW_COHERENT})
-
-FRAME_CLASSES: dict[str, frozenset[FrameProperty]] = {
-    "E": frozenset(),
-    "Min": _MIN_CLASS,
-    "FCP_1": _MIN_CLASS | {_P.IFCP_O, _P.IFCP_P},
-    "FCP_2": _MIN_CLASS | {_P.AFCP_O, _P.AFCP_P},
-    "FCP_3": _MIN_CLASS | {_P.AFCP_O, _P.AFCP_P, _P.P_SUPPLEMENTED},
-    "FCP_4": _MIN_CLASS | {_P.AFCP_O, _P.AFCP2_P},
-    "FCP_5": _MIN_CLASS | {_P.IFCP_O, _P.IFCP2_P},
-    "FCP_6": _MIN_CLASS | {_P.IFCP_O, _P.IFCP2_P, _P.P_SUPPLEMENTED},
+# The frame condition of each axiom schema and guarded rule that a built-in system uses.
+CONDITIONS: dict[str, FrameProperty] = {
+    "D_s": FrameProperty.PS_COHERENT,
+    "D_w": FrameProperty.PW_COHERENT,
+    "AFCP_O": FrameProperty.AFCP_O,
+    "AFCP_P": FrameProperty.AFCP_P,
+    "AFCP2_P": FrameProperty.AFCP2_P,
+    "M_O": FrameProperty.O_SUPPLEMENTED,
+    "M_Ps": FrameProperty.P_SUPPLEMENTED,
+    **{name: rule.prop for name, rule in GUARDED_RULES.items()},
 }
 
 
@@ -74,6 +78,11 @@ class SystemDef:
     axioms: tuple[str, ...]
     rules: frozenset[str]
     frame_class: frozenset[FrameProperty] | None
+
+    @property
+    def own(self) -> frozenset[str]:
+        """The system's axioms and non-base rules."""
+        return frozenset(self.axioms) | (self.rules - BASE_RULES)
 
     def axiom_schemas(self) -> dict[str, Schema]:
         return {n: SCHEMAS[n] for n in self.axioms}
@@ -88,7 +97,8 @@ class SystemDef:
 
 def _builtin_defs() -> list[SystemDef]:
     def make(name: str, axioms: tuple[str, ...], extra_rules: frozenset[str] = frozenset()):
-        return SystemDef(name, axioms, BASE_RULES | extra_rules, FRAME_CLASSES[name])
+        props = frozenset(CONDITIONS[x] for x in (*axioms, *extra_rules))
+        return SystemDef(name, axioms, BASE_RULES | extra_rules, props)
 
     d = ("D_s", "D_w")
     return [
@@ -154,6 +164,11 @@ class SystemRegistry:
         return self.define_from_dict(json.loads(Path(path).read_text()))
 
 
+FRAME_CLASSES: dict[str, frozenset[FrameProperty]] = {
+    d.name: d.frame_class for d in _builtin_defs()
+}
+
+
 def frame_class(name: str) -> frozenset[FrameProperty]:
     """Adequate frame class of a built-in system; user systems carry no such claim."""
     try:
@@ -162,118 +177,3 @@ def frame_class(name: str) -> frozenset[FrameProperty]:
         raise ValueError(
             f"no adequate frame class is recorded for {name!r} (built-in systems only)"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# Strength lattice
-
-@dataclass(frozen=True)
-class FixtureCheck:
-    """One frame-level fact about a strictness fixture.
-
-    ``expect`` records what the engine actually finds on the shipped
-    fixture.  When the fixture's source advertised something else,
-    ``advertised`` carries that claim so reports can surface the
-    discrepancy without hiding the measured fact.
-    """
-
-    kind: str            # "property" | "schema" | "rule"
-    name: str
-    expect: str          # "satisfied" | "violated"
-    advertised: str | None = None
-
-
-@dataclass(frozen=True)
-class InclusionFact:
-    """A strict inclusion between two systems with checkable evidence.
-
-    ``derivation_scripts`` name bundled proof scripts showing that the
-    larger system derives every axiom or rule the smaller one adds;
-    ``strictness_fixture`` names a bundled model separating the two where
-    one is shipped.
-    """
-
-    smaller: str
-    larger: str
-    derivation_scripts: tuple[str, ...]
-    strictness_fixture: str | None
-    fixture_checks: tuple[FixtureCheck, ...] = ()
-    note: str = ""
-
-
-_INCLUSIONS: tuple[InclusionFact, ...] = (
-    InclusionFact(
-        "FCP_2", "FCP_1",
-        ("fcp1__afcp_o.proof", "fcp1__afcp_p.proof"),
-        "corollary3_model1",
-        (
-            FixtureCheck("property", "AFCPO", "satisfied"),
-            FixtureCheck("rule", "IFCP_O", "violated"),
-        ),
-        note="guarded axioms are rule instances with a trivially true side condition",
-    ),
-    InclusionFact(
-        "FCP_1", "FCP_3",
-        ("fcp3__ifcp_o.proof", "fcp3__ifcp_p.proof"),
-        "corollary3_model1_mod",
-        (
-            FixtureCheck("property", "OSupplemented", "violated"),
-            FixtureCheck("schema", "M_O", "violated"),
-            FixtureCheck(
-                "property", "IFCPO", "violated",
-                advertised="satisfied (does not hold under the rule-shaped condition)",
-            ),
-        ),
-        note="monotonicity makes both rules derivable; the fixture falsifies M_O",
-    ),
-    InclusionFact(
-        "FCP_3", "FCP_6",
-        ("fcp6__afcp_o.proof", "fcp6__afcp_p.proof"),
-        None,
-        (),
-        note="strictness follows from FCP_2 < FCP_4",
-    ),
-    InclusionFact(
-        "FCP_2", "FCP_4",
-        ("fcp4__afcp_p.proof",),
-        None,
-        (),
-        note="AFCP2_P yields AFCP_P propositionally but not conversely",
-    ),
-    InclusionFact(
-        "FCP_4", "FCP_5",
-        ("fcp5__afcp_o.proof", "fcp5__afcp2_p.proof"),
-        "corollary3_model2",
-        (
-            FixtureCheck("property", "AFCP2P", "violated"),
-            FixtureCheck(
-                "property", "IFCP2P", "violated",
-                advertised="satisfied (the printed sets do not realise the claim; "
-                "every frame meeting the rule-shaped condition meets the axiom-shaped one)",
-            ),
-        ),
-        note="fixture shipped as printed; its advertised separation does not re-verify",
-    ),
-    InclusionFact(
-        "FCP_1", "FCP_5",
-        ("fcp5__ifcp_p.proof",),
-        None,
-        (),
-        note="IFCP_O is shared; IFCP2_P yields IFCP_P",
-    ),
-    InclusionFact(
-        "FCP_5", "FCP_6",
-        ("fcp6__ifcp_o.proof", "fcp6__ifcp2_p.proof"),
-        "corollary3_model1_mod",
-        (
-            FixtureCheck("property", "OSupplemented", "violated"),
-            FixtureCheck("schema", "M_O", "violated"),
-        ),
-        note="monotonicity makes both rules derivable; the fixture falsifies M_O",
-    ),
-)
-
-
-def inclusion_report() -> tuple[InclusionFact, ...]:
-    """The seven strict inclusions of the strength lattice, with evidence hooks."""
-    return _INCLUSIONS

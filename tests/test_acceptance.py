@@ -18,10 +18,10 @@ from deontic import (
 )
 from deontic import bundled
 from deontic.proof import (
-    check_proof, load_script, run_scenario, scenario_registry,
-    verify_inclusions, verify_table1,
+    check_proof, load_script, run_scenario, scenario_registry, strength_lattice,
+    verify_table1,
 )
-from deontic.systems import SCHEMAS, frame_class, inclusion_report
+from deontic.systems import SCHEMAS, frame_class
 
 from conftest import satisfying_frame
 
@@ -196,18 +196,26 @@ def test_09_countermodel_search():
 
 
 def test_10_strength_lattice(registry):
-    with budget(10, "seven inclusions verified with antitone frame classes", 10.0):
-        facts = inclusion_report()
-        assert len(facts) == 7
-        verifications = verify_inclusions(registry)
-        for v in verifications:
-            assert v.ok, (v.fact.smaller, v.fact.larger)
-            for _, result in v.script_results:
-                assert result.valid
-            for check, actual in v.fixture_results:
-                assert actual == check.expect
-            small = entailment_closure(frame_class(v.fact.smaller))
-            large = entailment_closure(frame_class(v.fact.larger))
+    with budget(10, "computed order: equalities by script, strict edges by separator", 10.0):
+        lattice = strength_lattice(registry)
+        assert lattice.ok
+        assert lattice.chain == "E < Min < FCP_2 = FCP_4 < FCP_1 <= FCP_5 < FCP_3 = FCP_6"
+        for r in lattice.relations:
+            for name in r.scripts:
+                assert check_proof(load_script(name), registry).valid
+            small = entailment_closure(frame_class(r.lower))
+            large = entailment_closure(frame_class(r.upper))
             assert large >= small
-        with_fixture = {v.fact.strictness_fixture for v in verifications}
-        assert {"corollary3_model1", "corollary3_model2"} <= with_fixture
+            if r.kind == "=":
+                assert r.scripts and large == small
+            elif r.kind == "<":
+                target, separator = r.searches[-1]
+                m = separator.model
+                assert separator.found and validate_model(m) == [] and r.verified
+                assert all(check_property(m, p) is None for p in frame_class(r.lower))
+                violated = (schema_valid_on_frame(m, SCHEMAS[target]) if target in SCHEMAS
+                            else rule_valid_on_frame(m, target))
+                assert violated is not None
+            else:
+                assert (r.lower, r.upper) == ("FCP_1", "FCP_5") and large == small
+                assert r.note == "same frame class; derivation pending"

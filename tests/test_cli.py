@@ -221,9 +221,37 @@ class TestInclusions:
         code, out, _ = run(capsys, "inclusions")
         assert code == 0
         assert "lattice verified" in out
-        headers = [l for l in out.splitlines() if l and not l.startswith(" ") and " < " in l]
+        assert "order: E < Min < FCP_2 = FCP_4 < FCP_1 <= FCP_5 < FCP_3 = FCP_6" in out
+        headers = [l for l in out.splitlines() if l.startswith(("E ", "Min ", "FCP_"))]
         assert len(headers) == 7
-        assert "advertised" in out  # discrepancies are surfaced, not hidden
+        # the one relation no separator settles is reported as pending, not as strict
+        assert "FCP_1 <= FCP_5: same frame class; derivation pending" in headers
+
+    def test_failing_script_exits_1(self, capsys, monkeypatch):
+        from deontic import proof
+
+        real = proof.load_script
+
+        def broken(name):
+            if name != "fcp2__afcp2_p.proof":
+                return real(name)
+            text = bundled.fixture_text(f"proofs/{name}")
+            return proof.parse_proof_script(text.replace("; cpl 1,2,4", "; cpl 1,4"))
+
+        monkeypatch.setattr(proof, "load_script", broken)
+        code, out, _ = run(capsys, "inclusions")
+        assert code == 1
+        assert "script fcp2__afcp2_p.proof: FAIL" in out
+        assert "FCP_2 = FCP_4" not in out  # an invalid script certifies nothing
+        assert out.rstrip().endswith("lattice verification FAILED")
+
+    def test_separator_failing_reverification_exits_1(self, capsys, monkeypatch):
+        from deontic import proof
+
+        monkeypatch.setattr(proof, "_falsifies", lambda model, target: False)
+        code, out, _ = run(capsys, "inclusions")
+        assert code == 1
+        assert "FAILED re-verification" in out
 
 
 def test_usage_error_exits_2(capsys):

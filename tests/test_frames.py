@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -15,7 +16,7 @@ from deontic.formula import Atom, Obl, PermS, PermW, atoms, eval_bits, schema
 from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS, find_schema_violation
 from deontic import bundled
 from deontic import model as model_module
-from deontic.systems import SCHEMAS
+from deontic.systems import CONDITIONS, SCHEMAS
 
 from conftest import formulas, models, random_frame, satisfying_frame
 
@@ -58,6 +59,19 @@ class TestCheckProperty:
         assert wit is not None and recheck_witness(m, wit)
 
 
+# What the three strictness fixtures, shipped as printed, show when checked.  Two facts
+# contradict what they were printed to show: model1_mod violates IFCPO and model2 IFCP2P.
+FIXTURE_FACTS = [
+    ("corollary3_model1", "property", "AFCPO", True),
+    ("corollary3_model1", "rule", "IFCP_O", False),
+    ("corollary3_model1_mod", "property", "OSupplemented", False),
+    ("corollary3_model1_mod", "schema", "M_O", False),
+    ("corollary3_model1_mod", "property", "IFCPO", False),
+    ("corollary3_model2", "property", "AFCP2P", False),
+    ("corollary3_model2", "property", "IFCP2P", False),
+]
+
+
 class TestClassify:
     def test_empty_neighbourhoods_satisfy_everything(self):
         m = make_model(["w1", "w2"])
@@ -83,6 +97,15 @@ class TestClassify:
         props = classify_frame(model1)
         assert FrameProperty.AFCP_O in props
         assert FrameProperty.IFCP_O not in props
+        for fixture, kind, name, holds in FIXTURE_FACTS:
+            m = bundled.load_fixture_model(fixture)
+            if kind == "property":
+                found = check_property(m, FrameProperty.from_name(name))
+            elif kind == "schema":
+                found = schema_valid_on_frame(m, SCHEMAS[name])
+            else:
+                found = rule_valid_on_frame(m, name)
+            assert (found is None) == holds, (fixture, kind, name)
 
     @settings(max_examples=120, deadline=None)
     @given(models(max_worlds=3))
@@ -262,17 +285,45 @@ def test_rule_letters_match_bruteforce(rng, name):
 
 
 def test_entailments_hold_exhaustively_on_two_worlds():
-    worlds = ("w1", "w2")
-    all_subsets = _subsets(worlds)
-    cols = [frozenset(c) for k in range(3) for c in combinations(all_subsets, k)]
-    for no in cols:
-        for np_ in cols:
-            m = NeighbourhoodModel(worlds, {"w1": no, "w2": frozenset()},
-                                   {"w1": np_, "w2": frozenset()}, {})
-            props = classify_frame(m)
-            for premises, conclusion in PROPERTY_ENTAILMENTS:
-                if premises <= props:
-                    assert conclusion in props, (premises, conclusion, no, np_)
+    # Every (N_O, N_P) pair of one world, in W of one to three worlds; the other worlds'
+    # neighbourhoods are empty, which meets every condition.
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        cols = [frozenset(x for x in range(full + 1) if bits >> x & 1)
+                for bits in range(1 << (full + 1))]
+        for no in cols:
+            for np_ in cols:
+                holds = cache(lambda p: frames.pair_violation(no, np_, full, p) is None)
+                for premises, conclusion in PROPERTY_ENTAILMENTS:
+                    if all(map(holds, premises)):
+                        assert holds(conclusion), (premises, conclusion, no, np_)
+
+
+def _one_world_frames(max_worlds):
+    """Every frame of at most ``max_worlds`` worlds whose neighbourhoods are all at w1."""
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        subsets = _subsets(worlds)
+        cols = [frozenset(c) for k in range(len(subsets) + 1) for c in combinations(subsets, k)]
+        empty = {w: frozenset() for w in worlds[1:]}
+        for no, np_ in product(cols, repeat=2):
+            yield NeighbourhoodModel(worlds, {"w1": no, **empty}, {"w1": np_, **empty}, {})
+
+
+@pytest.mark.parametrize("name", sorted(CONDITIONS))
+def test_condition_table_agrees_with_validity(name):
+    # Both directions: each axiom schema or guarded rule of a built-in system is valid on
+    # exactly the frames meeting the condition it is assigned.
+    rule = GUARDED_RULES.get(name)
+    for m in _one_world_frames(2):
+        if rule is None:
+            valid = schema_valid_on_frame(m, SCHEMAS[name]) is None
+        else:
+            letters = sorted(rule.letters)
+            valid = not any(_rule_failures(m, rule, dict(zip(letters, a)))
+                            for a in product(_subsets(m.worlds), repeat=len(letters)))
+            assert valid == (rule_valid_on_frame(m, name) is None), (name, m)
+        assert valid == (check_property(m, CONDITIONS[name]) is None), (name, m)
 
 
 def _truth_mask_one_assignment(view, f, atom_masks):

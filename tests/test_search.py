@@ -498,7 +498,7 @@ EXHAUSTIVE_COUNTS = [
     ("AFCP2_P", "FCP_2", 3, 3, 1919, 1778),
     ("AFCP_O", "FCP_2", 3, 3, 1919, 1778),
     ("D_s", "Min", 3, 3, 1919, 1324),
-    ("M_Ps", "FCP_3", 3, 3, 238, 203),
+    ("M_Ps", "FCP_3", 3, 3, 46, 33),
     ("AFCP_O", "FCP_2", 3, 2, 407, 339),
     ("AFCP_P", "FCP_2", 3, 2, 407, 339),
     ("AFCP2_P", "FCP_4", 3, 2, 407, 339),

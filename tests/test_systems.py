@@ -1,9 +1,10 @@
 import pytest
 
 from deontic import (
-    FrameProperty, SystemRegistry, entailment_closure, frame_class,
-    inclusion_report,
+    FrameProperty, SystemRegistry, check_proof, classify_frame, entailment_closure,
+    frame_class, rule_valid_on_frame, schema_valid_on_frame, strength_lattice,
 )
+from deontic.proof import load_script, scenario_registry
 from deontic.systems import BASE_RULES, SCHEMAS
 
 
@@ -66,8 +67,9 @@ class TestFrameClass:
         assert frame_class("E") == frozenset()
 
     def test_supplemented_variant(self):
-        assert frame_class("FCP_3") == frame_class("FCP_2") | {FrameProperty.P_SUPPLEMENTED}
-        assert frame_class("FCP_6") == frame_class("FCP_5") | {FrameProperty.P_SUPPLEMENTED}
+        supplemented = {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
+        assert frame_class("FCP_3") == frame_class("FCP_2") | supplemented
+        assert frame_class("FCP_6") == frame_class("FCP_4") | supplemented
 
     def test_rule_variants(self):
         assert frame_class("FCP_1") == frame_class("Min") | {
@@ -82,34 +84,71 @@ class TestFrameClass:
             frame_class("EXPLOSION_DEMO")
 
 
+@pytest.fixture(scope="module")
+def lattice():
+    return strength_lattice()
+
+
+def _order(lattice) -> set[tuple[str, str]]:
+    """Every computed A <= B: the relations, "=" both ways, closed under transitivity."""
+    le = {(r.lower, r.upper) for r in lattice.relations}
+    le |= {(r.upper, r.lower) for r in lattice.relations if r.kind == "="}
+    while True:
+        more = {(a, d) for a, b in le for c, d in le if b == c} - le
+        if not more:
+            return le
+        le |= more
+
+
 class TestInclusionReport:
-    def test_exactly_seven_strict_inclusions(self):
-        facts = inclusion_report()
-        pairs = {(f.smaller, f.larger) for f in facts}
-        assert pairs == {
-            ("FCP_2", "FCP_1"),
-            ("FCP_1", "FCP_3"),
-            ("FCP_3", "FCP_6"),
-            ("FCP_2", "FCP_4"),
-            ("FCP_4", "FCP_5"),
-            ("FCP_1", "FCP_5"),
-            ("FCP_5", "FCP_6"),
+    def test_computed_relations(self, lattice):
+        assert lattice.ok
+        assert {(r.lower, r.kind, r.upper) for r in lattice.relations} == {
+            ("FCP_2", "=", "FCP_4"),
+            ("FCP_3", "=", "FCP_6"),
+            ("E", "<", "Min"),
+            ("Min", "<", "FCP_2"),
+            ("FCP_2", "<", "FCP_1"),
+            ("FCP_1", "<=", "FCP_5"),
+            ("FCP_5", "<", "FCP_3"),
         }
+        assert lattice.chain == "E < Min < FCP_2 = FCP_4 < FCP_1 <= FCP_5 < FCP_3 = FCP_6"
 
-    def test_every_fact_has_derivation_evidence(self):
-        for fact in inclusion_report():
-            assert fact.derivation_scripts
+    def test_every_fact_has_derivation_evidence(self, lattice):
+        registry = scenario_registry()
+        for r in lattice.relations:
+            lower, upper = registry.get(r.lower).own, registry.get(r.upper).own
+            if r.kind == "=" or not lower <= upper:
+                assert r.scripts, (r.lower, r.upper)
+            for name in r.scripts:
+                assert check_proof(load_script(name), registry).valid, name
 
-    def test_fixture_evidence_where_supplied(self):
-        by_pair = {(f.smaller, f.larger): f for f in inclusion_report()}
-        assert by_pair[("FCP_2", "FCP_1")].strictness_fixture == "corollary3_model1"
-        assert by_pair[("FCP_4", "FCP_5")].strictness_fixture == "corollary3_model2"
+    def test_separator_evidence_for_every_strict_edge(self, lattice):
+        for r in lattice.relations:
+            if r.kind == "=":
+                assert r.searches == []
+                continue
+            outcomes = [report.found for _, report in r.searches]
+            if r.kind == "<":
+                assert outcomes[-1] and not any(outcomes[:-1]), (r.lower, r.upper)
+                target, report = r.searches[-1]
+                assert classify_frame(report.model) >= frame_class(r.lower)
+                if target in SCHEMAS:
+                    assert schema_valid_on_frame(report.model, SCHEMAS[target]) is not None
+                else:
+                    assert rule_valid_on_frame(report.model, target) is not None
+            else:
+                assert outcomes and not any(outcomes)
+                assert r.note == "same frame class; derivation pending"
 
-    def test_antitone_frame_classes(self):
-        for fact in inclusion_report():
-            small = entailment_closure(frame_class(fact.smaller))
-            large = entailment_closure(frame_class(fact.larger))
-            assert large >= small, (fact.smaller, fact.larger)
+    def test_antitone_frame_classes(self, lattice):
+        order = _order(lattice)
+        # A chain of the eight systems, two pairs of them equal.
+        assert len({(a, b) for a, b in order if a != b}) == 8 * 7 // 2 + 2
+        for smaller, larger in order:
+            small = entailment_closure(frame_class(smaller))
+            large = entailment_closure(frame_class(larger))
+            assert large >= small, (smaller, larger)
 
 
 def test_schema_inventory_is_pure():
