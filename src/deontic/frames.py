@@ -7,9 +7,12 @@ variable; the four-variable conditions are restructured internally into
 two-variable loops with precomputed subset predicates.  Intended for
 |W| <= 5, which covers every bundled fixture.
 
-A condition at a world reads only W and the world's two neighbourhoods,
-so ``pair_violation`` decides it on one pair of mask sets; the
-countermodel search calls it directly.  ``find_violation`` runs it at
+A condition at a world reads only W and the world's two neighbourhoods.
+Each is described once, as an ordered stream of witnesses, each with the
+set of N_P columns it violates for a given N_O (``_terms``), so one walk
+decides a whole list of N_P columns: ``failing_columns`` ORs the stream,
+which is what the countermodel search reads, and ``pair_violation`` takes
+the first term that holds its one column.  ``find_violation`` runs that at
 every world of a bitmask view (``model.ModelView``), and
 ``check_property``, ``schema_valid_on_frame`` and ``rule_valid_on_frame``
 name the worlds of what the view checks find.
@@ -17,7 +20,8 @@ name the worlds of what the view checks find.
 Schema validity on a finite frame is decided by assigning every
 metavariable every subset of W as its truth set and evaluating the
 schema under all assignments and at all worlds in one ``model.truth_mask``
-walk.  This is sound and complete on finite frames because every subset
+walk, of which a ``SchemaPlan`` holds the part that does not read the
+frame.  This is sound and complete on finite frames because every subset
 is the truth set of some atom under some valuation based on the frame.
 
 The three rule-shaped conditions pair an inference rule with a frame
@@ -34,16 +38,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable
 
-from .formula import Formula, Schema, atoms, schema
+from .formula import Atom, Formula, Modal, Schema, _rebuild, atoms, eval_bits, modal_depth, schema
 from .model import ModelView, NeighbourhoodModel, WorldSet, render_world_set, truth_mask
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
-    "check_property", "find_violation", "pair_violation", "recheck_witness", "classify_frame",
-    "schema_valid_on_frame", "schema_variables", "find_schema_violation",
+    "check_property", "find_violation", "pair_violation", "column_members", "failing_columns",
+    "recheck_witness", "classify_frame", "schema_valid_on_frame", "schema_variables",
+    "SchemaPlan", "find_schema_violation",
     "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
     "supplementation_closure", "entailment_closure", "PROPERTY_ENTAILMENTS",
 ]
@@ -118,99 +123,75 @@ def _pw_subset_witness(full: int, no: frozenset[int]) -> list[int | None]:
     return out
 
 
+def column_members(cols, full: int) -> list[int]:
+    """``has[x]``: the columns (bit j for ``cols[j]``) that contain mask x, x in W = ``full``."""
+    rows = [bytearray(len(cols) // 8 + 1) for _ in range(full + 1)]  # not |= on a growing int
+    for j, col in enumerate(cols):
+        for x in col:
+            rows[x][j >> 3] |= 1 << (j & 7)
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def _terms(no: frozenset[int], has: list[int], full: int, prop: FrameProperty):
+    """The condition at a world with N_O = ``no`` in W = ``full``, as an ordered stream of
+    (witness masks (x, y, z, q), term): the N_P columns of the ``column_members`` table ``has``
+    in which the witness violates it, or -1 (every column) for a condition on N_O alone.
+    A column's first term in the stream gives its witness.  The one description of each."""
+    P, masks = FrameProperty, range(full + 1)
+    if prop is P.O_SUPPLEMENTED:
+        return (((x, m, None, None), -1)
+                for m in sorted(no) for x in masks if x | m == x and x not in no)
+    if prop is P.P_SUPPLEMENTED:
+        return (((x, m, None, None), has[m] & ~has[x]) for m in masks for x in masks if x | m == x)
+    if prop is P.PW_COHERENT:
+        return (((x, None, None, None), -1) for x in sorted(no) if full ^ x in no)
+    if prop is P.PS_COHERENT:
+        return (((x, None, None, None), has[x]) for x in masks if full ^ x in no)
+    if prop is P.AFCP_O:
+        return (((x, full ^ o, None, None), has[x | full ^ o] & ~has[x])
+                for o in sorted(no) for x in masks)
+    if prop is P.AFCP_P:
+        free = [x for x in masks if full ^ x not in no]
+        return (((x, y, None, None), has[x | y] & ~(has[x] & has[y])) for x in free for y in free)
+    if prop is P.AFCP2_P:
+        return (((x, y, None, None), has[x | y] & ~has[x])
+                for x in masks if full ^ x not in no for y in masks)
+    if prop is P.IFCP_O:
+        ordered = sorted(no)
+        first = [next((z for z in ordered if z & y == 0), None) for y in masks]
+        return (((x, y, first[y], None), has[x | y] & ~has[x])
+                for x in masks for y in masks if first[y] is not None)
+    if prop is P.IFCP_P or prop is P.IFCP2_P:
+        sub = _pw_subset_witness(full, no)
+        if prop is P.IFCP_P:
+            return (((x, y, sub[x], sub[y]), has[x | y] & ~(has[x] & has[y]))
+                    for x in masks if sub[x] is not None for y in masks if sub[y] is not None)
+        return (((x, y, sub[x], None), has[x | y] & ~has[x])
+                for x in masks if sub[x] is not None for y in masks)
+    raise ValueError(f"unhandled frame property {prop!r}")
+
+
+def failing_columns(no: frozenset[int], has: list[int], full: int,
+                    props: Iterable[FrameProperty]) -> int:
+    """The columns of ``has`` whose pair with ``no`` violates one of ``props``; -1 for all."""
+    out = 0
+    for prop in props:
+        for _, term in _terms(no, has, full, prop):
+            out |= term
+    return out
+
+
 def pair_violation(no: frozenset[int], np: frozenset[int], full: int,
                    prop: FrameProperty) -> tuple | None:
     """Witness masks (x, y, z, q) violating the condition at a world whose neighbourhoods are
-    ``no`` and ``np`` in W = ``full``, or None.  The one implementation of each condition."""
+    ``no`` and ``np`` in W = ``full``, or None: the first non-zero term of the one column."""
     # Each condition needs a member of N_O(w) or N_P(w) (IFCP_O one of N_O, and the
     # rest one they quantify over or (x | y) in N_P), so an empty world meets all ten.
-    if not no and not np:
-        return None
-    masks = range(full + 1)
-
-    if prop is FrameProperty.O_SUPPLEMENTED or prop is FrameProperty.P_SUPPLEMENTED:
-        col = no if prop is FrameProperty.O_SUPPLEMENTED else np
-        for member in sorted(col):
-            for x in masks:
-                if x & member == member and x not in col:
-                    return (x, member, None, None)
-        return None
-
-    if prop is FrameProperty.PW_COHERENT:
-        for x in sorted(no):
-            if (full ^ x) in no:
-                return (x, None, None, None)
-        return None
-
-    if prop is FrameProperty.PS_COHERENT:
-        for x in sorted(np):
-            if (full ^ x) in no:
-                return (x, None, None, None)
-        return None
-
-    if prop is FrameProperty.AFCP_O:
-        for obligatory in sorted(no):
-            y = full ^ obligatory
-            for x in masks:
-                if (x | y) in np and x not in np:
-                    return (x, y, None, None)
-        return None
-
-    if prop is FrameProperty.AFCP_P:
-        for x in masks:
-            if (full ^ x) in no:
-                continue
-            for y in masks:
-                if (x | y) in np and (full ^ y) not in no and (x not in np or y not in np):
-                    return (x, y, None, None)
-        return None
-
-    if prop is FrameProperty.AFCP2_P:
-        for x in masks:
-            if x in np or (full ^ x) in no:
-                continue
-            for y in masks:
-                if (x | y) in np:
-                    return (x, y, None, None)
-        return None
-
-    if prop is FrameProperty.IFCP_O:
-        if not no:
-            return None
-        for x in masks:
-            if x in np:
-                continue
-            for y in masks:
-                if (x | y) not in np:
-                    continue
-                for z in sorted(no):
-                    if z & y == 0:
-                        return (x, y, z, None)
-        return None
-
-    if prop is FrameProperty.IFCP_P:
-        pw_sub = _pw_subset_witness(full, no)
-        for x in masks:
-            if pw_sub[x] is None:
-                continue
-            for y in masks:
-                if pw_sub[y] is None:
-                    continue
-                if (x | y) in np and (x not in np or y not in np):
-                    return (x, y, pw_sub[x], pw_sub[y])
-        return None
-
-    if prop is FrameProperty.IFCP2_P:
-        pw_sub = _pw_subset_witness(full, no)
-        for x in masks:
-            if x in np or pw_sub[x] is None:
-                continue
-            for y in masks:
-                if (x | y) in np:
-                    return (x, y, pw_sub[x], None)
-        return None
-
-    raise ValueError(f"unhandled frame property {prop!r}")
+    if no or np:
+        for hit, term in _terms(no, column_members([np], full), full, prop):
+            if term:
+                return hit
+    return None
 
 
 def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | None:
@@ -351,21 +332,58 @@ def _block(n: int, k: int) -> tuple[int, int, list[int]]:
     return m, sum(1 << a * n for a in rows), cols
 
 
-def find_schema_violation(b: ModelView, body: Formula,
-                          variables: list[str]) -> tuple[int, tuple[int, ...]] | None:
-    """The first subset assignment to ``variables`` (as masks) falsifying ``body``, with the
-    index of the first world where it is false; None when ``body`` is valid on the frame.
+_KEPT_BLOCKS = 64  # blocks a plan keeps for the next frame: a few hundred KB at most
+
+
+class SchemaPlan:
+    """The frame-independent part of ``find_schema_violation`` for ``body`` at n worlds.
+
+    Each modal operand of modal depth 0, other than an atom, becomes a fresh atom (``#0``,
+    ``#1``, ...) whose mask in a block is the operand's truth mask under the block's
+    assignment columns.  ``blocks()`` yields ``(fixed, atom masks)`` in product order and keeps
+    the first ``_KEPT_BLOCKS``, so a plan read on many frames evaluates those operands once.
+    """
+
+    def __init__(self, n: int, body: Formula, variables: list[str]):
+        operands: dict[Formula, str] = {}
+
+        def abstract(f: Formula) -> Formula:
+            if isinstance(f, Modal) and not (isinstance(f.operand, Atom) or modal_depth(f.operand)):
+                return type(f)(Atom(operands.setdefault(f.operand, f"#{len(operands)}")))
+            return _rebuild(f, abstract)
+
+        self.n, self.body, self.variables, self._operands = n, abstract(body), variables, operands
+        self.m, self.low, self._cols = _block(n, len(variables))
+        self._kept: list[tuple[tuple[int, ...], dict[str, int]]] = []
+
+    def blocks(self):
+        kept, low = self._kept, self.low
+        yield from kept
+        full = ((1 << self.n) - 1) * low
+        for fixed in islice(product(range(1 << self.n), repeat=len(self.variables) - self.m),
+                            len(kept), None):
+            masks = dict(zip(self.variables, [x * low for x in fixed] + self._cols))
+            for operand, name in self._operands.items():
+                masks[name] = eval_bits(operand, lambda a: masks.get(a.name, 0), full)
+            if len(kept) < _KEPT_BLOCKS:
+                kept.append((fixed, masks))
+            yield fixed, masks
+
+
+def find_schema_violation(b: ModelView, plan: SchemaPlan) -> tuple[int, tuple[int, ...]] | None:
+    """The first subset assignment to the plan's variables (as masks) falsifying its body, with
+    the index of the first world where it is false; None when the body is valid on the frame.
 
     Bit-parallel: the last variables that fit ``_BLOCK_BITS`` share one ``truth_mask`` block,
     the rest are fixed per block in product order, so the lowest false bit comes first.
     The one implementation of schema validity; ``schema_valid_on_frame`` names its result.
     """
-    n = len(b.worlds)
-    m, low, cols = _block(n, len(variables))
-    full = b.full * low
-    for fixed in product(range(b.full + 1), repeat=len(variables) - m):
-        atom_masks = dict(zip(variables, [x * low for x in fixed] + cols))
-        false_at = full ^ truth_mask(b, body, atom_masks, low)
+    n, m = len(b.worlds), plan.m
+    if n != plan.n:
+        raise ValueError(f"a plan for {plan.n} worlds read on a frame of {n}")
+    full = b.full * plan.low
+    for fixed, masks in plan.blocks():
+        false_at = full ^ truth_mask(b, plan.body, masks, plan.low)
         if false_at:
             a, wi = divmod((false_at & -false_at).bit_length() - 1, n)
             return wi, fixed + tuple(a >> n * (m - 1 - j) & b.full for j in range(m))
@@ -379,7 +397,7 @@ def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation |
     """
     variables = schema_variables(s)
     b = m.view
-    found = find_schema_violation(b, s.body, variables)
+    found = find_schema_violation(b, SchemaPlan(len(m.worlds), s.body, variables))
     if found is None:
         return None
     wi, assignment = found

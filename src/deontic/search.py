@@ -2,7 +2,7 @@
 
 One loop serves every target.  For each world count, ascending, it walks
 candidates in lexicographic order of a three-level encoding: a valuation
-of the bounds' atoms (formula targets only), then the ``N_O`` columns,
+of the target's atoms (formula targets only), then the ``N_O`` columns,
 then the ``N_P`` columns.  A target of modal depth <= 1 (every rule and
 named schema, and such a formula) gets world 1's column only, the others
 left empty: its truth at a world w reads only the valuation and N(w), and
@@ -30,11 +30,17 @@ in its orbit and is always generated.
 A column is named by its index in ``_collections``' sorted list, and
 ``_index_tables`` maps every index through every permutation once per
 world count.  The clock is read once per collection and table built and
-once per key tried.  Frame conditions are decided once per column pair
-(``frames.pair_violation``), as is a rule target on world 1's pair; a
-survivor alone gets a ``ModelView`` for ``frames.find_schema_violation``
-or ``model.truth_mask``, and the found one a named model on which the
-public checks and evaluator re-verify it before it is returned.
+once per key tried.  Frame conditions are decided once per ``N_O`` column
+for every ``N_P`` column at once (``frames.failing_columns``), lazily, per
+world count: a candidate's verdict, and a rule target's falsification, is
+one bit test.  Supplementation is skipped on a side generated closed.  A
+schema target's depth-0 modal operands are evaluated once per world count
+(``frames.SchemaPlan``); a survivor alone gets a ``ModelView`` for
+``frames.find_schema_violation`` or ``model.truth_mask``, and the found one
+a named model on which the public checks and evaluator re-verify it before
+it is returned.  A formula's valuations range over its own atoms; a bounds
+atom it lacks is empty in the model, as in the first countermodel of a
+walk that included it.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ from .model import (
     truth_set,
 )
 from .frames import (
-    GUARDED_RULES, FrameProperty, SchemaViolation, check_property, find_schema_violation,
-    pair_violation, rule_valid_on_frame, schema_valid_on_frame, schema_variables,
+    GUARDED_RULES, FrameProperty, SchemaPlan, SchemaViolation, check_property, column_members,
+    failing_columns, find_schema_violation, rule_valid_on_frame, schema_valid_on_frame,
+    schema_variables,
 )
 
 __all__ = [
@@ -329,41 +336,47 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
     tick = partial(clock.check, report)
     formula = isinstance(target, Formula)
     body = target if formula else getattr(target, "body", None)  # None for a rule
-    n_atoms, every_world = (len(bounds.atoms), modal_depth(target) > 1) if formula else (0, False)
+    names = tuple(a for a in bounds.atoms if a in formula_atoms(target)) if formula else ()
+    every_world = formula and modal_depth(target) > 1
     all_perms = body is None or every_world or not bare_atoms(body)
     variables = schema_variables(target) if isinstance(target, Schema) else None
     closed = (FrameProperty.O_SUPPLEMENTED in required, FrameProperty.P_SUPPLEMENTED in required)
+    # The columns of a required supplementation are generated closed, so they meet it.
+    checked = required - {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
     for n in range(1, bounds.max_worlds + 1):
         worlds, full = _worlds(n), (1 << n) - 1
-        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, n_atoms,
+        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, len(names),
                                                         every_world, all_perms, tick)
         no_sets, np_sets = list(map(frozenset, no_cols)), list(map(frozenset, np_cols))
-
-        def pair_ok(i, j) -> bool:
-            return all(pair_violation(no_sets[i], np_sets[j], full, p) is None for p in required)
-
-        if n_atoms or every_world:  # a pair recurs across valuations or worlds: one verdict each
-            pair_ok = cache(pair_ok)
+        has = column_members(np_cols, full)
+        # Per N_O index, computed on first use: the N_P indices whose pair with it fails.
+        pruned = cache(lambda i: failing_columns(no_sets[i], has, full, checked))
+        if body is None:
+            falsifying = cache(lambda i: failing_columns(no_sets[i], has, full,
+                                                         (GUARDED_RULES[target].prop,)))
+        elif not formula:
+            plan = SchemaPlan(n, body, variables)
         rest = (0,) * (n - 1)  # column 0 is the empty one, the other worlds' at one-world levels
         for val_masks, no, np_ in _canonical(levels, perms, tick):
             report.examined += 1
-            if not (all(map(pair_ok, no, np_)) if every_world else pair_ok(no, np_)):
+            if (any(pruned(i) >> j & 1 for i, j in zip(no, np_)) if every_world
+                    else pruned(no) >> np_ & 1):
                 report.pruned_by_property += 1
                 continue
             no_ix, np_ix = (no, np_) if every_world else ((no, *rest), (np_, *rest))
-            valuation = dict(zip(bounds.atoms, val_masks))
+            valuation = dict(zip(names, val_masks))
             if body is None:
-                falsified = pair_violation(no_sets[no], np_sets[np_], full,
-                                           GUARDED_RULES[target].prop) is not None
+                falsified = falsifying(no) >> np_ & 1
             else:
                 view = ModelView.from_masks(worlds, [no_sets[i] for i in no_ix],
                                             [np_sets[j] for j in np_ix], valuation)
                 falsified = (truth_mask(view, target, valuation) != full if formula
-                             else find_schema_violation(view, body, variables) is not None)
+                             else find_schema_violation(view, plan) is not None)
             if not falsified:
                 continue
-            model = _build_model(worlds, val_masks, [no_cols[i] for i in no_ix],
-                                 [np_cols[j] for j in np_ix], bounds.atoms)
+            model = _build_model(worlds, [valuation.get(a, 0) for a in bounds.atoms],
+                                 [no_cols[i] for i in no_ix], [np_cols[j] for j in np_ix],
+                                 bounds.atoms)
             _verify_required(model, required)
             if formula:
                 ts = truth_set(model, target)

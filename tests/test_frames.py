@@ -13,7 +13,7 @@ from deontic import (
 )
 from deontic import frames
 from deontic.formula import Atom, Obl, PermS, PermW, atoms, eval_bits, schema
-from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS, find_schema_violation
+from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS, SchemaPlan, find_schema_violation
 from deontic import bundled
 from deontic import model as model_module
 from deontic.systems import CONDITIONS, SCHEMAS
@@ -284,19 +284,124 @@ def test_rule_letters_match_bruteforce(rng, name):
     assert verdicts == {True, False}
 
 
+def _pw_subset_witness_oracle(full, no):
+    # For each mask X, the first Z <= X with complement(Z) not obligatory, if any.
+    return [next((z for z in range(x + 1) if z & x == z and (full ^ z) not in no), None)
+            for x in range(full + 1)]
+
+
+def _pair_violation_oracle(no, np, full, prop):
+    """The per-pair check that the block form replaced: the first witness in its loop order."""
+    if not no and not np:
+        return None
+    masks = range(full + 1)
+    if prop is FrameProperty.O_SUPPLEMENTED or prop is FrameProperty.P_SUPPLEMENTED:
+        col = no if prop is FrameProperty.O_SUPPLEMENTED else np
+        for member in sorted(col):
+            for x in masks:
+                if x & member == member and x not in col:
+                    return (x, member, None, None)
+        return None
+    if prop is FrameProperty.PW_COHERENT or prop is FrameProperty.PS_COHERENT:
+        for x in sorted(no if prop is FrameProperty.PW_COHERENT else np):
+            if (full ^ x) in no:
+                return (x, None, None, None)
+        return None
+    if prop is FrameProperty.AFCP_O:
+        for obligatory in sorted(no):
+            y = full ^ obligatory
+            for x in masks:
+                if (x | y) in np and x not in np:
+                    return (x, y, None, None)
+        return None
+    if prop is FrameProperty.AFCP_P:
+        for x in masks:
+            if (full ^ x) in no:
+                continue
+            for y in masks:
+                if (x | y) in np and (full ^ y) not in no and (x not in np or y not in np):
+                    return (x, y, None, None)
+        return None
+    if prop is FrameProperty.AFCP2_P:
+        for x in masks:
+            if x in np or (full ^ x) in no:
+                continue
+            for y in masks:
+                if (x | y) in np:
+                    return (x, y, None, None)
+        return None
+    if prop is FrameProperty.IFCP_O:
+        for x in masks:
+            if x in np:
+                continue
+            for y in masks:
+                if (x | y) not in np:
+                    continue
+                for z in sorted(no):
+                    if z & y == 0:
+                        return (x, y, z, None)
+        return None
+    pw_sub = _pw_subset_witness_oracle(full, no)
+    if prop is FrameProperty.IFCP_P:
+        for x in masks:
+            if pw_sub[x] is None:
+                continue
+            for y in masks:
+                if pw_sub[y] is None:
+                    continue
+                if (x | y) in np and (x not in np or y not in np):
+                    return (x, y, pw_sub[x], pw_sub[y])
+        return None
+    for x in masks:  # IFCP2_P
+        if x in np or pw_sub[x] is None:
+            continue
+        for y in masks:
+            if (x | y) in np:
+                return (x, y, pw_sub[x], None)
+    return None
+
+
+def _every_column(n):
+    """W's mask and every N_O or N_P column at n worlds, with its ``column_members`` table."""
+    full = (1 << n) - 1
+    cols = [frozenset(x for x in range(full + 1) if bits >> x & 1)
+            for bits in range(1 << (full + 1))]
+    return full, cols, frames.column_members(cols, full)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_verdicts_match_the_per_pair_oracle(n):
+    # Every (N_O, N_P) pair of one world in W of n worlds, all ten conditions: a column fails in
+    # the block form iff the oracle finds a witness, the stream's first term holding the column
+    # carries the oracle's witness, and pair_violation reports that witness.
+    full, cols, has = _every_column(n)
+    for no in cols:
+        for prop in FrameProperty:
+            failing = frames.failing_columns(no, has, full, [prop])
+            first, pending = {}, (1 << len(cols)) - 1
+            for hit, term in frames._terms(no, has, full, prop):
+                fresh = term & pending
+                pending &= ~term
+                while fresh:
+                    first[(fresh & -fresh).bit_length() - 1] = hit
+                    fresh &= fresh - 1
+            for j, np_ in enumerate(cols):
+                expected = _pair_violation_oracle(no, np_, full, prop)
+                assert (failing >> j & 1, first.get(j)) == (expected is not None, expected), \
+                    (prop, no, np_)
+                assert frames.pair_violation(no, np_, full, prop) == expected, (prop, no, np_)
+
+
 def test_entailments_hold_exhaustively_on_two_worlds():
-    # Every (N_O, N_P) pair of one world, in W of one to three worlds; the other worlds'
-    # neighbourhoods are empty, which meets every condition.
+    # Every (N_O, N_P) pair of one world, in W of one to three worlds, through the block form;
+    # the other worlds' neighbourhoods are empty, which meets every condition.
     for n in (1, 2, 3):
-        full = (1 << n) - 1
-        cols = [frozenset(x for x in range(full + 1) if bits >> x & 1)
-                for bits in range(1 << (full + 1))]
+        full, cols, has = _every_column(n)
         for no in cols:
-            for np_ in cols:
-                holds = cache(lambda p: frames.pair_violation(no, np_, full, p) is None)
-                for premises, conclusion in PROPERTY_ENTAILMENTS:
-                    if all(map(holds, premises)):
-                        assert holds(conclusion), (premises, conclusion, no, np_)
+            for premises, conclusion in PROPERTY_ENTAILMENTS:
+                meeting = ~frames.failing_columns(no, has, full, premises)
+                assert frames.failing_columns(no, has, full, [conclusion]) & meeting == 0, \
+                    (premises, conclusion, no)
 
 
 def _one_world_frames(max_worlds):
@@ -378,7 +483,8 @@ def schema_on_frame(draw):
 @given(schema_on_frame())
 def test_schema_violation_matches_per_assignment_oracle(case):
     view, body, variables = case
-    assert find_schema_violation(view, body, variables) == _schema_violation_oracle(view, body, variables)
+    plan = SchemaPlan(len(view.worlds), body, variables)
+    assert find_schema_violation(view, plan) == _schema_violation_oracle(view, body, variables)
 
 
 class TestBlockCap:
@@ -386,17 +492,20 @@ class TestBlockCap:
 
     def test_four_variables_at_four_worlds_match_the_oracle(self, rng):
         # Two variables are fixed per block here; the first two schemas fail with p or q
-        # non-empty, in a later block, and the valid one walks all 256 blocks once.
+        # non-empty, in a later block, and the valid one walks all 256 blocks once per frame.
+        # One plan per schema reads every frame, past the blocks it keeps.
         variables = ["p", "q", "r", "s"]
         texts = ["Ps(p | q) & Pw(r <-> s) -> O(p & r) | Ps q", "Ps(p & ~q) -> Ps r | O s",
                  self.FOUR]
+        bodies = {text: schema(text, variables).body for text in texts}
+        plans = {text: SchemaPlan(4, body, variables) for text, body in bodies.items()}
         for i in range(3):
             cols = [frozenset(rng.randrange(16) for _ in range(3)) for _ in range(8)]
             view = _view(4, cols[:4], cols[4:])
             for text in texts[:2] if i else texts:
-                body = schema(text, variables).body
-                assert (find_schema_violation(view, body, variables)
-                        == _schema_violation_oracle(view, body, variables)), (text, view.n_obl)
+                assert (find_schema_violation(view, plans[text])
+                        == _schema_violation_oracle(view, bodies[text], variables)), \
+                    (text, view.n_obl)
 
     def test_valid_four_variable_schema_at_five_worlds_stays_small(self):
         ws = [f"w{i}" for i in range(1, 6)]
@@ -413,6 +522,75 @@ class TestBlockCap:
             tracemalloc.stop()
         assert elapsed < 5.0
         assert peak < 1 << 20
+
+
+class TestSchemaPlan:
+    """A plan holds what does not depend on the frame; the search reads one on many frames."""
+
+    def _random_view(self, rng, n):
+        cols = [frozenset(rng.randrange(1 << n) for _ in range(rng.randrange(4)))
+                for _ in range(2 * n)]
+        return _view(n, cols[:n], cols[n:])
+
+    def test_one_plan_on_many_frames_matches_the_oracle(self, rng):
+        bodies = [s.body for s in SCHEMAS.values()]
+        bodies += [schema(t, "p q r").body for t in ("Ps(p | q) & Pw(p & ~r) -> O(q -> r)",
+                                                      "Pw T | O(p <-> F) | Ps(q & ~q)")]
+        for n in (1, 2, 3):
+            for body in bodies:
+                variables = sorted(atoms(body))
+                plan = SchemaPlan(n, body, variables)
+                for _ in range(10):
+                    view = self._random_view(rng, n)
+                    assert (find_schema_violation(view, plan)
+                            == _schema_violation_oracle(view, body, variables)), (body, view.n_obl)
+
+    def test_four_variables_at_three_worlds_span_blocks(self, rng):
+        # Three variables share a block at three worlds, so p is fixed per block: 8 blocks.
+        variables = ["p", "q", "r", "s"]
+        texts = ["Ps(p | q) & Pw(r <-> s) -> O(p & r) | Ps q", TestBlockCap.FOUR]
+        for text in texts:
+            body = schema(text, variables).body
+            plan = SchemaPlan(3, body, variables)
+            assert plan.m == 3 and len(list(plan.blocks())) == 8
+            for _ in range(8):
+                view = self._random_view(rng, 3)
+                assert (find_schema_violation(view, plan)
+                        == _schema_violation_oracle(view, body, variables)), (text, view.n_obl)
+
+    def test_first_false_world_of_a_later_block(self):
+        # Ps p holds only at w3 and only for p = {w2}, the third block; there q, r and s are
+        # first all empty, and the schema is false at w3 alone.
+        variables = ["p", "q", "r", "s"]
+        body = schema("Ps p -> q | r | s", variables).body
+        view = _view(3, [frozenset()] * 3, [frozenset(), frozenset(), frozenset({0b010})])
+        assert find_schema_violation(view, SchemaPlan(3, body, variables)) == (2, (2, 0, 0, 0))
+        assert _schema_violation_oracle(view, body, variables) == (2, (2, 0, 0, 0))
+        m = make_model(["w1", "w2", "w3"], n_perm={"w3": [["w2"]]})
+        violation = schema_valid_on_frame(m, schema("Ps p -> q | r | s", variables))
+        assert violation.world == "w3"
+        assert violation.assignment == {"p": {"w2"}, "q": set(), "r": set(), "s": set()}
+
+    def test_depth_two_schema_through_schema_valid_on_frame(self, rng):
+        # The depth-0 operand p | q is evaluated once per block; O's operand Ps(p | q) reads
+        # the frame, so it stays in the plan's body.
+        sch = schema("O Ps(p | q) -> Pw(p & q) | Ps(q | p)", "p q")
+        plan = SchemaPlan(3, sch.body, ["p", "q"])
+        assert plan.body.left == Obl(PermS(Atom("#0")))
+        assert atoms(plan.body) == {"#0", "#1", "#2"}
+        verdicts = set()
+        for _ in range(40):
+            m = random_frame(rng, max_worlds=3)
+            found = _schema_violation_oracle(m.view, sch.body, ["p", "q"])
+            violation = schema_valid_on_frame(m, sch)
+            if found is None:
+                assert violation is None, m
+            else:
+                wi, (p, q) = found
+                assert (violation.world, violation.assignment) == (
+                    m.worlds[wi], {"p": m.view.set_of(p), "q": m.view.set_of(q)}), m
+            verdicts.add(found is None)
+        assert verdicts == {True, False}
 
 
 class TestSchemaValidity:

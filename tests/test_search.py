@@ -16,7 +16,7 @@ from deontic import (
 from deontic.formula import (
     BOTTOM, TOP, And, Atom, Iff, Implies, Not, Obl, Or, PermS, PermW, atoms, modal_depth,
 )
-from deontic.frames import find_schema_violation, find_violation
+from deontic.frames import SchemaPlan, find_schema_violation, find_violation
 from deontic.model import ModelView
 from deontic.search import (
     _build_model, _canonical, _collections, _generation, _image_col, _perm_tables, _stabiliser,
@@ -491,9 +491,11 @@ class TestCanonicity:
             assert len(fixing) == math.factorial(n - 1) - 1
 
 
-# (examined, pruned_by_property) of the exhaustive benchmark's searches; each exhausts its
-# bounds, so these count every canonical candidate and every one a required property prunes.
+# (examined, pruned_by_property) of the exhaustive benchmark's searches, and of AFCP2_P at 4
+# worlds and 3 sets; each exhausts its bounds, so these count every canonical candidate and
+# every one a required property prunes.
 EXHAUSTIVE_COUNTS = [
+    ("AFCP2_P", "FCP_2", 4, 3, 26707, 26099),
     ("AFCP2_P", "FCP_2", 4, 2, 1692, 1544),
     ("AFCP2_P", "FCP_2", 3, 3, 1919, 1778),
     ("AFCP_O", "FCP_2", 3, 3, 1919, 1778),
@@ -527,6 +529,22 @@ class TestCounters:
         assert not report.found
         assert (report.examined, report.pruned_by_property) == (254, 118)
         assert _independent_one_world_count(2, 1, ("a", "b"), required) == (254, 118)
+
+    def test_valuations_range_over_the_targets_own_atoms(self):
+        # The command-line default atoms a, b, c: c is not in the target, so it is left empty
+        # and the search walks the candidates of atoms a and b (3 549 726 when c was walked too).
+        target = parse("Ps(a | b) & Pw a -> Ps a")
+        required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
+        for atom_names in (("a", "b", "c"), ("a", "b")):
+            report = find_countermodel(target, required, SearchBounds(4, 2, atom_names))
+            assert not report.found
+            assert (report.examined, report.pruned_by_property) == (245405, 228243)
+
+    def test_an_atom_outside_the_target_is_empty_in_the_found_model(self):
+        report = find_countermodel(parse("O b -> b"), set(), SearchBounds(2, 1, ("a", "b", "c")))
+        assert report.found
+        assert report.model.valuation == {"a": frozenset(), "b": frozenset(), "c": frozenset()}
+        assert report.world == "w1" and report.model.n_obl["w1"] == {frozenset()}
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -566,7 +584,7 @@ def _brute_force_found(target, required, bounds) -> bool:
             for np_ in product(cols, repeat=n):
                 view = ModelView.from_masks(_worlds(n), list(no), list(np_), {})
                 if (all(find_violation(view, p) is None for p in required)
-                        and find_schema_violation(view, target, names) is not None):
+                        and find_schema_violation(view, SchemaPlan(n, target, names)) is not None):
                     return True
     return False
 
