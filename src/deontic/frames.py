@@ -11,9 +11,9 @@ A condition at a world reads only W and the world's two neighbourhoods.
 Each is described once, as an ordered stream of witnesses, each with the
 set of N_P columns it violates for a given N_O (``_terms``), so one walk
 decides a whole list of N_P columns: ``failing_columns`` ORs the stream,
-which is what the countermodel search reads, and ``pair_violation`` takes
-the first term that holds its one column.  ``find_violation`` runs that at
-every world of a bitmask view (``model.ModelView``), and
+which is what the countermodel search reads.  ``find_violation`` reads a
+bitmask view (``model.ModelView``) through one table of its N_P columns:
+at each world, the first term that holds the world's own column.
 ``check_property``, ``schema_valid_on_frame`` and ``rule_valid_on_frame``
 name the worlds of what the view checks find.
 
@@ -46,7 +46,7 @@ from .model import ModelView, NeighbourhoodModel, WorldSet, render_world_set, tr
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
-    "check_property", "find_violation", "pair_violation", "column_members", "failing_columns",
+    "check_property", "find_violation", "column_members", "failing_columns",
     "recheck_witness", "classify_frame", "schema_valid_on_frame", "schema_variables",
     "SchemaPlan", "find_schema_violation",
     "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
@@ -181,25 +181,17 @@ def failing_columns(no: frozenset[int], has: list[int], full: int,
     return out
 
 
-def pair_violation(no: frozenset[int], np: frozenset[int], full: int,
-                   prop: FrameProperty) -> tuple | None:
-    """Witness masks (x, y, z, q) violating the condition at a world whose neighbourhoods are
-    ``no`` and ``np`` in W = ``full``, or None: the first non-zero term of the one column."""
-    # Each condition needs a member of N_O(w) or N_P(w) (IFCP_O one of N_O, and the
-    # rest one they quantify over or (x | y) in N_P), so an empty world meets all ten.
-    if no or np:
-        for hit, term in _terms(no, column_members([np], full), full, prop):
-            if term:
-                return hit
-    return None
-
-
 def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | None:
-    """The first world index violating the condition and its witness masks, or None."""
-    for wi in range(len(b.worlds)):
-        hit = pair_violation(b.n_obl[wi], b.n_perm[wi], b.full, prop)
-        if hit is not None:
-            return wi, hit
+    """The first world index violating the condition and its witness masks (x, y, z, q), or
+    None: at world i, the first term of its N_O's stream holding column i (-1 holds every one)."""
+    has = column_members(b.n_perm, b.full)
+    for wi, (no, np) in enumerate(zip(b.n_obl, b.n_perm)):
+        # Each condition needs a member of N_O(w) or N_P(w) (IFCP_O one of N_O, and the
+        # rest one they quantify over or (x | y) in N_P), so an empty world meets all ten.
+        if no or np:
+            for hit, term in _terms(no, has, b.full, prop):
+                if term >> wi & 1:
+                    return wi, hit
     return None
 
 

@@ -14,7 +14,8 @@ Atoms absent from the valuation have the empty truth set.  Models are
 treated as immutable after construction; evaluation is read-only.
 
 Evaluation runs on the model's bitmask view (``ModelView``, world i is
-bit i), built on first use and kept on the model.  ``truth_mask`` gives
+bit i), kept on the model; ``ModelView.model()`` is its inverse, so this
+module alone knows that world i is bit i.  ``truth_mask`` gives
 the truth clauses above on that view, with the Boolean part from
 ``formula.eval_bits``, for a block of assignments at once: bit a·n + w is
 world w under assignment a.  Truth sets are the one-assignment block,
@@ -59,8 +60,25 @@ class NeighbourhoodModel:
 
     @cached_property
     def view(self) -> "ModelView":
-        """The bitmask view, built on first use and kept; models do not change after construction."""
-        return ModelView(self)
+        """The bitmask view, kept; a world outside W raises ValueError naming it."""
+        index = {w: i for i, w in enumerate(self.worlds)}
+
+        def mask(s: Iterable[str], field: str) -> int:
+            out = 0
+            for w in s:
+                try:
+                    out |= 1 << index[w]
+                except KeyError:
+                    raise ValueError(f"{field}: world {w!r} is not in W") from None
+            return out
+
+        # A world without an entry has the empty neighbourhood, as in make_model.
+        return ModelView(
+            self.worlds,
+            [frozenset(mask(s, f"N_O({w})") for s in self.n_obl.get(w, ())) for w in self.worlds],
+            [frozenset(mask(s, f"N_P({w})") for s in self.n_perm.get(w, ())) for w in self.worlds],
+            {a: mask(s, f"valuation({a})") for a, s in self.valuation.items()},
+        )
 
 
 def _holders(cols: list[frozenset[int]]) -> dict[int, int]:
@@ -78,62 +96,34 @@ class ModelView:
     ``n_obl[i]`` and ``n_perm[i]`` hold the masks of world i's neighbourhoods
     (read by the frame conditions) and ``valuation`` each atom's mask;
     ``obl_at`` and ``perm_at`` map a set's mask to the mask of the worlds whose
-    neighbourhood contains it (read by the modal clauses).  Built from a
-    model, a world outside W raises ValueError naming it; ``from_masks``
-    builds the same view from masks directly.  ``index``, ``obl_at`` and
-    ``perm_at`` are derived on first use, so a view that only meets frame
-    conditions never builds them.
+    neighbourhood contains it (read by the modal clauses).  ``model()`` names
+    the worlds' sets again.
     """
 
-    def __init__(self, m: NeighbourhoodModel):
-        index = {w: i for i, w in enumerate(m.worlds)}
-
-        def mask(s: Iterable[str], field: str) -> int:
-            out = 0
-            for w in s:
-                try:
-                    out |= 1 << index[w]
-                except KeyError:
-                    raise ValueError(f"{field}: world {w!r} is not in W") from None
-            return out
-
-        # A world without an entry has the empty neighbourhood, as in make_model.
-        self._fill(
-            m.worlds,
-            [frozenset(mask(s, f"N_O({w})") for s in m.n_obl.get(w, ())) for w in m.worlds],
-            [frozenset(mask(s, f"N_P({w})") for s in m.n_perm.get(w, ())) for w in m.worlds],
-            {a: mask(s, f"valuation({a})") for a, s in m.valuation.items()},
-        )
-
-    @classmethod
-    def from_masks(cls, worlds: tuple[str, ...], n_obl: list[frozenset[int]],
-                   n_perm: list[frozenset[int]], valuation: dict[str, int]) -> "ModelView":
-        """The view of the model whose world i is ``worlds[i]``, given as masks."""
-        view = cls.__new__(cls)
-        view._fill(worlds, n_obl, n_perm, valuation)
-        return view
-
-    def _fill(self, worlds, n_obl, n_perm, valuation) -> None:
+    def __init__(self, worlds: tuple[str, ...], n_obl: list[frozenset[int]],
+                 n_perm: list[frozenset[int]], valuation: dict[str, int]):
         self.worlds = worlds
         self.full = (1 << len(worlds)) - 1
         self.n_obl = n_obl
         self.n_perm = n_perm
         self.valuation = valuation
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.worlds)}
-
-    @cached_property
-    def obl_at(self) -> dict[int, int]:
-        return _holders(self.n_obl)
-
-    @cached_property
-    def perm_at(self) -> dict[int, int]:
-        return _holders(self.n_perm)
+        self.obl_at = _holders(n_obl)
+        self.perm_at = _holders(n_perm)
 
     def set_of(self, mask: int) -> WorldSet:
         return frozenset(w for i, w in enumerate(self.worlds) if mask >> i & 1)
+
+    def model(self) -> NeighbourhoodModel:
+        """The named model of this view, with a view of its own built from the names."""
+        def col(masks: frozenset[int]) -> Neighbourhood:
+            return frozenset(map(self.set_of, masks))
+
+        return NeighbourhoodModel(
+            self.worlds,
+            {w: col(self.n_obl[i]) for i, w in enumerate(self.worlds)},
+            {w: col(self.n_perm[i]) for i, w in enumerate(self.worlds)},
+            {a: self.set_of(x) for a, x in self.valuation.items()},
+        )
 
 
 def make_model(
@@ -292,7 +282,7 @@ def evaluate(m: NeighbourhoodModel, w: str, f: Formula) -> bool:
     """Truth of ``f`` at world ``w``."""
     if w not in m.worlds:
         raise ValueError(f"unknown world {w!r}")
-    return bool(truth_mask(m.view, f, m.view.valuation) >> m.view.index[w] & 1)
+    return bool(truth_mask(m.view, f, m.view.valuation) >> m.worlds.index(w) & 1)
 
 
 def model_valid(m: NeighbourhoodModel, f: Formula) -> bool:

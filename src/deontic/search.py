@@ -27,7 +27,8 @@ is not least skips its block.  Candidates come in ascending order and the
 group keeps what is falsified, so the first falsifying candidate is least
 in its orbit and is always generated.
 
-A column is named by its index in ``_collections``' sorted list, and
+A column is a frozenset of masks, named by its index in ``_collections``'
+list, which is in lexicographic order of the sorted masks, and
 ``_index_tables`` maps every index through every permutation once per
 world count.  The clock is read once per collection and table built and
 once per key tried.  Frame conditions are decided once per ``N_O`` column
@@ -35,9 +36,10 @@ for every ``N_P`` column at once (``frames.failing_columns``), lazily, per
 world count: a candidate's verdict, and a rule target's falsification, is
 one bit test.  Supplementation is skipped on a side generated closed.  A
 schema target's depth-0 modal operands are evaluated once per world count
-(``frames.SchemaPlan``); a survivor alone gets a ``ModelView`` for
-``frames.find_schema_violation`` or ``model.truth_mask``, and the found one
-a named model on which the public checks and evaluator re-verify it before
+(``frames.SchemaPlan``); a survivor alone gets a ``ModelView`` of its
+columns for ``frames.find_schema_violation`` or ``model.truth_mask``, and
+the found one is named by ``ModelView.model()`` and re-verified by the
+public checks and evaluator, on a view built again from the names, before
 it is returned.  A formula's valuations range over its own atoms; a bounds
 atom it lacks is empty in the model, as in the first countermodel of a
 walk that included it.
@@ -155,16 +157,18 @@ class _Clock:
 
 
 def _collections(n_worlds: int, max_sets: int, tick=lambda: None,
-                 closed: bool = False) -> list[tuple[int, ...]]:
-    """All sorted subset lists of size <= max_sets (only superset-closed ones with ``closed``),
-    in lexicographic order; ``tick()`` runs per list tried, so a time budget holds here too."""
+                 closed: bool = False) -> list[frozenset[int]]:
+    """All collections of size <= max_sets (only superset-closed ones with ``closed``), in
+    lexicographic order of their sorted masks; ``tick()`` runs per collection tried, so a time
+    budget holds here too."""
     full = (1 << n_worlds) - 1
-    out: list[tuple[int, ...]] = []
+    out: list[frozenset[int]] = []
 
     def rec(prefix: list[int], start: int):
         tick()
-        if not closed or _superset_closed(prefix, full):
-            out.append(tuple(prefix))
+        col = frozenset(prefix)
+        if not closed or _superset_closed(col, full):
+            out.append(col)
         if len(prefix) == max_sets:
             return
         for mask in range(start, full + 1):
@@ -196,13 +200,14 @@ def _image_masks(perm, masks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([perm[1][m] for m in masks])
 
 
-def _image_col(perm, col: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted([perm[1][m] for m in col]))
+def _image_col(perm, col: frozenset[int]) -> frozenset[int]:
+    return frozenset([perm[1][m] for m in col])
 
 
-def _index_tables(perms, cols: list[tuple[int, ...]], tick) -> list[tuple[int, ...]]:
-    """Per permutation, ``table[i]``: the index in ``cols`` (sorted, closed under permuting
-    worlds) of column i's image, so indices compare as columns do.  ``tick()`` runs per table."""
+def _index_tables(perms, cols: list[frozenset[int]], tick) -> list[tuple[int, ...]]:
+    """Per permutation, ``table[i]``: the index in ``cols`` (in ``_collections``' order, closed
+    under permuting worlds) of column i's image, so indices compare as columns do.  ``tick()``
+    runs per table."""
     index = {col: i for i, col in enumerate(cols)}
     out = []
     for perm in perms:
@@ -272,27 +277,14 @@ def _worlds(n: int) -> tuple[str, ...]:
     return tuple(f"w{i + 1}" for i in range(n))
 
 
-def _build_model(worlds, val_masks, no_cols, np_cols, atom_names) -> NeighbourhoodModel:
-    n = len(worlds)
-
-    def set_of(mask: int) -> WorldSet:
-        return frozenset(worlds[i] for i in range(n) if mask >> i & 1)
-
-    valuation = {a: set_of(m) for a, m in zip(atom_names, val_masks)}
-    n_obl = {w: frozenset(set_of(m) for m in no_cols[i]) for i, w in enumerate(worlds)}
-    n_perm = {w: frozenset(set_of(m) for m in np_cols[i]) for i, w in enumerate(worlds)}
-    return NeighbourhoodModel(worlds, n_obl, n_perm, valuation)
-
-
 def _verify_required(model: NeighbourhoodModel, required: Iterable[FrameProperty]) -> None:
     if any(check_property(model, p) is not None for p in required):
         raise SearchError("countermodel failed re-verification of a required frame property")
 
 
-def _superset_closed(col, full: int) -> bool:
+def _superset_closed(col: frozenset[int], full: int) -> bool:
     # Closed under adding one world at a time is closed under every superset.
-    members = set(col)
-    return all(m | 1 << i in members for m in col for i in range(full.bit_length()))
+    return all(m | 1 << i in col for m in col for i in range(full.bit_length()))
 
 
 def _check_atoms(needed: int, bounds: SearchBounds) -> None:
@@ -311,8 +303,12 @@ def find_countermodel(
 
     ``target`` is a concrete formula, a pure schema, or the name of a
     guarded-permission rule.  ``required`` filters the search to frames
-    satisfying the given properties.
+    satisfying the given properties.  ``timeout_secs`` is None (no limit) or a
+    non-negative number of seconds; NaN or a negative number raises ValueError.
     """
+    if timeout_secs is not None and not timeout_secs >= 0:  # NaN compares false
+        raise ValueError(f"timeout_secs must be a non-negative number of seconds, "
+                         f"got {timeout_secs!r}")
     if isinstance(target, str):
         if target not in GUARDED_RULES:
             known = ", ".join(sorted(GUARDED_RULES))
@@ -347,12 +343,11 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
         worlds, full = _worlds(n), (1 << n) - 1
         (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, len(names),
                                                         every_world, all_perms, tick)
-        no_sets, np_sets = list(map(frozenset, no_cols)), list(map(frozenset, np_cols))
         has = column_members(np_cols, full)
         # Per N_O index, computed on first use: the N_P indices whose pair with it fails.
-        pruned = cache(lambda i: failing_columns(no_sets[i], has, full, checked))
+        pruned = cache(lambda i: failing_columns(no_cols[i], has, full, checked))
         if body is None:
-            falsifying = cache(lambda i: failing_columns(no_sets[i], has, full,
+            falsifying = cache(lambda i: failing_columns(no_cols[i], has, full,
                                                          (GUARDED_RULES[target].prop,)))
         elif not formula:
             plan = SchemaPlan(n, body, variables)
@@ -364,19 +359,19 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
                 report.pruned_by_property += 1
                 continue
             no_ix, np_ix = (no, np_) if every_world else ((no, *rest), (np_, *rest))
+            n_obl, n_perm = [no_cols[i] for i in no_ix], [np_cols[j] for j in np_ix]
             valuation = dict(zip(names, val_masks))
             if body is None:
                 falsified = falsifying(no) >> np_ & 1
             else:
-                view = ModelView.from_masks(worlds, [no_sets[i] for i in no_ix],
-                                            [np_sets[j] for j in np_ix], valuation)
+                view = ModelView(worlds, n_obl, n_perm, valuation)
                 falsified = (truth_mask(view, target, valuation) != full if formula
                              else find_schema_violation(view, plan) is not None)
             if not falsified:
                 continue
-            model = _build_model(worlds, [valuation.get(a, 0) for a in bounds.atoms],
-                                 [no_cols[i] for i in no_ix], [np_cols[j] for j in np_ix],
-                                 bounds.atoms)
+            # Named, so the public checks below re-verify it on a view of their own.
+            model = ModelView(worlds, n_obl, n_perm,
+                              {a: valuation.get(a, 0) for a in bounds.atoms}).model()
             _verify_required(model, required)
             if formula:
                 ts = truth_set(model, target)

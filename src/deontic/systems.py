@@ -84,9 +84,6 @@ class SystemDef:
         """The system's axioms and non-base rules."""
         return frozenset(self.axioms) | (self.rules - BASE_RULES)
 
-    def axiom_schemas(self) -> dict[str, Schema]:
-        return {n: SCHEMAS[n] for n in self.axioms}
-
     def admits_rm(self, modality: str) -> bool:
         """RM lines are licensed by an explicit RM rule or by the matching M axiom."""
         if modality == "Pw":

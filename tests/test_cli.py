@@ -176,6 +176,17 @@ class TestCountermodel:
         assert 0 < examined and pruned <= examined and elapsed >= 0.2
 
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_nan_or_negative_budget_exits_2(self, capsys, budget):
+        code, out, err = run(
+            capsys, "countermodel", "--target", "M_O", "--max-worlds", "2", "--max-sets", "1",
+            "--atoms", "a,b", "--timeout-secs", budget,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: timeout_secs must be a non-negative number"), err
+        assert budget in err
+
+
 class TestRemainder:
     def test_remainder_output(self, capsys, tmp_path):
         theory = tmp_path / "theory.txt"

@@ -81,9 +81,9 @@ class TestClassify:
         built = []
 
         class CountingView(model_module.ModelView):
-            def __init__(self, m):
-                built.append(m)
-                super().__init__(m)
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
 
         expected = classify_frame(model1)
         monkeypatch.setattr(model_module, "ModelView", CountingView)
@@ -91,7 +91,7 @@ class TestClassify:
         assert classify_frame(fresh) == expected
         schema_valid_on_frame(fresh, SCHEMAS["AFCP_O"])
         rule_valid_on_frame(fresh, "IFCP_O")
-        assert built == [fresh]
+        assert built == [fresh.view]
 
     def test_fixture_classification(self, model1):
         props = classify_frame(model1)
@@ -192,13 +192,24 @@ def test_check_property_matches_naive_quantification(m):
         assert (check_property(m, prop) is None) == _naive_property_check(m, prop), prop
 
 
+def _pair_check(no, np_, full, prop):
+    """The witness masks of ``find_violation`` on the one-world view: world 1 has the pair
+    (``no``, ``np_``), the other worlds of W = ``full`` have empty neighbourhoods."""
+    empty = [frozenset()] * (full.bit_length() - 1)
+    found = frames.find_violation(_view(full.bit_length(), [no, *empty], [np_, *empty]), prop)
+    if found is None:
+        return None
+    assert found[0] == 0, found
+    return found[1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(models(max_worlds=4))
 def test_pair_violation_is_the_per_world_check(m):
-    # pair_violation sees one world's two neighbourhoods and W, and nothing else.
+    # A world's check sees its two neighbourhoods and W, and nothing else.
     b = m.view
     for prop in FrameProperty:
-        hits = [(wi, frames.pair_violation(b.n_obl[wi], b.n_perm[wi], b.full, prop))
+        hits = [(wi, _pair_check(b.n_obl[wi], b.n_perm[wi], b.full, prop))
                 for wi in range(len(m.worlds))]
         for wi, hit in hits:
             if hit is not None:
@@ -373,7 +384,7 @@ def _every_column(n):
 def test_block_verdicts_match_the_per_pair_oracle(n):
     # Every (N_O, N_P) pair of one world in W of n worlds, all ten conditions: a column fails in
     # the block form iff the oracle finds a witness, the stream's first term holding the column
-    # carries the oracle's witness, and pair_violation reports that witness.
+    # carries the oracle's witness, and find_violation on the one-world view reports it.
     full, cols, has = _every_column(n)
     for no in cols:
         for prop in FrameProperty:
@@ -389,7 +400,23 @@ def test_block_verdicts_match_the_per_pair_oracle(n):
                 expected = _pair_violation_oracle(no, np_, full, prop)
                 assert (failing >> j & 1, first.get(j)) == (expected is not None, expected), \
                     (prop, no, np_)
-                assert frames.pair_violation(no, np_, full, prop) == expected, (prop, no, np_)
+                assert _pair_check(no, np_, full, prop) == expected, (prop, no, np_)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_find_violation_reads_each_worlds_own_column(data):
+    # On a view of several worlds, each world's pair is read from bit wi of one table of all
+    # N_P columns: the first world whose pair the oracle rejects, with the oracle's witness.
+    n = data.draw(st.integers(2, 3))
+    col = st.frozensets(st.integers(0, (1 << n) - 1), max_size=4)
+    n_obl, n_perm = [data.draw(col) for _ in range(n)], [data.draw(col) for _ in range(n)]
+    b = _view(n, n_obl, n_perm)
+    for prop in FrameProperty:
+        hits = ((wi, _pair_violation_oracle(n_obl[wi], n_perm[wi], b.full, prop))
+                for wi in range(n))
+        expected = next(((wi, hit) for wi, hit in hits if hit is not None), None)
+        assert frames.find_violation(b, prop) == expected, prop
 
 
 def test_entailments_hold_exhaustively_on_two_worlds():
@@ -461,7 +488,7 @@ def _schema_violation_oracle(b, body, variables):
 
 
 def _view(n, n_obl, n_perm):
-    return model_module.ModelView.from_masks(tuple(f"w{i + 1}" for i in range(n)), n_obl, n_perm, {})
+    return model_module.ModelView(tuple(f"w{i + 1}" for i in range(n)), n_obl, n_perm, {})
 
 
 @st.composite

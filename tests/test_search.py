@@ -19,8 +19,7 @@ from deontic.formula import (
 from deontic.frames import SchemaPlan, find_schema_violation, find_violation
 from deontic.model import ModelView
 from deontic.search import (
-    _build_model, _canonical, _collections, _generation, _image_col, _perm_tables, _stabiliser,
-    _worlds,
+    _canonical, _collections, _generation, _image_col, _perm_tables, _stabiliser, _worlds,
 )
 from deontic.systems import FRAME_CLASSES, SCHEMAS
 
@@ -161,6 +160,21 @@ def test_timeout_is_kept_within_one_valuation():
     assert time.monotonic() - start < 3.0
 
 
+@pytest.mark.parametrize("budget", [math.nan, -1.0, -0.5])
+def test_nan_or_negative_budget_is_rejected(budget):
+    # ``time.monotonic() > nan`` is always false, so NaN would be a search without a limit.
+    with pytest.raises(ValueError, match=r"^timeout_secs must be a non-negative number"):
+        find_countermodel(SCHEMAS["M_O"], set(), SearchBounds(2, 1, ("a", "b")),
+                          timeout_secs=budget)
+
+
+def test_zero_and_no_budget_keep_their_meaning():
+    bounds = SearchBounds(2, 1, ("a", "b"))
+    with pytest.raises(SearchTimeout, match="examined 0,"):
+        find_countermodel(SCHEMAS["M_O"], set(), bounds, timeout_secs=0)
+    assert find_countermodel(SCHEMAS["M_O"], set(), bounds, timeout_secs=None).found
+
+
 def test_timeout_holds_while_collections_are_built():
     # Up to 4 worlds this search takes about 0.1 s.  At 5 worlds and 8 sets there are about
     # 15 M subset lists to try, so the budget must hold while they are built.
@@ -260,9 +274,10 @@ def _independent_one_world_count(max_worlds, max_sets, atom_names, required) -> 
             for no in collections for np_ in collections
         }
         examined += len(orbits)
-        empty = [()] * (n - 1)
+        empty = [frozenset()] * (n - 1)
         for val, no, np_ in orbits:
-            model = _build_model(_worlds(n), val, [no, *empty], [np_, *empty], atom_names)
+            model = ModelView(_worlds(n), [frozenset(no), *empty], [frozenset(np_), *empty],
+                              dict(zip(atom_names, val))).model()
             pruned += any(check_property(model, p) is not None for p in required)
     return examined, pruned
 
@@ -275,9 +290,14 @@ def _remap_mask(mask, perm):
     return out
 
 
+def _sorted(col):
+    """A column as the tuple of its sorted masks, the order in which the search lists columns."""
+    return tuple(sorted(col))
+
+
 def _canonical_model_oracle(valuation, no, np_, n):
     """The bit-loop canonicity check the permutation tables replaced."""
-    encoding = (valuation, no, np_)
+    encoding = (valuation, tuple(map(_sorted, no)), tuple(map(_sorted, np_)))
     for perm in permutations(range(n)):
         remapped_val = tuple(_remap_mask(m, perm) for m in valuation)
         remapped_no = [None] * n
@@ -291,7 +311,7 @@ def _canonical_model_oracle(valuation, no, np_, n):
 
 
 def _canonical_pair_oracle(no, np_, n):
-    encoding = (no, np_)
+    encoding = (_sorted(no), _sorted(np_))
     for perm in permutations(range(n)):
         remapped = (
             tuple(sorted(_remap_mask(m, perm) for m in no)),
@@ -312,11 +332,12 @@ def _one_world_oracle(n, n_atoms, cols, perms):
 
     return [(val, no, np_) for val in product(range(1 << n), repeat=n_atoms)
             for no in cols for np_ in cols
-            if all(moved(val, no, np_, perm) >= (val, no, np_) for perm in perms)]
+            if all(moved(val, no, np_, perm) >= (val, _sorted(no), _sorted(np_))
+                   for perm in perms)]
 
 
 def _orbit_least_model(valuation, no, np_, n):
-    best = (valuation, no, np_)
+    best = (valuation, tuple(map(_sorted, no)), tuple(map(_sorted, np_)))
     for perm in permutations(range(n)):
         moved_no, moved_np = [None] * n, [None] * n
         for i in range(n):
@@ -367,14 +388,14 @@ def _searched(monkeypatch, target, bounds):
     With no required property, a valid target gives every generated candidate a view.
     """
     seen = {}
-    from_masks = ModelView.from_masks
 
-    def record(worlds, n_obl, n_perm, valuation):
-        cols = tuple(tuple(tuple(sorted(c)) for c in side) for side in (n_obl, n_perm))
-        seen.setdefault(len(worlds), []).append((tuple(valuation.values()), *cols))
-        return from_masks(worlds, n_obl, n_perm, valuation)
+    class RecordedView(ModelView):
+        def __init__(self, worlds, n_obl, n_perm, valuation):
+            cols = tuple(tuple(side) for side in (n_obl, n_perm))
+            seen.setdefault(len(worlds), []).append((tuple(valuation.values()), *cols))
+            super().__init__(worlds, n_obl, n_perm, valuation)
 
-    monkeypatch.setattr(ModelView, "from_masks", staticmethod(record))
+    monkeypatch.setattr(deontic.search, "ModelView", RecordedView)
     assert not find_countermodel(target, set(), bounds).found
     return seen
 
@@ -423,7 +444,7 @@ class TestCanonicity:
         text = {(False, 1): "a | ~a", (False, 2): "a & b -> a",
                 (True, 1): "Pw a | O ~a", (True, 2): "Pw(a & b) | O ~(a & b)"}[all_perms, n_atoms]
         seen = _searched(monkeypatch, parse(text), SearchBounds(n, max_sets, ("a", "b")[:n_atoms]))
-        empty = ((),) * (n - 1)
+        empty = (frozenset(),) * (n - 1)
         assert seen[n] == [(val, (no, *empty), (np_, *empty)) for val, no, np_ in expected]
 
     def test_model_agrees_with_oracle_on_every_candidate(self, monkeypatch):
@@ -449,10 +470,10 @@ class TestCanonicity:
         # Random candidates are rarely canonical, so each one's orbit least is checked too.
         rng = random.Random(n)
         cols, levels, perms = _setup(n, 2, every_world=True)
-        index = {col: i for i, col in enumerate(cols)}
+        index = {_sorted(col): i for i, col in enumerate(cols)}
 
         def key(val, no, np_):
-            return val, tuple(index[c] for c in no), tuple(index[c] for c in np_)
+            return val, tuple(index[_sorted(c)] for c in no), tuple(index[_sorted(c)] for c in np_)
 
         for _ in range(150):
             val = tuple(rng.randrange(1 << n) for _ in range(rng.randint(0, 2)))
@@ -482,7 +503,8 @@ class TestCanonicity:
             cols, _, perms = _generation(n, 2, closed, 0, False, True, _no_tick)
             assert len(perms) == math.factorial(n) - 1
             for side, side_cols in enumerate(cols, 2):
-                assert side_cols == sorted(side_cols) and side_cols[0] == ()
+                keys = list(map(_sorted, side_cols))
+                assert keys == sorted(keys) and side_cols[0] == frozenset()
                 for perm in perms:
                     assert [side_cols[i] for i in perm[side]] == [_image_col(perm, c)
                                                                    for c in side_cols]
@@ -549,18 +571,17 @@ class TestCounters:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_view_from_masks_is_the_model_view(self, data):
+        # A round trip: the view of the named model, built from its names, is the view itself.
         n = data.draw(st.integers(1, 4))
         cols = _collections(n, 3)
         val = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
-        no = tuple(data.draw(st.sampled_from(cols)) for _ in range(n))
-        np_ = tuple(data.draw(st.sampled_from(cols)) for _ in range(n))
+        no = [data.draw(st.sampled_from(cols)) for _ in range(n)]
+        np_ = [data.draw(st.sampled_from(cols)) for _ in range(n)]
         atom_names = ("a", "b", "c")[:len(val)]
-        worlds = _worlds(n)
-        named = _build_model(worlds, val, no, np_, atom_names).view
-        view = ModelView.from_masks(worlds, [frozenset(c) for c in no],
-                                    [frozenset(c) for c in np_], dict(zip(atom_names, val)))
-        for field in ("worlds", "full", "n_obl", "n_perm", "valuation", "index", "obl_at",
-                      "perm_at"):
+        view = ModelView(_worlds(n), no, np_, dict(zip(atom_names, val)))
+        named = view.model().view
+        assert named is not view
+        for field in ("worlds", "full", "n_obl", "n_perm", "valuation", "obl_at", "perm_at"):
             assert getattr(view, field) == getattr(named, field), field
 
 
@@ -579,10 +600,10 @@ def _brute_force_found(target, required, bounds) -> bool:
     frame, with every world's columns and no symmetry, under every valuation at once."""
     names = sorted(atoms(target))
     for n in range(1, bounds.max_worlds + 1):
-        cols = [frozenset(c) for c in _collections(n, bounds.max_sets)]
+        cols = _collections(n, bounds.max_sets)
         for no in product(cols, repeat=n):
             for np_ in product(cols, repeat=n):
-                view = ModelView.from_masks(_worlds(n), list(no), list(np_), {})
+                view = ModelView(_worlds(n), list(no), list(np_), {})
                 if (all(find_violation(view, p) is None for p in required)
                         and find_schema_violation(view, SchemaPlan(n, target, names)) is not None):
                     return True
