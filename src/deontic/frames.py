@@ -12,8 +12,9 @@ Each is described once, as an ordered stream of witnesses, each with the
 set of N_P columns it violates for a given N_O (``_terms``), so one walk
 decides a whole list of N_P columns: ``failing_columns`` ORs the stream,
 which is what the countermodel search reads.  ``find_violation`` reads a
-bitmask view (``model.ModelView``) through one table of its N_P columns:
-at each world, the first term that holds the world's own column.
+bitmask view (``model.ModelView``) through the one table of its N_P columns
+the view keeps (``ModelView.perm_members``): at each world, the first term
+that holds the world's own column.
 ``check_property``, ``schema_valid_on_frame`` and ``rule_valid_on_frame``
 name the worlds of what the view checks find.
 
@@ -23,6 +24,9 @@ schema under all assignments and at all worlds in one ``model.truth_mask``
 walk, of which a ``SchemaPlan`` holds the part that does not read the
 frame.  This is sound and complete on finite frames because every subset
 is the truth set of some atom under some valuation based on the frame.
+A ``ColumnPlan`` decides a body of modal depth <= 1 at world 1 alone, for
+one N_O column and many N_P columns at once, as the countermodel search
+reads it.
 
 The three rule-shaped conditions pair an inference rule with a frame
 condition.  Each one restricts its axiom-shaped counterpart: fixing the
@@ -41,14 +45,19 @@ from functools import cache
 from itertools import combinations, islice, product
 from typing import Iterable
 
-from .formula import Atom, Formula, Modal, Schema, _rebuild, atoms, eval_bits, modal_depth, schema
-from .model import ModelView, NeighbourhoodModel, WorldSet, render_world_set, truth_mask
+from .formula import (
+    Atom, Formula, Modal, Obl, PermS, PermW, Schema, _rebuild, atoms, eval_bits, modal_depth,
+    schema,
+)
+from .model import (
+    ModelView, NeighbourhoodModel, WorldSet, column_members, render_world_set, truth_mask,
+)
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
     "check_property", "find_violation", "column_members", "failing_columns",
     "recheck_witness", "classify_frame", "schema_valid_on_frame", "schema_variables",
-    "SchemaPlan", "find_schema_violation",
+    "SchemaPlan", "find_schema_violation", "ColumnPlan",
     "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
     "supplementation_closure", "entailment_closure", "PROPERTY_ENTAILMENTS",
 ]
@@ -123,15 +132,6 @@ def _pw_subset_witness(full: int, no: frozenset[int]) -> list[int | None]:
     return out
 
 
-def column_members(cols, full: int) -> list[int]:
-    """``has[x]``: the columns (bit j for ``cols[j]``) that contain mask x, x in W = ``full``."""
-    rows = [bytearray(len(cols) // 8 + 1) for _ in range(full + 1)]  # not |= on a growing int
-    for j, col in enumerate(cols):
-        for x in col:
-            rows[x][j >> 3] |= 1 << (j & 7)
-    return [int.from_bytes(row, "little") for row in rows]
-
-
 def _terms(no: frozenset[int], has: list[int], full: int, prop: FrameProperty):
     """The condition at a world with N_O = ``no`` in W = ``full``, as an ordered stream of
     (witness masks (x, y, z, q), term): the N_P columns of the ``column_members`` table ``has``
@@ -184,7 +184,7 @@ def failing_columns(no: frozenset[int], has: list[int], full: int,
 def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | None:
     """The first world index violating the condition and its witness masks (x, y, z, q), or
     None: at world i, the first term of its N_O's stream holding column i (-1 holds every one)."""
-    has = column_members(b.n_perm, b.full)
+    has = b.perm_members
     for wi, (no, np) in enumerate(zip(b.n_obl, b.n_perm)):
         # Each condition needs a member of N_O(w) or N_P(w) (IFCP_O one of N_O, and the
         # rest one they quantify over or (x | y) in N_P), so an empty world meets all ten.
@@ -380,6 +380,118 @@ def find_schema_violation(b: ModelView, plan: SchemaPlan) -> tuple[int, tuple[in
             a, wi = divmod((false_at & -false_at).bit_length() - 1, n)
             return wi, fixed + tuple(a >> n * (m - 1 - j) & b.full for j in range(m))
     return None
+
+
+_FREE_BITS = 12  # assignment bits in one column block: at most 4 096 assignments
+_WALK_BITS = 1 << 16  # (column, assignment) bits in one walk: ints of at most 8 KB
+
+
+class _Assignments:
+    """A block of subset assignments, all variables but ``free`` taking their mask in ``fixed``:
+    assignment a gives the i-th free variable the set of worlds w with bit i·n + w of a.
+
+    ``atoms[w][v]`` has bit a set when v holds at world w under a, and ``truth(x)[s]`` when the
+    truth set of the modal-free ``x`` under a is s, so neither reads the frame.
+    """
+
+    def __init__(self, n: int, free: list[str], fixed: dict[str, int]):
+        self.n, self.size = n, 1 << n * len(free)
+        self.full = (1 << self.size) - 1
+        bit = [self.full - self.full // ((1 << (1 << p)) + 1) for p in range(n * len(free))]
+        self.atoms = [{v: self.full if x >> w & 1 else 0 for v, x in fixed.items()}
+                      | {v: bit[i * n + w] for i, v in enumerate(free)} for w in range(n)]
+        self._truth: dict[Formula, dict[int, int]] = {}
+
+    def truth(self, x: Formula) -> dict[int, int]:
+        table = self._truth.get(x)
+        if table is None:
+            table = {0: self.full}
+            for w, held in enumerate(self.atoms):
+                at = eval_bits(x, lambda a: held.get(a.name, 0), self.full)
+                split = {}
+                for s, e in table.items():
+                    if e & at:
+                        split[s | 1 << w] = e & at
+                    if e & ~at:
+                        split[s] = e & ~at
+                table = split
+            self._truth[x] = table
+        return table
+
+
+class ColumnPlan:
+    """Where a body of modal depth <= 1 is false at world 1 of an n-world frame whose other
+    worlds are empty, for one N_O column and many of the N_P columns ``cols`` at once.
+
+    The assignments of ``variables`` come in blocks, the last variables that fit ``_FREE_BITS``
+    free in each (``_Assignments``); a plan keeps its first ``_KEPT_BLOCKS``.  A walk is one
+    ``eval_bits`` over a chunk of columns, bit i·A + a standing for the i-th column under
+    assignment a of a block of A: ``O x`` and ``Pw x`` read the masks of N_O in ``truth(x)``
+    once for every column, ``Ps x`` reads each column's masks.  As the rest of W is empty, world
+    1 alone can falsify the body once a search has passed the one-world frames whose
+    neighbourhoods are empty.
+    """
+
+    def __init__(self, n: int, body: Formula, variables: list[str], cols: list[frozenset[int]]):
+        self.n, self.body, self.variables, self.cols = n, body, variables, cols
+        self._free = min(len(variables), _FREE_BITS // n)
+        self._kept: list[_Assignments] = []
+
+    def _blocks(self, valuation: dict[str, int] | None):
+        if valuation:
+            yield _Assignments(self.n, [], valuation)
+            return
+        kept, k, m = self._kept, len(self.variables), self._free
+        yield from kept
+        for fixed in islice(product(range(1 << self.n), repeat=k - m), len(kept), None):
+            block = _Assignments(self.n, self.variables[k - m:], dict(zip(self.variables, fixed)))
+            if len(kept) < _KEPT_BLOCKS:
+                kept.append(block)
+            yield block
+
+    def falsifying(self, no: frozenset[int], live: int,
+                   valuation: dict[str, int] | None = None) -> int:
+        """The lowest column of ``live`` (bit j for ``cols[j]``) in which the body is false at
+        world 1 under some assignment, N_O(w1) being ``no``, as a bitset; 0 if there is none.
+        ``valuation`` fixes every atom instead, as one assignment."""
+        best, every = None, (1 << self.n) - 1
+        for block in self._blocks(valuation):
+            if best is not None:
+                live &= (1 << best) - 1
+            if not live:
+                break
+            size, columns, rest = block.size, [], live
+            while rest:
+                low = rest & -rest
+                columns.append(low.bit_length() - 1)
+                rest ^= low
+            step = max(1, _WALK_BITS // size)
+            for start in range(0, len(columns), step):
+                chunk = columns[start:start + step]
+                once = ((1 << len(chunk) * size) - 1) // block.full  # bit i·A for each column i
+                full = block.full * once
+
+                def leaf(node: Formula) -> int:
+                    match node:
+                        case Atom(name):
+                            return block.atoms[0].get(name, 0) * once
+                        case Obl(x):
+                            truth = block.truth(x)
+                            return sum(truth.get(s, 0) for s in no) * once
+                        case PermW(x):
+                            truth = block.truth(x)
+                            return full ^ sum(truth.get(every ^ s, 0) for s in no) * once
+                        case PermS(x):
+                            truth = block.truth(x)
+                            return sum(sum(truth.get(s, 0) for s in self.cols[j]) << i * size
+                                       for i, j in enumerate(chunk))
+                    raise TypeError(f"not a formula: {node!r}")
+
+                false_at = full ^ eval_bits(self.body, leaf, full)
+                if false_at:
+                    best = chunk[((false_at & -false_at).bit_length() - 1) // size]
+                    break
+        return 0 if best is None else 1 << best
 
 
 def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation | None:

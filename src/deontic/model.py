@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 from .formula import Atom, Formula, Obl, PermS, PermW, eval_bits
 
 __all__ = [
-    "WorldSet", "Neighbourhood", "NeighbourhoodModel", "ModelView", "truth_mask",
+    "WorldSet", "Neighbourhood", "NeighbourhoodModel", "ModelView", "column_members", "truth_mask",
     "make_model", "model_from_dict", "model_to_dict", "load_model", "dump_model",
     "validate_model", "evaluate", "truth_set", "model_valid", "render_world_set",
 ]
@@ -81,6 +81,15 @@ class NeighbourhoodModel:
         )
 
 
+def column_members(cols, full: int) -> list[int]:
+    """``has[x]``: the columns (bit j for ``cols[j]``) that contain mask x, x in W = ``full``."""
+    rows = [bytearray(len(cols) // 8 + 1) for _ in range(full + 1)]  # not |= on a growing int
+    for j, col in enumerate(cols):
+        for x in col:
+            rows[x][j >> 3] |= 1 << (j & 7)
+    return [int.from_bytes(row, "little") for row in rows]
+
+
 def _holders(cols: list[frozenset[int]]) -> dict[int, int]:
     # Each set's mask -> the mask of the worlds whose neighbourhood contains it.
     out: dict[int, int] = {}
@@ -109,6 +118,11 @@ class ModelView:
         self.valuation = valuation
         self.obl_at = _holders(n_obl)
         self.perm_at = _holders(n_perm)
+
+    @cached_property
+    def perm_members(self) -> list[int]:
+        """``column_members`` of the N_P columns, read by the frame conditions; built once."""
+        return column_members(self.n_perm, self.full)
 
     def set_of(self, mask: int) -> WorldSet:
         return frozenset(w for i, w in enumerate(self.worlds) if mask >> i & 1)

@@ -31,18 +31,29 @@ A column is a frozenset of masks, named by its index in ``_collections``'
 list, which is in lexicographic order of the sorted masks, and
 ``_index_tables`` maps every index through every permutation once per
 world count.  The clock is read once per collection and table built and
-once per key tried.  Frame conditions are decided once per ``N_O`` column
+once per key tried: per candidate of the every-world walk, per prefix of
+the one-world walk.  Frame conditions are decided once per ``N_O`` column
 for every ``N_P`` column at once (``frames.failing_columns``), lazily, per
-world count: a candidate's verdict, and a rule target's falsification, is
-one bit test.  Supplementation is skipped on a side generated closed.  A
-schema target's depth-0 modal operands are evaluated once per world count
-(``frames.SchemaPlan``); a survivor alone gets a ``ModelView`` of its
-columns for ``frames.find_schema_violation`` or ``model.truth_mask``, and
-the found one is named by ``ModelView.model()`` and re-verified by the
-public checks and evaluator, on a view built again from the names, before
-it is returned.  A formula's valuations range over its own atoms; a bounds
-atom it lacks is empty in the model, as in the first countermodel of a
-walk that included it.
+world count.  Supplementation is skipped on a side generated closed.
+
+At one-world levels each canonical (valuation, ``N_O``) prefix decides its
+whole block of ``N_P`` columns by bitsets over their indices: the
+canonical ones (no permutation fixing the prefix maps them below
+themselves, read from one bitset per permutation), the pruned ones, and
+the falsifying ones among the rest.  A rule falsifies where its frame
+condition fails; a schema or formula where one ``frames.ColumnPlan`` walk
+over (column, assignment) bits finds its body false at world 1, the
+assignments being every subset assignment of a schema's variables or the
+prefix's valuation.  World 1 alone needs deciding: a target false at an
+empty world is already false on a one-world frame with empty
+neighbourhoods, which the search tries first.  The counts are popcounts, up to the lowest falsifying column
+when there is one.  The found candidate alone gets a ``ModelView``, is
+named by ``ModelView.model()`` and is re-verified by the public checks and
+evaluator, on a view built again from the names, before it is returned.
+A deeper formula's candidates are decided one at a time on a view, by
+``model.truth_mask``.  A formula's valuations range over its own atoms; a
+bounds atom it lacks is empty in the model, as in the first countermodel of
+a walk that included it.
 """
 
 from __future__ import annotations
@@ -64,9 +75,8 @@ from .model import (
     truth_set,
 )
 from .frames import (
-    GUARDED_RULES, FrameProperty, SchemaPlan, SchemaViolation, check_property, column_members,
-    failing_columns, find_schema_violation, rule_valid_on_frame, schema_valid_on_frame,
-    schema_variables,
+    GUARDED_RULES, ColumnPlan, FrameProperty, SchemaViolation, check_property, column_members,
+    failing_columns, rule_valid_on_frame, schema_valid_on_frame, schema_variables,
 )
 
 __all__ = [
@@ -161,23 +171,25 @@ def _collections(n_worlds: int, max_sets: int, tick=lambda: None,
     """All collections of size <= max_sets (only superset-closed ones with ``closed``), in
     lexicographic order of their sorted masks; ``tick()`` runs per collection tried, so a time
     budget holds here too."""
-    full = (1 << n_worlds) - 1
     out: list[frozenset[int]] = []
-
-    def rec(prefix: list[int], start: int):
-        tick()
-        col = frozenset(prefix)
-        if not closed or _superset_closed(col, full):
-            out.append(col)
-        if len(prefix) == max_sets:
-            return
-        for mask in range(start, full + 1):
-            prefix.append(mask)
-            rec(prefix, mask + 1)
-            prefix.pop()
-
-    rec([], 0)
+    _collect([], 0, (1 << n_worlds) - 1, max_sets, closed, tick, out)
     return out
+
+
+def _collect(prefix: list[int], start: int, full: int, max_sets: int, closed: bool, tick,
+             out: list[frozenset[int]]) -> None:
+    # Not a closure calling itself: that would be a reference cycle holding ``out`` until the
+    # cyclic collector runs, and the search makes too little other garbage for that to be soon.
+    tick()
+    col = frozenset(prefix)
+    if not closed or _superset_closed(col, full):
+        out.append(col)
+    if len(prefix) == max_sets:
+        return
+    for mask in range(start, full + 1):
+        prefix.append(mask)
+        _collect(prefix, mask + 1, full, max_sets, closed, tick, out)
+        prefix.pop()
 
 
 @cache
@@ -225,16 +237,27 @@ def _image_indices(side: int, perm, key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([table[key[i]] for i in perm[0]])
 
 
+def _below(table: tuple[int, ...]) -> int:
+    """The indices j that an index table maps below j, as a bitset."""
+    row = bytearray(len(table) // 8 + 1)  # not |= on a growing int
+    for j, i in enumerate(table):
+        if i < j:
+            row[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(row, "little")
+
+
 def _generation(n: int, max_sets: int, closed, n_atoms: int, every_world: bool,
                 all_perms: bool, tick):
     """``[no_cols, np_cols], levels, perms`` for ``_canonical`` at n worlds: a valuation of
     ``n_atoms`` atoms, then N_O and N_P column indices of every world or of world 1 alone
     (superset-closed on side k with ``closed[k]``); a permutation is ``(inverse, mask table,
-    N_O index table, N_P index table)``, every one or, without ``all_perms``, those fixing w1."""
+    N_O index table, N_P index table, the N_P indices it maps below themselves as a bitset)``,
+    every one or, without ``all_perms``, those fixing w1."""
     cols = {c: _collections(n, max_sets, tick, c) for c in set(closed)}
     perms = [p for p in _perm_tables(n) if all_perms or p[0][0] == 0]
     tables = {c: _index_tables(perms, cols[c], tick) for c in cols}
-    perms = [(*p, *t) for p, *t in zip(perms, tables[closed[0]], tables[closed[1]])]
+    perms = [(*p, no, np_, _below(np_))
+             for p, no, np_ in zip(perms, tables[closed[0]], tables[closed[1]])]
     levels = [(partial(product, range(1 << n), repeat=n_atoms), _image_masks)]
     for side, c in enumerate(closed, 2):
         keys = range(len(cols[c]))
@@ -256,7 +279,8 @@ def _stabiliser(key, perms, image) -> list | None:
 
 
 def _canonical(levels, perms, tick, prefix=()):
-    """The encodings least in their orbit under ``perms``, in ascending order.
+    """The encodings least in their orbit under ``perms``, in ascending order, each with the
+    permutations that fix it.
 
     An encoding has one key per level; a level is ``(keys, image)``, where
     ``keys()`` iterates its keys in ascending order and ``image(perm, key)``
@@ -270,7 +294,49 @@ def _canonical(levels, perms, tick, prefix=()):
         if fixing is not None and rest:
             yield from _canonical(rest, fixing, tick, prefix + (key,))
         elif fixing is not None:
-            yield prefix + (key,)
+            yield prefix + (key,), fixing
+
+
+def _walk_candidates(levels, perms, pruned, falsified, report, tick):
+    """The first canonical candidate (valuation, N_O indices, N_P indices) that no required
+    property prunes and ``falsified`` holds for, counting each one tried; None if none."""
+    for (val, no, np_), _ in _canonical(levels, perms, tick):
+        report.examined += 1
+        if any(pruned(i) >> j & 1 for i, j in zip(no, np_)):
+            report.pruned_by_property += 1
+        elif falsified(val, no, np_):
+            return val, no, np_
+    return None
+
+
+def _canonical_blocks(levels, perms, n_cols, tick):
+    """Each canonical (valuation, N_O) prefix of one-world levels with its block's canonical N_P
+    indices as a bitset: those that no permutation fixing the prefix maps below themselves."""
+    every = (1 << n_cols) - 1
+    for prefix, fixing in _canonical(levels[:2], perms, tick):
+        canonical = every
+        for perm in fixing:
+            canonical &= ~perm[4]
+        yield prefix, canonical
+
+
+def _walk_blocks(levels, perms, n_cols, pruned, falsifying, report, tick):
+    """``_walk_candidates`` for one-world levels, deciding each canonical (valuation, N_O)
+    prefix's block of N_P indices at once, as three bitsets: the canonical indices, the pruned
+    ones and, among the rest, the falsified ones from ``falsifying(val, no, live)``, of which
+    only the lowest counts."""
+    for (val, no), canonical in _canonical_blocks(levels, perms, n_cols, tick):
+        cut = pruned(no)
+        live = canonical & ~cut
+        hit = live and falsifying(val, no, live) & live
+        first = hit & -hit
+        if first:
+            canonical &= first * 2 - 1  # those up to the first falsified one
+        report.examined += canonical.bit_count()
+        report.pruned_by_property += (canonical & cut).bit_count()
+        if first:
+            return val, no, first.bit_length() - 1
+    return None
 
 
 def _worlds(n: int) -> tuple[str, ...]:
@@ -335,7 +401,7 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
     names = tuple(a for a in bounds.atoms if a in formula_atoms(target)) if formula else ()
     every_world = formula and modal_depth(target) > 1
     all_perms = body is None or every_world or not bare_atoms(body)
-    variables = schema_variables(target) if isinstance(target, Schema) else None
+    variables = schema_variables(target) if isinstance(target, Schema) else []
     closed = (FrameProperty.O_SUPPLEMENTED in required, FrameProperty.P_SUPPLEMENTED in required)
     # The columns of a required supplementation are generated closed, so they meet it.
     checked = required - {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
@@ -346,29 +412,28 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
         has = column_members(np_cols, full)
         # Per N_O index, computed on first use: the N_P indices whose pair with it fails.
         pruned = cache(lambda i: failing_columns(no_cols[i], has, full, checked))
-        if body is None:
-            falsifying = cache(lambda i: failing_columns(no_cols[i], has, full,
-                                                         (GUARDED_RULES[target].prop,)))
-        elif not formula:
-            plan = SchemaPlan(n, body, variables)
-        rest = (0,) * (n - 1)  # column 0 is the empty one, the other worlds' at one-world levels
-        for val_masks, no, np_ in _canonical(levels, perms, tick):
-            report.examined += 1
-            if (any(pruned(i) >> j & 1 for i, j in zip(no, np_)) if every_world
-                    else pruned(no) >> np_ & 1):
-                report.pruned_by_property += 1
-                continue
-            no_ix, np_ix = (no, np_) if every_world else ((no, *rest), (np_, *rest))
-            n_obl, n_perm = [no_cols[i] for i in no_ix], [np_cols[j] for j in np_ix]
-            valuation = dict(zip(names, val_masks))
+        if every_world:
+            def falsified(val, no, np_):
+                view = ModelView(worlds, [no_cols[i] for i in no], [np_cols[j] for j in np_],
+                                 dict(zip(names, val)))
+                return truth_mask(view, target, view.valuation) != full
+
+            hit = _walk_candidates(levels, perms, pruned, falsified, report, tick)
+        else:
             if body is None:
-                falsified = falsifying(no) >> np_ & 1
+                prop = (GUARDED_RULES[target].prop,)
+                falsifying = lambda val, i, live: failing_columns(no_cols[i], has, full, prop)
             else:
-                view = ModelView(worlds, n_obl, n_perm, valuation)
-                falsified = (truth_mask(view, target, valuation) != full if formula
-                             else find_schema_violation(view, plan) is not None)
-            if not falsified:
-                continue
+                plan = ColumnPlan(n, body, variables, np_cols)
+                falsifying = lambda val, i, live: plan.falsifying(no_cols[i], live,
+                                                                  dict(zip(names, val)))
+            hit = _walk_blocks(levels, perms, len(np_cols), pruned, falsifying, report, tick)
+        if hit is not None:
+            val_masks, no, np_ = hit
+            rest = (0,) * (n - 1)  # the other worlds' column at one-world levels: the empty one
+            no_ix, np_ix = (no, np_) if every_world else ((no, *rest), (np_, *rest))
+            valuation = dict(zip(names, val_masks))
+            n_obl, n_perm = [no_cols[i] for i in no_ix], [np_cols[j] for j in np_ix]
             # Named, so the public checks below re-verify it on a view of their own.
             model = ModelView(worlds, n_obl, n_perm,
                               {a: valuation.get(a, 0) for a in bounds.atoms}).model()

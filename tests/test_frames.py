@@ -93,6 +93,18 @@ class TestClassify:
         rule_valid_on_frame(fresh, "IFCP_O")
         assert built == [fresh.view]
 
+    def test_one_column_table_per_view(self, monkeypatch, model1):
+        # The ten conditions read one table of the view's N_P columns, built on first use.
+        expected = classify_frame(model1)
+        built = []
+        members = model_module.column_members
+        monkeypatch.setattr(model_module, "column_members",
+                            lambda *args: built.append(args) or members(*args))
+        fresh = make_model(model1.worlds, model1.n_obl, model1.n_perm, model1.valuation)
+        assert classify_frame(fresh) == expected
+        assert classify_frame(fresh) == expected
+        assert len(built) == 1
+
     def test_fixture_classification(self, model1):
         props = classify_frame(model1)
         assert FrameProperty.AFCP_O in props

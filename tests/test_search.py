@@ -1,8 +1,9 @@
+import gc
 import math
 import random
 import time
 from functools import partial
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,13 @@ from deontic import (
     rule_valid_on_frame, schema, truth_set, validate_model,
 )
 from deontic.formula import (
-    BOTTOM, TOP, And, Atom, Iff, Implies, Not, Obl, Or, PermS, PermW, atoms, modal_depth,
+    BOTTOM, TOP, And, Atom, Formula, Iff, Implies, Not, Obl, Or, PermS, PermW, Schema, atoms,
+    bare_atoms, modal_depth,
 )
-from deontic.frames import SchemaPlan, find_schema_violation, find_violation
-from deontic.model import ModelView
+from deontic.frames import (
+    GUARDED_RULES, SchemaPlan, find_schema_violation, find_violation, schema_variables,
+)
+from deontic.model import ModelView, truth_mask
 from deontic.search import (
     _canonical, _collections, _generation, _image_col, _perm_tables, _stabiliser, _worlds,
 )
@@ -360,11 +364,12 @@ def _setup(n, max_sets, n_atoms=0, every_world=False, all_perms=True):
 
 
 def _as_columns(cols, encodings, every_world):
-    """Encodings with their column indices read back as columns."""
+    """``_canonical``'s encodings, without their stabilisers, with their column indices read
+    back as columns."""
     if every_world:
         return [(val, tuple(cols[i] for i in no), tuple(cols[j] for j in np_))
-                for val, no, np_ in encodings]
-    return [(val, cols[no], cols[np_]) for val, no, np_ in encodings]
+                for (val, no, np_), _ in encodings]
+    return [(val, cols[no], cols[np_]) for (val, no, np_), _ in encodings]
 
 
 def _generated(n, max_sets, n_atoms=0, every_world=False, all_perms=True):
@@ -380,6 +385,33 @@ def _is_generated(encoding, levels, perms):
         if perms is None:
             return False
     return True
+
+
+def _bits(x):
+    return [j for j in range(x.bit_length()) if x >> j & 1]
+
+
+def _block_candidates(monkeypatch, target, bounds):
+    """Per world count, the candidates a one-world search decides, in the order it does: each
+    canonical (valuation, N_O) prefix with the N_P columns of its canonical bitset, as columns.
+
+    With no required property, a valid target decides every generated candidate.
+    """
+    seen = []
+    blocks = deontic.search._canonical_blocks
+
+    def recorded(levels, perms, n_cols, tick):
+        n = len(seen) + 1
+        cols = _collections(n, bounds.max_sets)
+        assert len(cols) == n_cols
+        seen.append([])
+        for (val, no), canonical in blocks(levels, perms, n_cols, tick):
+            seen[-1] += [(val, cols[no], cols[j]) for j in _bits(canonical)]
+            yield (val, no), canonical
+
+    monkeypatch.setattr(deontic.search, "_canonical_blocks", recorded)
+    assert not find_countermodel(target, set(), bounds).found
+    return dict(enumerate(seen, 1))
 
 
 def _searched(monkeypatch, target, bounds):
@@ -413,8 +445,9 @@ class TestCanonicity:
         cols = _collections(n, max_sets)
         expected = [c for c in product(cols, repeat=2) if _canonical_pair_oracle(*c, n)]
         assert [(no, np_) for _, no, np_ in _generated(n, max_sets)] == expected
-        seen = _searched(monkeypatch, schema("O p -> O p", "p"), SearchBounds(n, max_sets, ("a",)))
-        assert [(no[0], np_[0]) for _, no, np_ in seen[n]] == expected
+        seen = _block_candidates(monkeypatch, schema("O p -> O p", "p"),
+                                 SearchBounds(n, max_sets, ("a",)))
+        assert [(no, np_) for _, no, np_ in seen[n]] == expected
 
     def test_pair_generation_on_a_sample_of_n_o_at_4_worlds(self):
         cols, levels, perms = _setup(4, 2)
@@ -443,9 +476,9 @@ class TestCanonicity:
         # Tautologies of modal depth <= 1, with an atom outside every modal operator or none.
         text = {(False, 1): "a | ~a", (False, 2): "a & b -> a",
                 (True, 1): "Pw a | O ~a", (True, 2): "Pw(a & b) | O ~(a & b)"}[all_perms, n_atoms]
-        seen = _searched(monkeypatch, parse(text), SearchBounds(n, max_sets, ("a", "b")[:n_atoms]))
-        empty = (frozenset(),) * (n - 1)
-        assert seen[n] == [(val, (no, *empty), (np_, *empty)) for val, no, np_ in expected]
+        seen = _block_candidates(monkeypatch, parse(text),
+                                 SearchBounds(n, max_sets, ("a", "b")[:n_atoms]))
+        assert seen[n] == expected
 
     def test_model_agrees_with_oracle_on_every_candidate(self, monkeypatch):
         # A tautology of modal depth 2: the every-world walk, under every permutation.
@@ -625,6 +658,139 @@ class TestOneWorldReduction:
         if report.found:
             assert all(check_property(report.model, p) is None for p in required)
             assert not evaluate(report.model, report.world, target)
+
+
+def _candidate_search(target, required, bounds):
+    """The per-candidate decision that the block walk replaced: ``_canonical`` over all three
+    one-world levels, each candidate pruned and then decided on its one-world view
+    (``find_violation``, ``truth_mask`` or ``find_schema_violation``).  Returns
+    (found, examined, pruned, the first falsifying view, its world index)."""
+    formula = isinstance(target, Formula)
+    body = target if formula else getattr(target, "body", None)
+    names = tuple(a for a in bounds.atoms if a in atoms(target)) if formula else ()
+    variables = schema_variables(target) if isinstance(target, Schema) else []
+    closed = (FrameProperty.O_SUPPLEMENTED in required, FrameProperty.P_SUPPLEMENTED in required)
+    checked = required - {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
+    all_perms = body is None or not bare_atoms(body)
+    examined = pruned = 0
+    for n in range(1, bounds.max_worlds + 1):
+        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, len(names),
+                                                        False, all_perms, _no_tick)
+        empty = [frozenset()] * (n - 1)
+        for (val, no, np_), _ in _canonical(levels, perms, _no_tick):
+            examined += 1
+            view = ModelView(_worlds(n), [no_cols[no], *empty], [np_cols[np_], *empty],
+                             dict(zip(names, val)))
+            if any(find_violation(view, p) is not None for p in checked):
+                pruned += 1
+                continue
+            if body is None:
+                hit = find_violation(view, GUARDED_RULES[target].prop)
+                world = None if hit is None else hit[0]
+            elif formula:
+                false_at = view.full ^ truth_mask(view, target, view.valuation)
+                world = (false_at & -false_at).bit_length() - 1 if false_at else None
+            else:
+                hit = find_schema_violation(view, SchemaPlan(n, body, variables))
+                world = None if hit is None else hit[0]
+            if world is not None:
+                return True, examined, pruned, view, world
+    return False, examined, pruned, None, None
+
+
+def _assert_block_walk_agrees(target, required, bounds):
+    found, examined, pruned, view, world = _candidate_search(target, required, bounds)
+    report = find_countermodel(target, required, bounds)
+    assert (report.found, report.examined, report.pruned_by_property) == (found, examined, pruned)
+    if found:
+        named = view.model()
+        assert (report.model.n_obl, report.model.n_perm) == (named.n_obl, named.n_perm)
+        assert report.world == view.worlds[world]
+        if isinstance(target, Formula):
+            assert {a: report.model.valuation[a] for a in named.valuation} == named.valuation
+
+
+def _depth_one_targets():
+    """A depth-1 schema over p, q, a guarded rule by name, or a depth-1 formula over a, b."""
+    schemas = st.builds(lambda body: Schema(body, frozenset("pq")), _depth_one_formulas("pq"))
+    return st.one_of(schemas, st.sampled_from(sorted(GUARDED_RULES)), _depth_one_formulas("ab"))
+
+
+class TestBlockWalk:
+    # Deciding a prefix's whole N_P block by bitsets gives what deciding each candidate did.
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_block_walk_agrees_with_per_candidate_oracle(self, data):
+        target = data.draw(_depth_one_targets())
+        required = data.draw(st.sets(st.sampled_from(list(FrameProperty)), max_size=3))
+        # A formula walks its valuations too, so it gets smaller bounds.
+        sizes = [(w, s) for w in (1, 2, 3) for s in (0, 1, 2, 3)
+                 if not isinstance(target, Formula) or w < 3 or s < 2]
+        worlds, sets = data.draw(st.sampled_from(sizes))
+        _assert_block_walk_agrees(target, required, SearchBounds(worlds, sets, tuple("abcd")))
+
+    @pytest.mark.parametrize("target, required, bounds", [
+        # Atoms outside every modal operator: only permutations fixing world 1 apply.
+        (schema("O p -> p", "p"), {FrameProperty.O_SUPPLEMENTED, FrameProperty.PW_COHERENT},
+         SearchBounds(3, 2, ("a",))),
+        (parse("Pw a -> a"), set(), SearchBounds(3, 1, ("a",))),
+        (parse("Pw a -> a"), {FrameProperty.PW_COHERENT}, SearchBounds(2, 3, ("a", "b"))),
+        (parse("Ps b & O a -> b | a"), {FrameProperty.PS_COHERENT}, SearchBounds(3, 1, ("a", "b"))),
+        # Found past a block's first live column, and exhausted.
+        ("IFCP_O", FRAME_CLASSES["FCP_2"], SearchBounds(3, 3, ("a", "b", "c"))),
+        (SCHEMAS["AFCP2_P"], {FrameProperty.AFCP_O}, SearchBounds(3, 3, ("a", "b"))),
+        (SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], SearchBounds(3, 2, ("a", "b"))),
+        (SCHEMAS["M_O"], {FrameProperty.PS_COHERENT}, SearchBounds(3, 2, ("a", "b"))),
+    ])
+    def test_block_walk_agrees_on_chosen_targets(self, target, required, bounds):
+        _assert_block_walk_agrees(target, required, bounds)
+
+
+def test_one_world_search_reads_the_clock_once_per_prefix(monkeypatch):
+    seen = []
+
+    class CountingClock(deontic.search._Clock):
+        def check(self, report):
+            seen.append(report.examined)
+            super().check(report)
+
+    monkeypatch.setattr(deontic.search, "_Clock", CountingClock)
+    report = find_countermodel(schema("O p -> O p", "p"), set(), SearchBounds(3, 3, ("a",)))
+    assert not report.found
+    # Where each canonical N_O prefix's block starts, in examined candidates: the clock is read
+    # before each block is decided.
+    starts, total = [], 0
+    for n in (1, 2, 3):
+        candidates = _one_world_oracle(n, 0, _collections(n, 3), list(permutations(range(n))))
+        for _, block in groupby(candidates, key=lambda c: c[1]):
+            starts.append(total)
+            total += len(list(block))
+    assert total == report.examined
+    assert set(starts) <= set(seen) and len(seen) >= len(starts)
+
+
+@pytest.mark.parametrize("target", [SCHEMAS["AFCP2_P"], schema("Ps(p | q) -> Ps(q | p)", "p q")])
+def test_a_large_block_keeps_the_budget(target):
+    # 697 N_P columns in a block at 4 worlds and 5 489 at 5, every one live without a
+    # required property: the budget is read once per block, so it holds.
+    required = FRAME_CLASSES["FCP_2"] if target == SCHEMAS["AFCP2_P"] else set()
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        find_countermodel(target, required, SearchBounds(5, 3, ("a", "b")), timeout_secs=0.05)
+    assert time.monotonic() - start < 1.0
+
+
+def test_an_exhausted_search_leaves_no_reference_cycle():
+    # Garbage in a cycle waits for the cyclic collector, which a search that makes little other
+    # garbage seldom triggers: a search's column lists held that way piled up between runs.
+    gc.collect()
+    gc.disable()
+    try:
+        report = find_countermodel(SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"],
+                                   SearchBounds(3, 2, ("a", "b")))
+        assert not report.found and gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class OneCandidateClock(deontic.search._Clock):
