@@ -4,13 +4,16 @@ Every subcommand returns a ``Report``; ``main`` prints its text, or its
 JSON document under ``--json``, and exits with its code.
 
 Exit codes: 0 success (or countermodel Found), 1 verification failure
-(or search exhaustion), 2 usage/input errors.
+(or search exhaustion), 2 usage/input errors.  When the reader closes the
+pipe early (``deontic inclusions | head -1``), the command ends quietly
+with its verdict's code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -266,7 +269,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         report = args.func(args)
-        print(json.dumps(report.data, indent=report.indent) if args.json else report.text)
+        try:
+            print(json.dumps(report.data, indent=report.indent) if args.json else report.text,
+                  flush=True)
+        except BrokenPipeError:
+            # The reader has gone: send what is left, and the flush at exit, to devnull.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return report.code
     except RemainderError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)

@@ -292,13 +292,13 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _rebuild(f: Formula, walk: Callable[[Formula], Formula]) -> Formula:
-    """``f`` with ``walk`` applied to each direct subformula."""
+def _rebuild(f: Formula, walk: Callable[..., Formula], *args) -> Formula:
+    """``f`` with ``walk(x, *args)`` applied to each direct subformula x."""
     match f:
         case Unary(x):
-            return type(f)(walk(x))
+            return type(f)(walk(x, *args))
         case Binary(l, r):
-            return type(f)(walk(l), walk(r))
+            return type(f)(walk(l, *args), walk(r, *args))
         case Atom() | Top() | Bottom():
             return f
     raise TypeError(f"not a formula: {f!r}")
@@ -371,38 +371,42 @@ def schema(text: str, metavars: str | Iterable[str]) -> Schema:
 def match_schema(s: Schema, f: Formula) -> dict[str, Formula] | None:
     """Purely syntactic matching: a substitution with instantiate(s, .) == f, or None."""
     binding: dict[str, Formula] = {}
+    return binding if _match(s.body, f, s.metavars, binding) else None
 
-    def walk(pat: Formula, tgt: Formula) -> bool:
-        match pat:
-            case Atom(name) if name in s.metavars:
-                seen = binding.get(name)
-                if seen is None:
-                    binding[name] = tgt
-                    return True
-                return seen == tgt
-            case Unary(x):
-                return type(pat) is type(tgt) and walk(x, tgt.operand)
-            case Binary(l, r):
-                return type(pat) is type(tgt) and walk(l, tgt.left) and walk(r, tgt.right)
-            case Atom() | Top() | Bottom():
-                return pat == tgt
-        raise TypeError(f"not a formula: {pat!r}")
 
-    return dict(binding) if walk(s.body, f) else None
+def _match(pat: Formula, tgt: Formula, metavars: frozenset[str],
+           binding: dict[str, Formula]) -> bool:
+    # Module-level rather than a closure over the binding: a nested walker that calls itself
+    # holds its own cell, a reference cycle left for the cyclic collector on every call.
+    match pat:
+        case Atom(name) if name in metavars:
+            seen = binding.get(name)
+            if seen is None:
+                binding[name] = tgt
+                return True
+            return seen == tgt
+        case Unary(x):
+            return type(pat) is type(tgt) and _match(x, tgt.operand, metavars, binding)
+        case Binary(l, r):
+            return (type(pat) is type(tgt) and _match(l, tgt.left, metavars, binding)
+                    and _match(r, tgt.right, metavars, binding))
+        case Atom() | Top() | Bottom():
+            return pat == tgt
+    raise TypeError(f"not a formula: {pat!r}")
 
 
 def instantiate(s: Schema, subst: Mapping[str, Formula]) -> Formula:
     """Homomorphic replacement of metavariables; raises on a missing binding."""
+    return _substitute(s.body, s.metavars, subst)
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Atom) and f.name in s.metavars:
-            try:
-                return subst[f.name]
-            except KeyError:
-                raise ValueError(f"substitution is missing metavariable {f.name!r}") from None
-        return _rebuild(f, walk)
 
-    return walk(s.body)
+def _substitute(f: Formula, metavars: frozenset[str], subst: Mapping[str, Formula]) -> Formula:
+    if isinstance(f, Atom) and f.name in metavars:
+        try:
+            return subst[f.name]
+        except KeyError:
+            raise ValueError(f"substitution is missing metavariable {f.name!r}") from None
+    return _rebuild(f, _substitute, metavars, subst)
 
 
 # ---------------------------------------------------------------------------

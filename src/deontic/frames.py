@@ -21,8 +21,7 @@ name the worlds of what the view checks find.
 Schema validity on a finite frame is decided by assigning every
 metavariable every subset of W as its truth set and evaluating the
 schema under all assignments and at all worlds in one ``model.truth_mask``
-walk, of which a ``SchemaPlan`` holds the part that does not read the
-frame.  This is sound and complete on finite frames because every subset
+walk.  This is sound and complete on finite frames because every subset
 is the truth set of some atom under some valuation based on the frame.
 A ``ColumnPlan`` decides a body of modal depth <= 1 at world 1 alone, for
 one N_O column and many N_P columns at once, as the countermodel search
@@ -45,10 +44,7 @@ from functools import cache
 from itertools import combinations, islice, product
 from typing import Iterable
 
-from .formula import (
-    Atom, Formula, Modal, Obl, PermS, PermW, Schema, _rebuild, atoms, eval_bits, modal_depth,
-    schema,
-)
+from .formula import Atom, Formula, Obl, PermS, PermW, Schema, atoms, eval_bits, schema
 from .model import (
     ModelView, NeighbourhoodModel, WorldSet, column_members, render_world_set, truth_mask,
 )
@@ -57,7 +53,7 @@ __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
     "check_property", "find_violation", "column_members", "failing_columns",
     "recheck_witness", "classify_frame", "schema_valid_on_frame", "schema_variables",
-    "SchemaPlan", "find_schema_violation", "ColumnPlan",
+    "find_schema_violation", "ColumnPlan",
     "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
     "supplementation_closure", "entailment_closure", "PROPERTY_ENTAILMENTS",
 ]
@@ -324,58 +320,21 @@ def _block(n: int, k: int) -> tuple[int, int, list[int]]:
     return m, sum(1 << a * n for a in rows), cols
 
 
-_KEPT_BLOCKS = 64  # blocks a plan keeps for the next frame: a few hundred KB at most
-
-
-class SchemaPlan:
-    """The frame-independent part of ``find_schema_violation`` for ``body`` at n worlds.
-
-    Each modal operand of modal depth 0, other than an atom, becomes a fresh atom (``#0``,
-    ``#1``, ...) whose mask in a block is the operand's truth mask under the block's
-    assignment columns.  ``blocks()`` yields ``(fixed, atom masks)`` in product order and keeps
-    the first ``_KEPT_BLOCKS``, so a plan read on many frames evaluates those operands once.
-    """
-
-    def __init__(self, n: int, body: Formula, variables: list[str]):
-        operands: dict[Formula, str] = {}
-
-        def abstract(f: Formula) -> Formula:
-            if isinstance(f, Modal) and not (isinstance(f.operand, Atom) or modal_depth(f.operand)):
-                return type(f)(Atom(operands.setdefault(f.operand, f"#{len(operands)}")))
-            return _rebuild(f, abstract)
-
-        self.n, self.body, self.variables, self._operands = n, abstract(body), variables, operands
-        self.m, self.low, self._cols = _block(n, len(variables))
-        self._kept: list[tuple[tuple[int, ...], dict[str, int]]] = []
-
-    def blocks(self):
-        kept, low = self._kept, self.low
-        yield from kept
-        full = ((1 << self.n) - 1) * low
-        for fixed in islice(product(range(1 << self.n), repeat=len(self.variables) - self.m),
-                            len(kept), None):
-            masks = dict(zip(self.variables, [x * low for x in fixed] + self._cols))
-            for operand, name in self._operands.items():
-                masks[name] = eval_bits(operand, lambda a: masks.get(a.name, 0), full)
-            if len(kept) < _KEPT_BLOCKS:
-                kept.append((fixed, masks))
-            yield fixed, masks
-
-
-def find_schema_violation(b: ModelView, plan: SchemaPlan) -> tuple[int, tuple[int, ...]] | None:
-    """The first subset assignment to the plan's variables (as masks) falsifying its body, with
-    the index of the first world where it is false; None when the body is valid on the frame.
+def find_schema_violation(b: ModelView, body: Formula,
+                          variables: list[str]) -> tuple[int, tuple[int, ...]] | None:
+    """The first subset assignment to ``variables`` (as masks) falsifying ``body``, with the
+    index of the first world where it is false; None when the body is valid on the frame.
 
     Bit-parallel: the last variables that fit ``_BLOCK_BITS`` share one ``truth_mask`` block,
     the rest are fixed per block in product order, so the lowest false bit comes first.
     The one implementation of schema validity; ``schema_valid_on_frame`` names its result.
     """
-    n, m = len(b.worlds), plan.m
-    if n != plan.n:
-        raise ValueError(f"a plan for {plan.n} worlds read on a frame of {n}")
-    full = b.full * plan.low
-    for fixed, masks in plan.blocks():
-        false_at = full ^ truth_mask(b, plan.body, masks, plan.low)
+    n = len(b.worlds)
+    m, low, cols = _block(n, len(variables))
+    full = b.full * low
+    for fixed in product(range(1 << n), repeat=len(variables) - m):
+        masks = dict(zip(variables, [x * low for x in fixed] + cols))
+        false_at = full ^ truth_mask(b, body, masks, low)
         if false_at:
             a, wi = divmod((false_at & -false_at).bit_length() - 1, n)
             return wi, fixed + tuple(a >> n * (m - 1 - j) & b.full for j in range(m))
@@ -383,6 +342,7 @@ def find_schema_violation(b: ModelView, plan: SchemaPlan) -> tuple[int, tuple[in
 
 
 _FREE_BITS = 12  # assignment bits in one column block: at most 4 096 assignments
+_KEPT_BLOCKS = 64  # blocks a ColumnPlan keeps for its next call
 _WALK_BITS = 1 << 16  # (column, assignment) bits in one walk: ints of at most 8 KB
 
 
@@ -501,7 +461,7 @@ def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation |
     """
     variables = schema_variables(s)
     b = m.view
-    found = find_schema_violation(b, SchemaPlan(len(m.worlds), s.body, variables))
+    found = find_schema_violation(b, s.body, variables)
     if found is None:
         return None
     wi, assignment = found

@@ -284,7 +284,10 @@ def truth_mask(view: ModelView, f: Formula, atom_masks: Mapping[str, int], low: 
                 return full ^ holders(view.obl_at, full ^ eval_bits(x, leaf, full))
         raise TypeError(f"not a formula: {node!r}")
 
-    return eval_bits(f, leaf, full)
+    try:
+        return eval_bits(f, leaf, full)
+    finally:
+        del leaf  # leaf holds itself through this cell: emptying it leaves no reference cycle
 
 
 def truth_set(m: NeighbourhoodModel, f: Formula) -> WorldSet:

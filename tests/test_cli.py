@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +293,28 @@ class TestDeepNesting:
     def test_eval_450_nested_obligations(self, capsys):
         code, out, _ = run(capsys, "eval", "O " * 450 + "a", "--model", "corollary3_model1")
         assert code == 0 and out == "{}\n"
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv, code", [
+        (("verify-table1",), 0),
+        (("inclusions", "--json"), 0),
+        (("countermodel", "--target", "IFCP_O", "--require", "AFCPO",
+          "--max-worlds", "3", "--max-sets", "2"), 0),
+        (("countermodel", "--target", "AFCP2_P", "--require", "AFCPO,AFCPP",
+          "--max-worlds", "2", "--max-sets", "1"), 1),
+    ], ids=["verify-table1", "inclusions-json", "countermodel-found", "countermodel-exhausted"])
+    def test_ends_quietly_with_the_verdicts_code(self, argv, code):
+        # The read end is closed before the child starts, so its one print meets a closed pipe.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(bundled.__file__).parents[1])}
+        try:
+            child = subprocess.run([sys.executable, "-m", "deontic.cli", *argv], stdout=write_end,
+                                   stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (code, b"")
 
 
 EVERY_SUBCOMMAND_JSON = {

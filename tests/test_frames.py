@@ -13,7 +13,7 @@ from deontic import (
 )
 from deontic import frames
 from deontic.formula import Atom, Obl, PermS, PermW, atoms, eval_bits, schema
-from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS, SchemaPlan, find_schema_violation
+from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS, find_schema_violation
 from deontic import bundled
 from deontic import model as model_module
 from deontic.systems import CONDITIONS, SCHEMAS
@@ -522,8 +522,8 @@ def schema_on_frame(draw):
 @given(schema_on_frame())
 def test_schema_violation_matches_per_assignment_oracle(case):
     view, body, variables = case
-    plan = SchemaPlan(len(view.worlds), body, variables)
-    assert find_schema_violation(view, plan) == _schema_violation_oracle(view, body, variables)
+    assert (find_schema_violation(view, body, variables)
+            == _schema_violation_oracle(view, body, variables))
 
 
 class TestBlockCap:
@@ -532,17 +532,15 @@ class TestBlockCap:
     def test_four_variables_at_four_worlds_match_the_oracle(self, rng):
         # Two variables are fixed per block here; the first two schemas fail with p or q
         # non-empty, in a later block, and the valid one walks all 256 blocks once per frame.
-        # One plan per schema reads every frame, past the blocks it keeps.
         variables = ["p", "q", "r", "s"]
         texts = ["Ps(p | q) & Pw(r <-> s) -> O(p & r) | Ps q", "Ps(p & ~q) -> Ps r | O s",
                  self.FOUR]
         bodies = {text: schema(text, variables).body for text in texts}
-        plans = {text: SchemaPlan(4, body, variables) for text, body in bodies.items()}
         for i in range(3):
             cols = [frozenset(rng.randrange(16) for _ in range(3)) for _ in range(8)]
             view = _view(4, cols[:4], cols[4:])
             for text in texts[:2] if i else texts:
-                assert (find_schema_violation(view, plans[text])
+                assert (find_schema_violation(view, bodies[text], variables)
                         == _schema_violation_oracle(view, bodies[text], variables)), \
                     (text, view.n_obl)
 
@@ -563,38 +561,36 @@ class TestBlockCap:
         assert peak < 1 << 20
 
 
-class TestSchemaPlan:
-    """A plan holds what does not depend on the frame; the search reads one on many frames."""
+class TestSchemaViolation:
+    """``find_schema_violation`` agrees with the per-assignment oracle across its blocks."""
 
     def _random_view(self, rng, n):
         cols = [frozenset(rng.randrange(1 << n) for _ in range(rng.randrange(4)))
                 for _ in range(2 * n)]
         return _view(n, cols[:n], cols[n:])
 
-    def test_one_plan_on_many_frames_matches_the_oracle(self, rng):
+    def test_many_frames_match_the_oracle(self, rng):
         bodies = [s.body for s in SCHEMAS.values()]
         bodies += [schema(t, "p q r").body for t in ("Ps(p | q) & Pw(p & ~r) -> O(q -> r)",
                                                       "Pw T | O(p <-> F) | Ps(q & ~q)")]
         for n in (1, 2, 3):
             for body in bodies:
                 variables = sorted(atoms(body))
-                plan = SchemaPlan(n, body, variables)
                 for _ in range(10):
                     view = self._random_view(rng, n)
-                    assert (find_schema_violation(view, plan)
+                    assert (find_schema_violation(view, body, variables)
                             == _schema_violation_oracle(view, body, variables)), (body, view.n_obl)
 
     def test_four_variables_at_three_worlds_span_blocks(self, rng):
         # Three variables share a block at three worlds, so p is fixed per block: 8 blocks.
         variables = ["p", "q", "r", "s"]
         texts = ["Ps(p | q) & Pw(r <-> s) -> O(p & r) | Ps q", TestBlockCap.FOUR]
+        assert frames._block(3, len(variables))[0] == 3
         for text in texts:
             body = schema(text, variables).body
-            plan = SchemaPlan(3, body, variables)
-            assert plan.m == 3 and len(list(plan.blocks())) == 8
             for _ in range(8):
                 view = self._random_view(rng, 3)
-                assert (find_schema_violation(view, plan)
+                assert (find_schema_violation(view, body, variables)
                         == _schema_violation_oracle(view, body, variables)), (text, view.n_obl)
 
     def test_first_false_world_of_a_later_block(self):
@@ -603,7 +599,7 @@ class TestSchemaPlan:
         variables = ["p", "q", "r", "s"]
         body = schema("Ps p -> q | r | s", variables).body
         view = _view(3, [frozenset()] * 3, [frozenset(), frozenset(), frozenset({0b010})])
-        assert find_schema_violation(view, SchemaPlan(3, body, variables)) == (2, (2, 0, 0, 0))
+        assert find_schema_violation(view, body, variables) == (2, (2, 0, 0, 0))
         assert _schema_violation_oracle(view, body, variables) == (2, (2, 0, 0, 0))
         m = make_model(["w1", "w2", "w3"], n_perm={"w3": [["w2"]]})
         violation = schema_valid_on_frame(m, schema("Ps p -> q | r | s", variables))
@@ -611,12 +607,7 @@ class TestSchemaPlan:
         assert violation.assignment == {"p": {"w2"}, "q": set(), "r": set(), "s": set()}
 
     def test_depth_two_schema_through_schema_valid_on_frame(self, rng):
-        # The depth-0 operand p | q is evaluated once per block; O's operand Ps(p | q) reads
-        # the frame, so it stays in the plan's body.
         sch = schema("O Ps(p | q) -> Pw(p & q) | Ps(q | p)", "p q")
-        plan = SchemaPlan(3, sch.body, ["p", "q"])
-        assert plan.body.left == Obl(PermS(Atom("#0")))
-        assert atoms(plan.body) == {"#0", "#1", "#2"}
         verdicts = set()
         for _ in range(40):
             m = random_frame(rng, max_worlds=3)

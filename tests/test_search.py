@@ -10,16 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 import deontic.search
 from deontic import (
-    FrameProperty, RemainderError, SearchBounds, SearchError, SearchTimeout, check_property,
-    compute_remainder, evaluate, find_countermodel, parse, render,
-    rule_valid_on_frame, schema, truth_set, validate_model,
+    FrameProperty, RemainderError, SearchBounds, SearchError, SearchTimeout, bundled,
+    check_property, check_proof, compute_remainder, evaluate, find_countermodel, parse,
+    parse_proof_script, render, rule_valid_on_frame, scenario_registry, schema,
+    schema_valid_on_frame, truth_set, validate_model,
 )
 from deontic.formula import (
     BOTTOM, TOP, And, Atom, Formula, Iff, Implies, Not, Obl, Or, PermS, PermW, Schema, atoms,
     bare_atoms, modal_depth,
 )
 from deontic.frames import (
-    GUARDED_RULES, SchemaPlan, find_schema_violation, find_violation, schema_variables,
+    GUARDED_RULES, find_schema_violation, find_violation, schema_variables,
 )
 from deontic.model import ModelView, truth_mask
 from deontic.search import (
@@ -638,7 +639,7 @@ def _brute_force_found(target, required, bounds) -> bool:
             for np_ in product(cols, repeat=n):
                 view = ModelView(_worlds(n), list(no), list(np_), {})
                 if (all(find_violation(view, p) is None for p in required)
-                        and find_schema_violation(view, SchemaPlan(n, target, names)) is not None):
+                        and find_schema_violation(view, target, names) is not None):
                     return True
     return False
 
@@ -691,7 +692,7 @@ def _candidate_search(target, required, bounds):
                 false_at = view.full ^ truth_mask(view, target, view.valuation)
                 world = (false_at & -false_at).bit_length() - 1 if false_at else None
             else:
-                hit = find_schema_violation(view, SchemaPlan(n, body, variables))
+                hit = find_schema_violation(view, body, variables)
                 world = None if hit is None else hit[0]
             if world is not None:
                 return True, examined, pruned, view, world
@@ -789,6 +790,35 @@ def test_an_exhausted_search_leaves_no_reference_cycle():
         report = find_countermodel(SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"],
                                    SearchBounds(3, 2, ("a", "b")))
         assert not report.found and gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _fixture():
+    return bundled.load_fixture_model("corollary3_model1")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: truth_set(_fixture(), parse("O a -> Ps(a | b)")) == frozenset(_fixture().worlds),
+    lambda: schema_valid_on_frame(_fixture(), SCHEMAS["AFCP_O"]) is None,
+    lambda: schema_valid_on_frame(_fixture(), SCHEMAS["M_O"]) is not None,
+    lambda: check_proof(parse_proof_script(bundled.fixture_text("proofs/fcp2__afcp2_p.proof")),
+                        scenario_registry()).valid,
+    lambda: find_countermodel("IFCP_O", FRAME_CLASSES["FCP_2"],
+                              SearchBounds(3, 3, ("a", "b", "c"))).found,
+    lambda: find_countermodel(SCHEMAS["M_O"], FRAME_CLASSES["FCP_5"],
+                              SearchBounds(3, 2, ("a", "b"))).found,
+    lambda: find_countermodel(parse("O Ps a -> Ps a"), set(), SearchBounds(2, 2, ("a",))).found,
+], ids=["truth-set", "schema-valid", "schema-violated", "proof", "rule-countermodel",
+        "schema-countermodel", "depth-two-formula-search"])
+def test_a_call_leaves_no_reference_cycle(call):
+    # As for the exhausted search above; a walker that calls itself through its own closure
+    # cell would leave a cycle on every call.
+    gc.collect()
+    gc.disable()
+    try:
+        assert call()
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
