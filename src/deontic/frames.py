@@ -25,7 +25,7 @@ walk.  This is sound and complete on finite frames because every subset
 is the truth set of some atom under some valuation based on the frame.
 A ``ColumnPlan`` decides a body of modal depth <= 1 at world 1 alone, for
 one N_O column and many N_P columns at once, as the countermodel search
-reads it.
+reads it for a schema and for a formula, whose atoms are its variables.
 
 The three rule-shaped conditions pair an inference rule with a frame
 condition.  Each one restricts its axiom-shaped counterpart: fixing the
@@ -381,10 +381,13 @@ class _Assignments:
 
 class ColumnPlan:
     """Where a body of modal depth <= 1 is false at world 1 of an n-world frame whose other
-    worlds are empty, for one N_O column and many of the N_P columns ``cols`` at once.
+    worlds are empty, under some subset assignment to ``variables`` (a schema's metavariables
+    or a formula's atoms), for one N_O column and many of the N_P columns ``cols`` at once.
 
-    The assignments of ``variables`` come in blocks, the last variables that fit ``_FREE_BITS``
-    free in each (``_Assignments``); a plan keeps its first ``_KEPT_BLOCKS``.  A walk is one
+    The assignments come in blocks in ``itertools.product`` order, the last variables that fit
+    ``_FREE_BITS`` free in each (``_Assignments``) and the rest fixed per block; a plan keeps
+    its first ``_KEPT_BLOCKS`` for its next call.  Once a block falsifies a column, later blocks
+    search only the columns below it.  A walk is one
     ``eval_bits`` over a chunk of columns, bit i·A + a standing for the i-th column under
     assignment a of a block of A: ``O x`` and ``Pw x`` read the masks of N_O in ``truth(x)``
     once for every column, ``Ps x`` reads each column's masks.  As the rest of W is empty, world
@@ -397,10 +400,7 @@ class ColumnPlan:
         self._free = min(len(variables), _FREE_BITS // n)
         self._kept: list[_Assignments] = []
 
-    def _blocks(self, valuation: dict[str, int] | None):
-        if valuation:
-            yield _Assignments(self.n, [], valuation)
-            return
+    def _blocks(self):
         kept, k, m = self._kept, len(self.variables), self._free
         yield from kept
         for fixed in islice(product(range(1 << self.n), repeat=k - m), len(kept), None):
@@ -409,13 +409,11 @@ class ColumnPlan:
                 kept.append(block)
             yield block
 
-    def falsifying(self, no: frozenset[int], live: int,
-                   valuation: dict[str, int] | None = None) -> int:
+    def falsifying(self, no: frozenset[int], live: int) -> int:
         """The lowest column of ``live`` (bit j for ``cols[j]``) in which the body is false at
-        world 1 under some assignment, N_O(w1) being ``no``, as a bitset; 0 if there is none.
-        ``valuation`` fixes every atom instead, as one assignment."""
+        world 1 under some assignment, N_O(w1) being ``no``, as a bitset; 0 if there is none."""
         best, every = None, (1 << self.n) - 1
-        for block in self._blocks(valuation):
+        for block in self._blocks():
             if best is not None:
                 live &= (1 << best) - 1
             if not live:

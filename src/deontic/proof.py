@@ -213,23 +213,18 @@ def parse_proof_script(text: str) -> ProofScript:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if stripped.startswith("system:"):
-            system = stripped[len("system:"):].strip()
-            continue
-        if stripped.startswith("hyp*:"):
-            hypotheses.append(Hypothesis(parse(stripped[len("hyp*:"):].strip()), theorem=True))
-            continue
-        if stripped.startswith("hyp:"):
-            hypotheses.append(Hypothesis(parse(stripped[len("hyp:"):].strip())))
-            continue
-        if stripped.startswith("goal:"):
-            goal = parse(stripped[len("goal:"):].strip())
-            continue
-        m = _BODY_LINE.match(stripped)
-        if not m:
+        header, _, value = stripped.partition(":")
+        if header == "system":
+            system = value.strip()
+        elif header in ("hyp", "hyp*"):
+            hypotheses.append(Hypothesis(parse(value.strip()), theorem=header == "hyp*"))
+        elif header == "goal":
+            goal = parse(value.strip())
+        elif m := _BODY_LINE.match(stripped):
+            index, formula, just = m.groups()
+            lines.append(ProofLine(int(index), parse(formula), _parse_justification(just)))
+        else:
             raise ValueError(f"malformed script line: {raw!r}")
-        index, formula_text, just_text = m.groups()
-        lines.append(ProofLine(int(index), parse(formula_text), _parse_justification(just_text)))
     if system is None:
         raise ValueError("script is missing a 'system:' header")
     if goal is None:
@@ -548,8 +543,33 @@ def verify_table1(system: str, registry: SystemRegistry | None = None) -> Table1
         script = load_script(script_name)
         if script.system != system:
             raise ValueError(f"script {script_name} targets {script.system}, not {system}")
-        entries.append(Table1Entry(derivable, script_name, check_proof(script, registry)))
+        result = check_proof(script, registry)
+        misstated = result.valid and _misstatement(script, derivable)
+        entries.append(Table1Entry(derivable, script_name,
+                                   ProofResult(False, None, misstated) if misstated else result))
     return Table1Report(system, entries)
+
+
+def _misstatement(script: ProofScript, derivable: str) -> str | None:
+    """Why ``script`` does not state ``derivable``, or None.  An axiom is its ``hyp`` lines'
+    conjunction implying the goal, or the goal alone, with no ``hyp*`` line; a rule is one ``hyp``
+    line, the ``hyp*`` lines and the goal, under one renaming of its letters to distinct atoms."""
+    local = [h.formula for h in script.hypotheses if not h.theorem]
+    sides = [h.formula for h in script.hypotheses if h.theorem]
+    if derivable in SCHEMAS:
+        pattern, shaped = SCHEMAS[derivable], not sides
+        stated = Implies(reduce(And, local), script.goal) if local else script.goal
+    else:
+        rule = GUARDED_RULES[derivable]
+        parts = [rule.premise, *rule.sides, rule.conclusion]
+        pattern = Schema(reduce(And, [part.body for part in parts]), rule.premise.metavars)
+        shaped = len(local) == 1 and len(sides) == len(rule.sides)
+        stated = reduce(And, [*local, *sides, script.goal])
+    binding = match_schema(Schema(expand_pw(pattern.body), pattern.metavars), expand_pw(stated))
+    renamed = {f for f in binding.values() if isinstance(f, Atom)} if binding else set()
+    if not shaped or binding is None or len(renamed) < len(binding):
+        return f"hypotheses and goal do not state {derivable}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Bounded countermodel search and remainder detachment.
 
-One loop serves every target.  For each world count, ascending, it walks
-candidates in lexicographic order of a three-level encoding: a valuation
-of the target's atoms (formula targets only), then the ``N_O`` columns,
+One loop serves every target, and its candidates are frames.  A formula
+is searched as a schema over its own atoms, sorted: a valuation is a
+subset assignment, so a formula has a countermodel in a class exactly
+when it fails, as a schema, on a frame of the class.  For each world
+count, ascending, frames come in lexicographic order of the ``N_O`` and
 then the ``N_P`` columns.  A target of modal depth <= 1 (every rule and
 named schema, and such a formula) gets world 1's column only, the others
-left empty: its truth at a world w reads only the valuation and N(w), and
-empty neighbourhoods meet all ten frame conditions, so emptying every
+left empty: its truth at a world w reads only the assignment and N(w),
+and empty neighbourhoods meet all ten frame conditions, so emptying every
 world but w of a countermodel falsified at w, then swapping w with w1,
 gives one of these candidates, and exhaustion stays sound.  A deeper
-formula gets every world's column.  A schema or rule countermodel gets a
-valuation realising its falsifying subset assignment.
+formula gets every world's column.
 
 Only canonical candidates are generated (orderly generation, McKay 1998):
 the least encoding of each orbit under a group of world permutations.
-Renaming all worlds gives an isomorphic model, so every permutation
+Renaming all worlds gives an isomorphic frame, so every permutation
 applies at every-world levels.  At one-world levels a permutation renames
 the sets in world 1's pair but leaves it at world 1.  That keeps what is
 falsified for a rule, decided by its frame condition, and for a target
@@ -36,24 +37,21 @@ the one-world walk.  Frame conditions are decided once per ``N_O`` column
 for every ``N_P`` column at once (``frames.failing_columns``), lazily, per
 world count.  Supplementation is skipped on a side generated closed.
 
-At one-world levels each canonical (valuation, ``N_O``) prefix decides its
-whole block of ``N_P`` columns by bitsets over their indices: the
-canonical ones (no permutation fixing the prefix maps them below
-themselves, read from one bitset per permutation), the pruned ones, and
-the falsifying ones among the rest.  A rule falsifies where its frame
-condition fails; a schema or formula where one ``frames.ColumnPlan`` walk
-over (column, assignment) bits finds its body false at world 1, the
-assignments being every subset assignment of a schema's variables or the
-prefix's valuation.  World 1 alone needs deciding: a target false at an
-empty world is already false on a one-world frame with empty
-neighbourhoods, which the search tries first.  The counts are popcounts, up to the lowest falsifying column
-when there is one.  The found candidate alone gets a ``ModelView``, is
-named by ``ModelView.model()`` and is re-verified by the public checks and
-evaluator, on a view built again from the names, before it is returned.
-A deeper formula's candidates are decided one at a time on a view, by
-``model.truth_mask``.  A formula's valuations range over its own atoms; a
-bounds atom it lacks is empty in the model, as in the first countermodel of
-a walk that included it.
+At one-world levels each canonical ``N_O`` column decides its whole block
+of ``N_P`` columns by bitsets over their indices: the canonical ones (no
+permutation fixing the column maps them below themselves, one bitset per
+permutation), the pruned ones, and the falsifying ones among the rest.  A
+rule falsifies where its frame condition fails; a schema or formula where
+a ``frames.ColumnPlan`` walk over (column, subset assignment) bits finds
+its body false at world 1.  World 1 alone needs deciding: a target false
+at an empty world is already false on a one-world frame with empty
+neighbourhoods, tried first.  The counts are popcounts, up to the lowest
+falsifying column when there is one.  A deeper formula's frames are
+decided one at a time, by ``frames.find_schema_violation``.  The found
+frame alone is named (``ModelView.model()``); the public checks re-verify
+it and give its first falsifying assignment, which becomes the valuation
+(a bounds atom that a formula lacks is empty), and the evaluator
+re-verifies the countermodel.
 """
 
 from __future__ import annotations
@@ -70,13 +68,11 @@ from .formula import (
     atoms as formula_atoms, bare_atoms, expand_pw, instantiate, is_tautology, modal_depth,
     render,
 )
-from .model import (
-    ModelView, NeighbourhoodModel, WorldSet, evaluate, model_to_dict, model_valid, truth_mask,
-    truth_set,
-)
+from .model import ModelView, NeighbourhoodModel, WorldSet, evaluate, model_to_dict, model_valid
 from .frames import (
     GUARDED_RULES, ColumnPlan, FrameProperty, SchemaViolation, check_property, column_members,
-    failing_columns, rule_valid_on_frame, schema_valid_on_frame, schema_variables,
+    failing_columns, find_schema_violation, rule_valid_on_frame, schema_valid_on_frame,
+    schema_variables,
 )
 
 __all__ = [
@@ -208,10 +204,6 @@ def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def _image_masks(perm, masks: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([perm[1][m] for m in masks])
-
-
 def _image_col(perm, col: frozenset[int]) -> frozenset[int]:
     return frozenset([perm[1][m] for m in col])
 
@@ -246,23 +238,20 @@ def _below(table: tuple[int, ...]) -> int:
     return int.from_bytes(row, "little")
 
 
-def _generation(n: int, max_sets: int, closed, n_atoms: int, every_world: bool,
-                all_perms: bool, tick):
-    """``[no_cols, np_cols], levels, perms`` for ``_canonical`` at n worlds: a valuation of
-    ``n_atoms`` atoms, then N_O and N_P column indices of every world or of world 1 alone
-    (superset-closed on side k with ``closed[k]``); a permutation is ``(inverse, mask table,
-    N_O index table, N_P index table, the N_P indices it maps below themselves as a bitset)``,
-    every one or, without ``all_perms``, those fixing w1."""
+def _generation(n: int, max_sets: int, closed, every_world: bool, all_perms: bool, tick):
+    """``[no_cols, np_cols], levels, perms`` for ``_canonical`` at n worlds: the N_O and then
+    the N_P column indices of every world or of world 1 alone (superset-closed on side k with
+    ``closed[k]``); a permutation is ``(inverse, mask table, N_O index table, N_P index table,
+    the N_P indices it maps below themselves as a bitset)``, every one or, without
+    ``all_perms``, those fixing w1."""
     cols = {c: _collections(n, max_sets, tick, c) for c in set(closed)}
     perms = [p for p in _perm_tables(n) if all_perms or p[0][0] == 0]
     tables = {c: _index_tables(perms, cols[c], tick) for c in cols}
     perms = [(*p, no, np_, _below(np_))
              for p, no, np_ in zip(perms, tables[closed[0]], tables[closed[1]])]
-    levels = [(partial(product, range(1 << n), repeat=n_atoms), _image_masks)]
-    for side, c in enumerate(closed, 2):
-        keys = range(len(cols[c]))
-        levels.append((partial(product, keys, repeat=n), partial(_image_indices, side))
-                      if every_world else (keys.__iter__, partial(_image_index, side)))
+    keys = [range(len(cols[c])) for c in closed]
+    levels = [(partial(product, k, repeat=n), partial(_image_indices, side)) if every_world
+              else (k.__iter__, partial(_image_index, side)) for side, k in enumerate(keys, 2)]
     return [cols[c] for c in closed], levels, perms
 
 
@@ -298,54 +287,48 @@ def _canonical(levels, perms, tick, prefix=()):
 
 
 def _walk_candidates(levels, perms, pruned, falsified, report, tick):
-    """The first canonical candidate (valuation, N_O indices, N_P indices) that no required
-    property prunes and ``falsified`` holds for, counting each one tried; None if none."""
-    for (val, no, np_), _ in _canonical(levels, perms, tick):
+    """The first canonical candidate (N_O indices, N_P indices) that no required property
+    prunes and ``falsified`` holds for, counting each one tried; None if none."""
+    for (no, np_), _ in _canonical(levels, perms, tick):
         report.examined += 1
         if any(pruned(i) >> j & 1 for i, j in zip(no, np_)):
             report.pruned_by_property += 1
-        elif falsified(val, no, np_):
-            return val, no, np_
+        elif falsified(no, np_):
+            return no, np_
     return None
 
 
 def _canonical_blocks(levels, perms, n_cols, tick):
-    """Each canonical (valuation, N_O) prefix of one-world levels with its block's canonical N_P
-    indices as a bitset: those that no permutation fixing the prefix maps below themselves."""
+    """Each canonical N_O index of one-world levels with its block's canonical N_P indices as a
+    bitset: those that no permutation fixing the N_O index maps below themselves."""
     every = (1 << n_cols) - 1
-    for prefix, fixing in _canonical(levels[:2], perms, tick):
+    for (no,), fixing in _canonical(levels[:1], perms, tick):
         canonical = every
         for perm in fixing:
             canonical &= ~perm[4]
-        yield prefix, canonical
+        yield no, canonical
 
 
 def _walk_blocks(levels, perms, n_cols, pruned, falsifying, report, tick):
-    """``_walk_candidates`` for one-world levels, deciding each canonical (valuation, N_O)
-    prefix's block of N_P indices at once, as three bitsets: the canonical indices, the pruned
-    ones and, among the rest, the falsified ones from ``falsifying(val, no, live)``, of which
-    only the lowest counts."""
-    for (val, no), canonical in _canonical_blocks(levels, perms, n_cols, tick):
+    """``_walk_candidates`` for one-world levels, deciding each canonical N_O index's block of
+    N_P indices at once, as three bitsets: the canonical indices, the pruned ones and, among the
+    rest, the falsified ones from ``falsifying(no, live)``, of which only the lowest counts."""
+    for no, canonical in _canonical_blocks(levels, perms, n_cols, tick):
         cut = pruned(no)
         live = canonical & ~cut
-        hit = live and falsifying(val, no, live) & live
+        hit = live and falsifying(no, live) & live
         first = hit & -hit
         if first:
             canonical &= first * 2 - 1  # those up to the first falsified one
         report.examined += canonical.bit_count()
         report.pruned_by_property += (canonical & cut).bit_count()
         if first:
-            return val, no, first.bit_length() - 1
+            return no, first.bit_length() - 1
     return None
 
 
 def _worlds(n: int) -> tuple[str, ...]:
     return tuple(f"w{i + 1}" for i in range(n))
-
-
-def _verify_required(model: NeighbourhoodModel, required: Iterable[FrameProperty]) -> None:
-    if any(check_property(model, p) is not None for p in required):
-        raise SearchError("countermodel failed re-verification of a required frame property")
 
 
 def _superset_closed(col: frozenset[int], full: int) -> bool:
@@ -397,63 +380,55 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
     report = CountermodelReport(found=False)
     tick = partial(clock.check, report)
     formula = isinstance(target, Formula)
-    body = target if formula else getattr(target, "body", None)  # None for a rule
-    names = tuple(a for a in bounds.atoms if a in formula_atoms(target)) if formula else ()
+    # A formula is searched as a schema over its own atoms: its valuations are the assignments.
+    frame_target = Schema(target, frozenset(formula_atoms(target))) if formula else target
+    body = getattr(frame_target, "body", None)  # None for a rule
+    variables = [] if body is None else schema_variables(frame_target)
     every_world = formula and modal_depth(target) > 1
     all_perms = body is None or every_world or not bare_atoms(body)
-    variables = schema_variables(target) if isinstance(target, Schema) else []
     closed = (FrameProperty.O_SUPPLEMENTED in required, FrameProperty.P_SUPPLEMENTED in required)
     # The columns of a required supplementation are generated closed, so they meet it.
     checked = required - {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
     for n in range(1, bounds.max_worlds + 1):
         worlds, full = _worlds(n), (1 << n) - 1
-        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, len(names),
-                                                        every_world, all_perms, tick)
+        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, every_world,
+                                                        all_perms, tick)
         has = column_members(np_cols, full)
         # Per N_O index, computed on first use: the N_P indices whose pair with it fails.
         pruned = cache(lambda i: failing_columns(no_cols[i], has, full, checked))
         if every_world:
-            def falsified(val, no, np_):
-                view = ModelView(worlds, [no_cols[i] for i in no], [np_cols[j] for j in np_],
-                                 dict(zip(names, val)))
-                return truth_mask(view, target, view.valuation) != full
+            def falsified(no, np_):
+                view = ModelView(worlds, [no_cols[i] for i in no], [np_cols[j] for j in np_], {})
+                return find_schema_violation(view, target, variables) is not None
 
             hit = _walk_candidates(levels, perms, pruned, falsified, report, tick)
         else:
             if body is None:
                 prop = (GUARDED_RULES[target].prop,)
-                falsifying = lambda val, i, live: failing_columns(no_cols[i], has, full, prop)
+                falsifying = lambda i, live: failing_columns(no_cols[i], has, full, prop)
             else:
                 plan = ColumnPlan(n, body, variables, np_cols)
-                falsifying = lambda val, i, live: plan.falsifying(no_cols[i], live,
-                                                                  dict(zip(names, val)))
+                falsifying = lambda i, live: plan.falsifying(no_cols[i], live)
             hit = _walk_blocks(levels, perms, len(np_cols), pruned, falsifying, report, tick)
         if hit is not None:
-            val_masks, no, np_ = hit
+            no, np_ = hit
             rest = (0,) * (n - 1)  # the other worlds' column at one-world levels: the empty one
             no_ix, np_ix = (no, np_) if every_world else ((no, *rest), (np_, *rest))
-            valuation = dict(zip(names, val_masks))
-            n_obl, n_perm = [no_cols[i] for i in no_ix], [np_cols[j] for j in np_ix]
             # Named, so the public checks below re-verify it on a view of their own.
-            model = ModelView(worlds, n_obl, n_perm,
-                              {a: valuation.get(a, 0) for a in bounds.atoms}).model()
-            _verify_required(model, required)
-            if formula:
-                ts = truth_set(model, target)
-                report.world = next((w for w in worlds if w not in ts), None)
-                if report.world is None or evaluate(model, report.world, target):
-                    raise SearchError("formula countermodel failed re-verification")
-                report.model, report.instance = model, target
-            else:
-                violation = (rule_valid_on_frame(model, target) if body is None
-                             else schema_valid_on_frame(model, target))
-                if violation is None:
-                    raise SearchError("frame countermodel failed re-verification")
-                report.model, report.instance = _realise_violation(model, target, violation, bounds)
-                report.world, report.assignment = violation.world, violation.assignment
+            model = ModelView(worlds, [no_cols[i] for i in no_ix], [np_cols[j] for j in np_ix],
+                              {}).model()
+            if any(check_property(model, p) is not None for p in required):
+                raise SearchError("countermodel failed re-verification of a required frame "
+                                  "property")
+            violation = (rule_valid_on_frame(model, target) if body is None
+                         else schema_valid_on_frame(model, frame_target))
+            if violation is None:
+                raise SearchError("frame countermodel failed re-verification")
+            report.model, report.instance = _realise_violation(model, target, violation, bounds)
+            report.world = violation.world
+            report.assignment = None if formula else violation.assignment
             report.found = True
-            report.elapsed_secs = clock.elapsed()
-            return report
+            break
     report.elapsed_secs = clock.elapsed()
     return report
 
@@ -461,9 +436,14 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
 def _realise_violation(frame_model, target, violation: SchemaViolation, bounds):
     """Attach a valuation realising the falsifying assignment, then re-verify."""
     variables = sorted(violation.assignment)
-    _check_atoms(len(variables), bounds)
-    var_to_atom = dict(zip(variables, bounds.atoms))
-    valuation = {var_to_atom[v]: violation.assignment[v] for v in variables}
+    if isinstance(target, Formula):
+        # Assigned its own atoms, as a schema over them; a bounds atom it lacks is empty.
+        target, var_to_atom = Schema(target, frozenset(variables)), {v: v for v in variables}
+        valuation = dict.fromkeys(bounds.atoms, frozenset())
+    else:
+        _check_atoms(len(variables), bounds)
+        var_to_atom, valuation = dict(zip(variables, bounds.atoms)), {}
+    valuation |= {var_to_atom[v]: violation.assignment[v] for v in variables}
     model = NeighbourhoodModel(frame_model.worlds, dict(frame_model.n_obl),
                                dict(frame_model.n_perm), valuation)
     subst = {v: Atom(var_to_atom[v]) for v in variables}

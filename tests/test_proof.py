@@ -6,9 +6,10 @@ from deontic import (
     Schema, atoms, check_proof, parse_proof_script, render,
     schema_valid_on_frame,
 )
+from deontic import parse
 from deontic.proof import (
-    TABLE1_DERIVABLES, load_script, run_scenario, scenario_registry,
-    verify_table1,
+    TABLE1_DERIVABLES, Hypothesis, ProofScript, _misstatement, load_script, run_scenario,
+    scenario_registry, verify_table1,
 )
 from deontic.systems import frame_class
 
@@ -330,6 +331,44 @@ class TestTable1:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             verify_table1("E0")
+
+    @pytest.mark.parametrize("system, derivable, script, reason", [
+        # Each script is valid in its system but certifies another derivable.
+        ("FCP_1", "AFCP_O", "fcp1__afcp_p.proof", "hypotheses and goal do not state AFCP_O"),
+        ("FCP_3", "AFCP_O", "fcp3__ifcp_o.proof", "hypotheses and goal do not state AFCP_O"),
+        ("FCP_3", "IFCP_O", "fcp3__ifcp_p.proof", "hypotheses and goal do not state IFCP_O"),
+        ("FCP_6", "IFCP2_P", "fcp6__ifcp_o.proof", "hypotheses and goal do not state IFCP2_P"),
+    ], ids=["axiom-goal", "axiom-with-hyp*", "rule-sides", "rule-binding"])
+    def test_a_script_must_state_its_derivable(self, registry, monkeypatch, system, derivable,
+                                               script, reason):
+        entries = dict(TABLE1_DERIVABLES[system]) | {derivable: script}
+        monkeypatch.setitem(TABLE1_DERIVABLES, system, tuple(entries.items()))
+        assert check_proof(load_script(script), registry).valid
+        report = verify_table1(system, registry)
+        assert not report.ok
+        (entry,) = [e for e in report.entries if e.derivable == derivable]
+        assert (entry.result.valid, entry.result.reason) == (False, reason)
+
+    @pytest.mark.parametrize("derivable, local, sides, goal, stated", [
+        ("AFCP_O", [], [], "Ps(p | q) & O ~p -> Ps q", True),
+        ("AFCP_O", ["Ps(p | q) & O ~p"], [], "Ps q", True),
+        ("AFCP_O", ["Ps(b | a)", "O ~b"], [], "Ps a", True),  # the letters renamed
+        ("AFCP_O", [], [], "Ps(p | p) & O ~p -> Ps p", False),  # an instance, not the schema
+        ("AFCP_O", [], [], "Ps((p & r) | q) & O ~(p & r) -> Ps q", False),
+        ("AFCP_O", [], [], "Ps(p | q) & O ~p -> Ps q | Ps p", False),
+        ("AFCP_O", ["Ps(p | q) & O ~p"], ["p -> p"], "Ps q", False),  # a theorem-tier premise
+        ("P_sP_w", [], [], "Ps p -> ~O ~p", True),  # Pw p spelled ~O~p
+        ("IFCP_O", ["Ps(p | q) & O r"], ["r -> ~p"], "Ps q", True),
+        ("IFCP_O", ["Ps(p | q)", "O r"], ["r -> ~p"], "Ps q", False),  # not one hyp line
+        ("IFCP_O", ["Ps(p | q) & O r"], [], "Ps q", False),  # its side missing
+        ("IFCP_P", ["Ps(p | q) & Pw r & Pw s"], ["s -> q", "r -> p"], "Ps p & Ps q", False),
+    ])
+    def test_a_derivable_is_stated_up_to_renaming_its_letters(self, derivable, local, sides,
+                                                              goal, stated):
+        hyps = ([Hypothesis(parse(h)) for h in local]
+                + [Hypothesis(parse(h), theorem=True) for h in sides])
+        script = ProofScript("FCP_6", tuple(hyps), (), parse(goal))
+        assert (_misstatement(script, derivable) is None) == stated
 
 
 class TestScenarios:

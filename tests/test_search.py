@@ -2,12 +2,13 @@ import gc
 import math
 import random
 import time
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import deontic.frames
 import deontic.search
 from deontic import (
     FrameProperty, RemainderError, SearchBounds, SearchError, SearchTimeout, bundled,
@@ -20,9 +21,10 @@ from deontic.formula import (
     bare_atoms, modal_depth,
 )
 from deontic.frames import (
-    GUARDED_RULES, find_schema_violation, find_violation, schema_variables,
+    GUARDED_RULES, ColumnPlan, find_schema_violation, find_violation, schema_variables,
 )
 from deontic.model import ModelView, truth_mask
+from deontic.proof import load_script
 from deontic.search import (
     _canonical, _collections, _generation, _image_col, _perm_tables, _stabiliser, _worlds,
 )
@@ -153,15 +155,15 @@ class TestFindCountermodel:
                               SearchBounds(3, 2, ("p", "q", "r")))
 
 
-def test_timeout_is_kept_within_one_valuation():
-    # The target has modal depth 2, so every world's columns are walked: one valuation of
-    # this search at 3 worlds spans 9 ** 6 candidates.  The clock is read once per candidate,
-    # so the search stops soon after its budget.
+def test_timeout_is_kept_within_the_every_world_walk():
+    # The target has modal depth 2, so every world's columns are walked: at 4 worlds this
+    # search spans 17 ** 8 frames, and it runs for over a minute.  The clock is read once per
+    # candidate, so the search stops soon after its budget.
     target = parse("Ps(a | b) & Pw a -> Ps a | O Ps a")
     required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
     start = time.monotonic()
     with pytest.raises(SearchTimeout):
-        find_countermodel(target, required, SearchBounds(3, 1, ("a", "b")), timeout_secs=1.0)
+        find_countermodel(target, required, SearchBounds(4, 1, ("a", "b")), timeout_secs=1.0)
     assert time.monotonic() - start < 3.0
 
 
@@ -191,8 +193,8 @@ def test_timeout_holds_while_collections_are_built():
     assert time.monotonic() - start < 2.0
 
 
-def _independent_tuple_count(max_worlds: int, max_sets: int, n_atoms: int) -> int:
-    """Count (W, N_O, N_P, V) tuples up to world permutation, directly."""
+def _independent_tuple_count(max_worlds: int, max_sets: int) -> int:
+    """Count (W, N_O, N_P) frames up to world permutation, directly."""
     total = 0
     for n in range(1, max_worlds + 1):
         masks = list(range(1 << n))
@@ -203,26 +205,21 @@ def _independent_tuple_count(max_worlds: int, max_sets: int, n_atoms: int) -> in
         def remap(mask, perm):
             return sum(1 << perm[i] for i in range(n) if mask >> i & 1)
 
-        for valuation in product(masks, repeat=n_atoms):
-            for no_assign in product(collections, repeat=n):
-                for np_assign in product(collections, repeat=n):
-                    encoding = (valuation, no_assign, np_assign)
-                    best = encoding
-                    for perm in permutations(range(n)):
-                        cand_no = [()] * n
-                        cand_np = [()] * n
-                        for i in range(n):
-                            cand_no[perm[i]] = tuple(sorted(remap(m, perm) for m in no_assign[i]))
-                            cand_np[perm[i]] = tuple(sorted(remap(m, perm) for m in np_assign[i]))
-                        cand = (
-                            tuple(remap(m, perm) for m in valuation),
-                            tuple(cand_no),
-                            tuple(cand_np),
-                        )
-                        if cand < best:
-                            best = cand
-                    if best == encoding:
-                        total += 1
+        for no_assign in product(collections, repeat=n):
+            for np_assign in product(collections, repeat=n):
+                encoding = (no_assign, np_assign)
+                best = encoding
+                for perm in permutations(range(n)):
+                    cand_no = [()] * n
+                    cand_np = [()] * n
+                    for i in range(n):
+                        cand_no[perm[i]] = tuple(sorted(remap(m, perm) for m in no_assign[i]))
+                        cand_np[perm[i]] = tuple(sorted(remap(m, perm) for m in np_assign[i]))
+                    cand = (tuple(cand_no), tuple(cand_np))
+                    if cand < best:
+                        best = cand
+                if best == encoding:
+                    total += 1
     return total
 
 
@@ -232,7 +229,7 @@ def test_exhaustion_count_matches_direct_tuple_counting():
     report = find_countermodel(parse("O Ps a | ~O Ps a"), set(), bounds)
     assert not report.found
     assert report.pruned_by_property == 0
-    assert report.examined == _independent_tuple_count(2, 1, 1)
+    assert report.examined == _independent_tuple_count(2, 1)
 
 
 def _independent_pair_count(max_worlds: int, max_sets: int) -> int:
@@ -260,10 +257,10 @@ def test_frame_exhaustion_count_matches_orbit_counting():
     assert report.examined == _independent_pair_count(3, 3)
 
 
-def _independent_one_world_count(max_worlds, max_sets, atom_names, required) -> tuple[int, int]:
-    """Count (V, N_O(w1), N_P(w1)) encodings, the other worlds empty, up to permuting worlds
-    in V and in the sets of world 1's pair (which stays at w1), as orbits; and the orbits a
-    required property prunes, checked on a named model."""
+def _independent_one_world_count(max_worlds, max_sets, required) -> tuple[int, int]:
+    """Count (N_O(w1), N_P(w1)) pairs, the other worlds empty, up to permuting worlds in the
+    sets of world 1's pair (which stays at w1), as orbits; and the orbits a required property
+    prunes, checked on a named model."""
     examined = pruned = 0
     for n in range(1, max_worlds + 1):
         masks = range(1 << n)
@@ -273,16 +270,14 @@ def _independent_one_world_count(max_worlds, max_sets, atom_names, required) -> 
             return tuple(sorted(_remap_mask(m, perm) for m in col))
 
         orbits = {
-            min((tuple(_remap_mask(m, perm) for m in val), image(no, perm), image(np_, perm))
-                for perm in permutations(range(n)))
-            for val in product(masks, repeat=len(atom_names))
+            min((image(no, perm), image(np_, perm)) for perm in permutations(range(n)))
             for no in collections for np_ in collections
         }
         examined += len(orbits)
         empty = [frozenset()] * (n - 1)
-        for val, no, np_ in orbits:
+        for no, np_ in orbits:
             model = ModelView(_worlds(n), [frozenset(no), *empty], [frozenset(np_), *empty],
-                              dict(zip(atom_names, val))).model()
+                              {}).model()
             pruned += any(check_property(model, p) is not None for p in required)
     return examined, pruned
 
@@ -300,17 +295,16 @@ def _sorted(col):
     return tuple(sorted(col))
 
 
-def _canonical_model_oracle(valuation, no, np_, n):
+def _canonical_model_oracle(no, np_, n):
     """The bit-loop canonicity check the permutation tables replaced."""
-    encoding = (valuation, tuple(map(_sorted, no)), tuple(map(_sorted, np_)))
+    encoding = (tuple(map(_sorted, no)), tuple(map(_sorted, np_)))
     for perm in permutations(range(n)):
-        remapped_val = tuple(_remap_mask(m, perm) for m in valuation)
         remapped_no = [None] * n
         remapped_np = [None] * n
         for i in range(n):
             remapped_no[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in no[i]))
             remapped_np[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in np_[i]))
-        if (remapped_val, tuple(remapped_no), tuple(remapped_np)) < encoding:
+        if (tuple(remapped_no), tuple(remapped_np)) < encoding:
             return False
     return True
 
@@ -327,29 +321,25 @@ def _canonical_pair_oracle(no, np_, n):
     return True
 
 
-def _one_world_oracle(n, n_atoms, cols, perms):
-    """One-world encodings (V, N_O(w1), N_P(w1)) least under ``perms``, each renaming the
-    worlds in V and in the sets of world 1's pair, which stays at w1."""
-    def moved(val, no, np_, perm):
-        return (tuple(_remap_mask(m, perm) for m in val),
-                tuple(sorted(_remap_mask(m, perm) for m in no)),
+def _one_world_oracle(n, cols, perms):
+    """One-world encodings (N_O(w1), N_P(w1)) least under ``perms``, each renaming the worlds
+    in the sets of world 1's pair, which stays at w1."""
+    def moved(no, np_, perm):
+        return (tuple(sorted(_remap_mask(m, perm) for m in no)),
                 tuple(sorted(_remap_mask(m, perm) for m in np_)))
 
-    return [(val, no, np_) for val in product(range(1 << n), repeat=n_atoms)
-            for no in cols for np_ in cols
-            if all(moved(val, no, np_, perm) >= (val, _sorted(no), _sorted(np_))
-                   for perm in perms)]
+    return [(no, np_) for no in cols for np_ in cols
+            if all(moved(no, np_, perm) >= (_sorted(no), _sorted(np_)) for perm in perms)]
 
 
-def _orbit_least_model(valuation, no, np_, n):
-    best = (valuation, tuple(map(_sorted, no)), tuple(map(_sorted, np_)))
+def _orbit_least_model(no, np_, n):
+    best = (tuple(map(_sorted, no)), tuple(map(_sorted, np_)))
     for perm in permutations(range(n)):
         moved_no, moved_np = [None] * n, [None] * n
         for i in range(n):
             moved_no[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in no[i]))
             moved_np[perm[i]] = tuple(sorted(_remap_mask(m, perm) for m in np_[i]))
-        best = min(best, (tuple(_remap_mask(m, perm) for m in valuation),
-                          tuple(moved_no), tuple(moved_np)))
+        best = min(best, (tuple(moved_no), tuple(moved_np)))
     return best
 
 
@@ -357,10 +347,10 @@ def _no_tick():
     pass
 
 
-def _setup(n, max_sets, n_atoms=0, every_world=False, all_perms=True):
+def _setup(n, max_sets, every_world=False, all_perms=True):
     """The search's column list, levels and permutations at n worlds, no column closed."""
-    (cols, _), levels, perms = _generation(n, max_sets, (False, False), n_atoms, every_world,
-                                           all_perms, _no_tick)
+    (cols, _), levels, perms = _generation(n, max_sets, (False, False), every_world, all_perms,
+                                           _no_tick)
     return cols, levels, perms
 
 
@@ -368,14 +358,14 @@ def _as_columns(cols, encodings, every_world):
     """``_canonical``'s encodings, without their stabilisers, with their column indices read
     back as columns."""
     if every_world:
-        return [(val, tuple(cols[i] for i in no), tuple(cols[j] for j in np_))
-                for (val, no, np_), _ in encodings]
-    return [(val, cols[no], cols[np_]) for (val, no, np_), _ in encodings]
+        return [(tuple(cols[i] for i in no), tuple(cols[j] for j in np_))
+                for (no, np_), _ in encodings]
+    return [(cols[no], cols[np_]) for (no, np_), _ in encodings]
 
 
-def _generated(n, max_sets, n_atoms=0, every_world=False, all_perms=True):
+def _generated(n, max_sets, every_world=False, all_perms=True):
     """What the search generates at n worlds, as columns."""
-    cols, levels, perms = _setup(n, max_sets, n_atoms, every_world, all_perms)
+    cols, levels, perms = _setup(n, max_sets, every_world, all_perms)
     return _as_columns(cols, _canonical(levels, perms, _no_tick), every_world)
 
 
@@ -394,7 +384,7 @@ def _bits(x):
 
 def _block_candidates(monkeypatch, target, bounds):
     """Per world count, the candidates a one-world search decides, in the order it does: each
-    canonical (valuation, N_O) prefix with the N_P columns of its canonical bitset, as columns.
+    canonical N_O column with the N_P columns of its canonical bitset, as columns.
 
     With no required property, a valid target decides every generated candidate.
     """
@@ -406,9 +396,9 @@ def _block_candidates(monkeypatch, target, bounds):
         cols = _collections(n, bounds.max_sets)
         assert len(cols) == n_cols
         seen.append([])
-        for (val, no), canonical in blocks(levels, perms, n_cols, tick):
-            seen[-1] += [(val, cols[no], cols[j]) for j in _bits(canonical)]
-            yield (val, no), canonical
+        for no, canonical in blocks(levels, perms, n_cols, tick):
+            seen[-1] += [(cols[no], cols[j]) for j in _bits(canonical)]
+            yield no, canonical
 
     monkeypatch.setattr(deontic.search, "_canonical_blocks", recorded)
     assert not find_countermodel(target, set(), bounds).found
@@ -424,8 +414,7 @@ def _searched(monkeypatch, target, bounds):
 
     class RecordedView(ModelView):
         def __init__(self, worlds, n_obl, n_perm, valuation):
-            cols = tuple(tuple(side) for side in (n_obl, n_perm))
-            seen.setdefault(len(worlds), []).append((tuple(valuation.values()), *cols))
+            seen.setdefault(len(worlds), []).append((tuple(n_obl), tuple(n_perm)))
             super().__init__(worlds, n_obl, n_perm, valuation)
 
     monkeypatch.setattr(deontic.search, "ModelView", RecordedView)
@@ -433,10 +422,9 @@ def _searched(monkeypatch, target, bounds):
     return seen
 
 
-def _oracle_models(n, n_atoms, cols):
-    return [(val, no, np_) for val in product(range(1 << n), repeat=n_atoms)
-            for no in product(cols, repeat=n) for np_ in product(cols, repeat=n)
-            if _canonical_model_oracle(val, no, np_, n)]
+def _oracle_models(n, cols):
+    return [(no, np_) for no in product(cols, repeat=n) for np_ in product(cols, repeat=n)
+            if _canonical_model_oracle(no, np_, n)]
 
 
 class TestCanonicity:
@@ -445,16 +433,16 @@ class TestCanonicity:
     def test_pair_agrees_with_oracle_on_every_candidate(self, monkeypatch, n, max_sets):
         cols = _collections(n, max_sets)
         expected = [c for c in product(cols, repeat=2) if _canonical_pair_oracle(*c, n)]
-        assert [(no, np_) for _, no, np_ in _generated(n, max_sets)] == expected
+        assert _generated(n, max_sets) == expected
         seen = _block_candidates(monkeypatch, schema("O p -> O p", "p"),
                                  SearchBounds(n, max_sets, ("a",)))
-        assert [(no, np_) for _, no, np_ in seen[n]] == expected
+        assert seen[n] == expected
 
     def test_pair_generation_on_a_sample_of_n_o_at_4_worlds(self):
         cols, levels, perms = _setup(4, 2)
         sample = sorted(random.Random(4).sample(range(len(cols)), 40))
-        levels[1] = (sample.__iter__, levels[1][1])
-        expected = [((), cols[i], np_) for i in sample for np_ in cols
+        levels[0] = (sample.__iter__, levels[0][1])
+        expected = [(cols[i], np_) for i in sample for np_ in cols
                     if _canonical_pair_oracle(cols[i], np_, 4)]
         assert _as_columns(cols, _canonical(levels, perms, _no_tick), False) == expected
 
@@ -464,7 +452,7 @@ class TestCanonicity:
         cols, levels, perms = _setup(n, 3)
         for _ in range(400):
             i, j = rng.randrange(len(cols)), rng.randrange(len(cols))
-            assert (_is_generated(((), i, j), levels, perms)
+            assert (_is_generated((i, j), levels, perms)
                     == _canonical_pair_oracle(cols[i], cols[j], n)), (cols[i], cols[j])
 
     @pytest.mark.parametrize("all_perms", [False, True], ids=["fixing-w1", "all"])
@@ -472,9 +460,10 @@ class TestCanonicity:
     def test_one_world_generation_agrees_with_oracle(self, monkeypatch, all_perms, n, max_sets,
                                                      n_atoms):
         perms = [perm for perm in permutations(range(n)) if all_perms or perm[0] == 0]
-        expected = _one_world_oracle(n, n_atoms, _collections(n, max_sets), perms)
-        assert _generated(n, max_sets, n_atoms, all_perms=all_perms) == expected
-        # Tautologies of modal depth <= 1, with an atom outside every modal operator or none.
+        expected = _one_world_oracle(n, _collections(n, max_sets), perms)
+        assert _generated(n, max_sets, all_perms=all_perms) == expected
+        # Tautologies of modal depth <= 1 over n_atoms atoms, with an atom outside every modal
+        # operator or none: a formula's atoms are assignment variables, so the frames are these.
         text = {(False, 1): "a | ~a", (False, 2): "a & b -> a",
                 (True, 1): "Pw a | O ~a", (True, 2): "Pw(a & b) | O ~(a & b)"}[all_perms, n_atoms]
         seen = _block_candidates(monkeypatch, parse(text),
@@ -485,19 +474,19 @@ class TestCanonicity:
         # A tautology of modal depth 2: the every-world walk, under every permutation.
         seen = _searched(monkeypatch, parse("O Ps a | ~O Ps a"), SearchBounds(2, 2, ("a",)))
         for n in (1, 2):
-            expected = _oracle_models(n, 1, _collections(n, 2))
-            assert _generated(n, 2, 1, every_world=True) == expected
+            expected = _oracle_models(n, _collections(n, 2))
+            assert _generated(n, 2, every_world=True) == expected
             assert seen[n] == expected
 
-    @pytest.mark.parametrize("n, n_atoms, size", [(3, 1, 4), (4, 0, 3), (4, 1, 2)])
-    def test_model_generation_on_a_sample_of_columns(self, n, n_atoms, size):
+    @pytest.mark.parametrize("n, seed, size", [(3, 1, 4), (4, 0, 3), (4, 1, 2)])
+    def test_model_generation_on_a_sample_of_columns(self, n, seed, size):
         # Every product of a sorted column sample, so both sides see the same candidates.
-        cols, levels, perms = _setup(n, 2, n_atoms, every_world=True)
-        sample = sorted(random.Random(n).sample(range(len(cols)), size))
-        for k in (1, 2):
+        cols, levels, perms = _setup(n, 2, every_world=True)
+        sample = sorted(random.Random(n * 10 + seed).sample(range(len(cols)), size))
+        for k in (0, 1):
             levels[k] = (partial(product, sample, repeat=n), levels[k][1])
         assert (_as_columns(cols, _canonical(levels, perms, _no_tick), True)
-                == _oracle_models(n, n_atoms, [cols[i] for i in sample]))
+                == _oracle_models(n, [cols[i] for i in sample]))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_model_agrees_with_oracle_on_a_sample(self, n):
@@ -506,16 +495,15 @@ class TestCanonicity:
         cols, levels, perms = _setup(n, 2, every_world=True)
         index = {_sorted(col): i for i, col in enumerate(cols)}
 
-        def key(val, no, np_):
-            return val, tuple(index[_sorted(c)] for c in no), tuple(index[_sorted(c)] for c in np_)
+        def key(no, np_):
+            return tuple(index[_sorted(c)] for c in no), tuple(index[_sorted(c)] for c in np_)
 
         for _ in range(150):
-            val = tuple(rng.randrange(1 << n) for _ in range(rng.randint(0, 2)))
             no = tuple(rng.choice(cols) for _ in range(n))
             np_ = tuple(rng.choice(cols) for _ in range(n))
-            least = _orbit_least_model(val, no, np_, n)
+            least = _orbit_least_model(no, np_, n)
             assert _is_generated(key(*least), levels, perms)
-            for candidate in ((val, no, np_), least):
+            for candidate in ((no, np_), least):
                 assert (_is_generated(key(*candidate), levels, perms)
                         == _canonical_model_oracle(*candidate, n)), candidate
 
@@ -534,7 +522,7 @@ class TestCanonicity:
     def test_index_tables_name_the_image_columns(self, closed):
         # Indices compare as columns only if each list is sorted; column 0 is the empty one.
         for n in range(1, 5):
-            cols, _, perms = _generation(n, 2, closed, 0, False, True, _no_tick)
+            cols, _, perms = _generation(n, 2, closed, False, True, _no_tick)
             assert len(perms) == math.factorial(n) - 1
             for side, side_cols in enumerate(cols, 2):
                 keys = list(map(_sorted, side_cols))
@@ -542,7 +530,7 @@ class TestCanonicity:
                 for perm in perms:
                     assert [side_cols[i] for i in perm[side]] == [_image_col(perm, c)
                                                                    for c in side_cols]
-            _, _, fixing = _generation(n, 2, closed, 0, False, False, _no_tick)
+            _, _, fixing = _generation(n, 2, closed, False, False, _no_tick)
             assert [p[0] for p in fixing] == [p[0] for p in perms if p[0][0] == 0]
             assert len(fixing) == math.factorial(n - 1) - 1
 
@@ -583,18 +571,18 @@ class TestCounters:
         required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
         report = find_countermodel(target, required, SearchBounds(2, 1, ("a", "b")))
         assert not report.found
-        assert (report.examined, report.pruned_by_property) == (254, 118)
-        assert _independent_one_world_count(2, 1, ("a", "b"), required) == (254, 118)
+        assert (report.examined, report.pruned_by_property) == (26, 10)
+        assert _independent_one_world_count(2, 1, required) == (26, 10)
 
     def test_valuations_range_over_the_targets_own_atoms(self):
-        # The command-line default atoms a, b, c: c is not in the target, so it is left empty
-        # and the search walks the candidates of atoms a and b (3 549 726 when c was walked too).
+        # The command-line default atoms a, b, c: c is not in the target, so it is no assignment
+        # variable and is left empty; the search walks the same frames for both.
         target = parse("Ps(a | b) & Pw a -> Ps a")
         required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
         for atom_names in (("a", "b", "c"), ("a", "b")):
             report = find_countermodel(target, required, SearchBounds(4, 2, atom_names))
             assert not report.found
-            assert (report.examined, report.pruned_by_property) == (245405, 228243)
+            assert (report.examined, report.pruned_by_property) == (1692, 1473)
 
     def test_an_atom_outside_the_target_is_empty_in_the_found_model(self):
         report = find_countermodel(parse("O b -> b"), set(), SearchBounds(2, 1, ("a", "b", "c")))
@@ -662,45 +650,40 @@ class TestOneWorldReduction:
 
 
 def _candidate_search(target, required, bounds):
-    """The per-candidate decision that the block walk replaced: ``_canonical`` over all three
-    one-world levels, each candidate pruned and then decided on its one-world view
-    (``find_violation``, ``truth_mask`` or ``find_schema_violation``).  Returns
-    (found, examined, pruned, the first falsifying view, its world index)."""
-    formula = isinstance(target, Formula)
-    body = target if formula else getattr(target, "body", None)
-    names = tuple(a for a in bounds.atoms if a in atoms(target)) if formula else ()
-    variables = schema_variables(target) if isinstance(target, Schema) else []
+    """The per-candidate decision that the block walk replaced: ``_canonical`` over both
+    one-world levels, each frame pruned and then decided on its one-world view
+    (``find_violation``, or ``find_schema_violation`` over a schema's variables or a formula's
+    atoms).  Returns (found, examined, pruned, the first falsifying view, its world index, the
+    falsifying assignment's masks or None for a rule)."""
+    body = target if isinstance(target, Formula) else getattr(target, "body", None)
+    variables = (sorted(atoms(target)) if isinstance(target, Formula)
+                 else schema_variables(target) if isinstance(target, Schema) else [])
     closed = (FrameProperty.O_SUPPLEMENTED in required, FrameProperty.P_SUPPLEMENTED in required)
     checked = required - {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
     all_perms = body is None or not bare_atoms(body)
     examined = pruned = 0
     for n in range(1, bounds.max_worlds + 1):
-        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, len(names),
-                                                        False, all_perms, _no_tick)
+        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, False,
+                                                        all_perms, _no_tick)
         empty = [frozenset()] * (n - 1)
-        for (val, no, np_), _ in _canonical(levels, perms, _no_tick):
+        for (no, np_), _ in _canonical(levels, perms, _no_tick):
             examined += 1
-            view = ModelView(_worlds(n), [no_cols[no], *empty], [np_cols[np_], *empty],
-                             dict(zip(names, val)))
+            view = ModelView(_worlds(n), [no_cols[no], *empty], [np_cols[np_], *empty], {})
             if any(find_violation(view, p) is not None for p in checked):
                 pruned += 1
                 continue
             if body is None:
                 hit = find_violation(view, GUARDED_RULES[target].prop)
-                world = None if hit is None else hit[0]
-            elif formula:
-                false_at = view.full ^ truth_mask(view, target, view.valuation)
-                world = (false_at & -false_at).bit_length() - 1 if false_at else None
+                hit = None if hit is None else (hit[0], None)
             else:
                 hit = find_schema_violation(view, body, variables)
-                world = None if hit is None else hit[0]
-            if world is not None:
-                return True, examined, pruned, view, world
-    return False, examined, pruned, None, None
+            if hit is not None:
+                return True, examined, pruned, view, *hit
+    return False, examined, pruned, None, None, None
 
 
 def _assert_block_walk_agrees(target, required, bounds):
-    found, examined, pruned, view, world = _candidate_search(target, required, bounds)
+    found, examined, pruned, view, world, masks = _candidate_search(target, required, bounds)
     report = find_countermodel(target, required, bounds)
     assert (report.found, report.examined, report.pruned_by_property) == (found, examined, pruned)
     if found:
@@ -708,7 +691,28 @@ def _assert_block_walk_agrees(target, required, bounds):
         assert (report.model.n_obl, report.model.n_perm) == (named.n_obl, named.n_perm)
         assert report.world == view.worlds[world]
         if isinstance(target, Formula):
-            assert {a: report.model.valuation[a] for a in named.valuation} == named.valuation
+            # The first falsifying assignment to the formula's atoms is the model's valuation.
+            expected = dict(zip(sorted(atoms(target)), map(view.set_of, masks)))
+            assert {a: report.model.valuation[a] for a in expected} == expected
+        elif isinstance(target, Schema):
+            assert report.assignment == dict(zip(schema_variables(target),
+                                                 map(view.set_of, masks)))
+    return report
+
+
+def _consequence(script_name):
+    """A scenario's hypotheses, conjoined, implying its goal."""
+    script = load_script(script_name)
+    return Implies(reduce(And, [h.formula for h in script.hypotheses]), script.goal)
+
+
+def _false_at_world_1(n, body, variables, no, col) -> bool:
+    """Whether some subset assignment falsifies ``body`` at world 1 of the n-world frame with
+    the pair (no, col) at world 1 and empty other worlds, one assignment at a time."""
+    empty = [frozenset()] * (n - 1)
+    view = ModelView(_worlds(n), [no, *empty], [col, *empty], {})
+    return any(not truth_mask(view, body, dict(zip(variables, masks))) & 1
+               for masks in product(range(1 << n), repeat=len(variables)))
 
 
 def _depth_one_targets():
@@ -724,11 +728,30 @@ class TestBlockWalk:
     def test_block_walk_agrees_with_per_candidate_oracle(self, data):
         target = data.draw(_depth_one_targets())
         required = data.draw(st.sets(st.sampled_from(list(FrameProperty)), max_size=3))
-        # A formula walks its valuations too, so it gets smaller bounds.
-        sizes = [(w, s) for w in (1, 2, 3) for s in (0, 1, 2, 3)
-                 if not isinstance(target, Formula) or w < 3 or s < 2]
-        worlds, sets = data.draw(st.sampled_from(sizes))
+        worlds, sets = data.draw(st.tuples(st.integers(1, 3), st.integers(0, 3)))
         _assert_block_walk_agrees(target, required, SearchBounds(worlds, sets, tuple("abcd")))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_small_blocks_agree_with_per_column_oracle(self, data):
+        # One free variable per block and two blocks kept, one plan serving several calls as in
+        # a search: each call walks several blocks, fixes variables per block, reuses the kept
+        # blocks and makes the rest again, and cuts a later block's columns to those below the
+        # lowest one an earlier block falsified.
+        n, max_sets = data.draw(st.sampled_from([(2, 2), (3, 1)]))
+        body = data.draw(_depth_one_formulas("pqr"))
+        variables = sorted(atoms(body))
+        cols = _collections(n, max_sets)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(deontic.frames, "_FREE_BITS", n)
+            patch.setattr(deontic.frames, "_KEPT_BLOCKS", 2)
+            plan = ColumnPlan(n, body, variables, cols)
+            for _ in range(3):
+                no = data.draw(st.sampled_from(cols))
+                live = data.draw(st.integers(0, (1 << len(cols)) - 1))
+                falsified = [j for j in _bits(live)
+                             if _false_at_world_1(n, body, variables, no, cols[j])]
+                assert plan.falsifying(no, live) == (1 << falsified[0] if falsified else 0)
 
     @pytest.mark.parametrize("target, required, bounds", [
         # Atoms outside every modal operator: only permutations fixing world 1 apply.
@@ -742,9 +765,26 @@ class TestBlockWalk:
         (SCHEMAS["AFCP2_P"], {FrameProperty.AFCP_O}, SearchBounds(3, 3, ("a", "b"))),
         (SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], SearchBounds(3, 2, ("a", "b"))),
         (SCHEMAS["M_O"], {FrameProperty.PS_COHERENT}, SearchBounds(3, 2, ("a", "b"))),
+        # Five atoms, exhausted: a ColumnPlan walks 8 blocks per prefix at 3 worlds, one variable
+        # fixed in each, and 256 at 4 worlds, past the 64 it keeps between calls.
+        (_consequence("five_disjuncts.proof"), FRAME_CLASSES["FCP_2"],
+         SearchBounds(3, 2, tuple("pqrst"))),
+        (_consequence("five_disjuncts.proof"), FRAME_CLASSES["FCP_2"],
+         SearchBounds(4, 1, tuple("pqrst"))),
     ])
     def test_block_walk_agrees_on_chosen_targets(self, target, required, bounds):
         _assert_block_walk_agrees(target, required, bounds)
+
+    def test_a_find_past_the_first_block(self):
+        # Without AFCPO the five_disjuncts consequence fails on a 3-world frame.  Its first
+        # atom p is the variable fixed per block there, and no assignment with p empty falsifies
+        # it on that frame, so the falsifying column is found past the first block and the
+        # later blocks only search the columns below it.
+        required = FRAME_CLASSES["FCP_2"] - {FrameProperty.AFCP_O}
+        report = _assert_block_walk_agrees(_consequence("five_disjuncts.proof"), required,
+                                           SearchBounds(3, 2, tuple("pqrst")))
+        assert report.found and len(report.model.worlds) == 3
+        assert report.model.valuation["p"] == {"w2"}
 
 
 def test_one_world_search_reads_the_clock_once_per_prefix(monkeypatch):
@@ -762,8 +802,8 @@ def test_one_world_search_reads_the_clock_once_per_prefix(monkeypatch):
     # before each block is decided.
     starts, total = [], 0
     for n in (1, 2, 3):
-        candidates = _one_world_oracle(n, 0, _collections(n, 3), list(permutations(range(n))))
-        for _, block in groupby(candidates, key=lambda c: c[1]):
+        candidates = _one_world_oracle(n, _collections(n, 3), list(permutations(range(n))))
+        for _, block in groupby(candidates, key=lambda c: c[0]):
             starts.append(total)
             total += len(list(block))
     assert total == report.examined
