@@ -101,6 +101,7 @@ class ProofLine:
     index: int
     formula: Formula
     justification: Justification
+    justification_text: str  # as written in the script
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ def parse_proof_script(text: str) -> ProofScript:
             goal = parse(value.strip())
         elif m := _BODY_LINE.match(stripped):
             index, formula, just = m.groups()
-            lines.append(ProofLine(int(index), parse(formula), _parse_justification(just)))
+            lines.append(ProofLine(int(index), parse(formula), _parse_justification(just), just))
         else:
             raise ValueError(f"malformed script line: {raw!r}")
     if system is None:
@@ -634,7 +635,7 @@ class ScenarioResult:
                     "hypotheses": [{"formula": render(h.formula), "theorem": h.theorem}
                                    for h in script.hypotheses],
                     "lines": [{"line": line.index, "formula": render(line.formula),
-                               "justification": _render_justification(line.justification),
+                               "justification": line.justification_text,
                                "tier": result.tiers.get(line.index)}
                               for line in script.lines],
                     "result": result.to_dict(),
@@ -653,32 +654,12 @@ class ScenarioResult:
                 marker = "|- " if h.theorem else ""
                 out.append(f"   given: {marker}{render(h.formula)}")
             for line in script.lines:
-                just = _render_justification(line.justification)
-                out.append(f"   {line.index:2d}. {render(line.formula):42s} {just}")
+                out.append(f"   {line.index:2d}. {render(line.formula):42s} "
+                           f"{line.justification_text}")
             out.append(f"   => {result}")
         if self.conclusions:
             out.append("derived: " + "; ".join(render(c) for c in self.conclusions))
         return "\n".join(out)
-
-
-def _render_justification(j: Justification) -> str:
-    if j.kind == "hyp":
-        return "hyp"
-    if j.kind == "taut":
-        return "taut"
-    if j.kind == "ax":
-        if j.subst is not None:
-            inner = ", ".join(f"{n}: {render(f)}" for n, f in j.subst)
-            return f"ax {j.schema} {{{inner}}}"
-        return f"ax {j.schema}"
-    if j.kind == "mp":
-        return "mp " + " ".join(map(str, j.refs))
-    if j.kind == "cpl":
-        return "cpl " + ",".join(map(str, j.refs))
-    if j.kind in ("re", "rm"):
-        return f"{j.kind} {j.refs[0]} {j.modality}"
-    label = _SIDE_LABEL.get(j.kind, "")
-    return f"{j.kind} {','.join(map(str, j.refs))} " + " ".join(f"{label}{s}" for s in j.sides)
 
 
 def run_scenario(name: str, registry: SystemRegistry | None = None) -> ScenarioResult:
@@ -758,7 +739,10 @@ class StrengthLattice:
         out += [f"script {name}: FAIL ({result})" for name, result in self.failed_scripts]
         if self.chain:
             out.append(f"order: {self.chain}")
-        out.append("lattice verified" if self.ok else "lattice verification FAILED")
+        pending = ", ".join(f"{r.lower} <= {r.upper}" for r in self.relations if r.kind == "<=")
+        out.append("lattice verification FAILED" if not self.ok
+                   else f"lattice verified except pending: {pending}" if pending
+                   else "lattice verified")
         return "\n".join(out)
 
     def to_dict(self) -> dict:

@@ -16,28 +16,31 @@ formula gets every world's column.
 Only canonical candidates are generated (orderly generation, McKay 1998):
 the least encoding of each orbit under a group of world permutations.
 Renaming all worlds gives an isomorphic frame, so every permutation
-applies at every-world levels.  At one-world levels a permutation renames
-the sets in world 1's pair but leaves it at world 1.  That keeps what is
-falsified for a rule, decided by its frame condition, and for a target
-with no atom outside a modal operator (all named schemas), whose truth at
-w reads N(w) but not which world w is.  Otherwise only permutations fixing
-world 1 apply: ``O p -> p`` is false at w1 under p = {w2}, not {w1}.
-Levels compare one at a time, so ``_canonical`` tests a level only against
-the stabiliser of the levels before it, usually empty, and a prefix that
-is not least skips its block.  Candidates come in ascending order and the
-group keeps what is falsified, so the first falsifying candidate is least
-in its orbit and is always generated.
+applies to every world's columns.  To world 1's pair alone a permutation
+renames its sets but leaves it at world 1.  That keeps what is falsified
+for a rule, decided by its frame condition, and for a target with no atom
+outside a modal operator (all named schemas), whose truth at w reads N(w)
+but not which world w is.  Otherwise only permutations fixing world 1
+apply: ``O p -> p`` is false at w1 under p = {w2}, not {w1}.
+``_canonical`` tests one level of keys per call: ``N_O`` keys, then
+``N_P`` keys against the ``N_O`` key's stabiliser, usually empty.
+Candidates come in ascending order and the group keeps what is falsified,
+so the first falsifying candidate is least in its orbit and is always
+generated.  The every-world walk draws each world's ``N_P`` index only
+from those its ``N_O`` index leaves live; frame conditions hold under
+renaming worlds, so these are the canonical candidates no required
+property prunes, in order, and they alone are counted.
 
 A column is a frozenset of masks, named by its index in ``_collections``'
 list, which is in lexicographic order of the sorted masks, and
 ``_index_tables`` maps every index through every permutation once per
 world count.  The clock is read once per collection and table built and
-once per key tried: per candidate of the every-world walk, per prefix of
-the one-world walk.  Frame conditions are decided once per ``N_O`` column
-for every ``N_P`` column at once (``frames.failing_columns``), lazily, per
-world count.  Supplementation is skipped on a side generated closed.
+once per key tried, so once per ``N_O`` column in the one-world walk.
+Frame conditions are decided once per ``N_O`` column for every ``N_P``
+column at once (``frames.failing_columns``), lazily, per world count.
+Supplementation is skipped on a side generated closed.
 
-At one-world levels each canonical ``N_O`` column decides its whole block
+In the one-world walk each canonical ``N_O`` column decides its whole block
 of ``N_P`` columns by bitsets over their indices: the canonical ones (no
 permutation fixing the column maps them below themselves, one bitset per
 permutation), the pruned ones, and the falsifying ones among the rest.  A
@@ -106,6 +109,10 @@ class SearchBounds:
 
 @dataclass
 class CountermodelReport:
+    """A search's outcome and counts.  ``examined`` counts the canonical candidates decided and
+    ``pruned_by_property`` those a required condition fails; the every-world walk generates only
+    candidates whose every world meets the required conditions, so it prunes none (0)."""
+
     found: bool
     model: NeighbourhoodModel | None = None
     world: str | None = None
@@ -238,82 +245,64 @@ def _below(table: tuple[int, ...]) -> int:
     return int.from_bytes(row, "little")
 
 
-def _generation(n: int, max_sets: int, closed, every_world: bool, all_perms: bool, tick):
-    """``[no_cols, np_cols], levels, perms`` for ``_canonical`` at n worlds: the N_O and then
-    the N_P column indices of every world or of world 1 alone (superset-closed on side k with
-    ``closed[k]``); a permutation is ``(inverse, mask table, N_O index table, N_P index table,
-    the N_P indices it maps below themselves as a bitset)``, every one or, without
-    ``all_perms``, those fixing w1."""
+def _generation(n: int, max_sets: int, closed, all_perms: bool, tick):
+    """``[no_cols, np_cols], perms`` at n worlds (side k superset-closed with ``closed[k]``); a
+    permutation is ``(inverse, mask table, N_O index table, N_P index table, the N_P indices it
+    maps below themselves as a bitset)``, all or, without ``all_perms``, those fixing w1."""
     cols = {c: _collections(n, max_sets, tick, c) for c in set(closed)}
     perms = [p for p in _perm_tables(n) if all_perms or p[0][0] == 0]
     tables = {c: _index_tables(perms, cols[c], tick) for c in cols}
     perms = [(*p, no, np_, _below(np_))
              for p, no, np_ in zip(perms, tables[closed[0]], tables[closed[1]])]
-    keys = [range(len(cols[c])) for c in closed]
-    levels = [(partial(product, k, repeat=n), partial(_image_indices, side)) if every_world
-              else (k.__iter__, partial(_image_index, side)) for side, k in enumerate(keys, 2)]
-    return [cols[c] for c in closed], levels, perms
+    return [cols[c] for c in closed], perms
 
 
-def _stabiliser(key, perms, image) -> list | None:
-    """None if one of ``perms`` maps ``key`` below itself, else those that fix it."""
-    fixing = []
-    for perm in perms:
-        moved = image(perm, key)
-        if moved < key:
-            return None
-        if moved == key:
-            fixing.append(perm)
-    return fixing
-
-
-def _canonical(levels, perms, tick, prefix=()):
-    """The encodings least in their orbit under ``perms``, in ascending order, each with the
-    permutations that fix it.
-
-    An encoding has one key per level; a level is ``(keys, image)``, where
-    ``keys()`` iterates its keys in ascending order and ``image(perm, key)``
-    moves one by a ``_generation`` permutation.  A key is tested only against the
-    stabiliser of the keys before it.  ``tick()`` runs once per key tried.
-    """
-    (keys, image), *rest = levels
-    for key in keys():
+def _canonical(keys, perms, image, tick):
+    """Each of ``keys`` (ascending) that no permutation of ``perms`` maps below itself, with the
+    permutations that fix it; ``image(perm, key)`` moves a key.  ``tick()`` runs per key tried."""
+    for key in keys:
         tick()
-        fixing = _stabiliser(key, perms, image)
-        if fixing is not None and rest:
-            yield from _canonical(rest, fixing, tick, prefix + (key,))
-        elif fixing is not None:
-            yield prefix + (key,), fixing
+        fixing = []
+        for perm in perms:
+            moved = image(perm, key)
+            if moved < key:
+                break
+            if moved == key:
+                fixing.append(perm)
+        else:
+            yield key, fixing
 
 
-def _walk_candidates(levels, perms, pruned, falsified, report, tick):
-    """The first canonical candidate (N_O indices, N_P indices) that no required property
-    prunes and ``falsified`` holds for, counting each one tried; None if none."""
-    for (no, np_), _ in _canonical(levels, perms, tick):
-        report.examined += 1
-        if any(pruned(i) >> j & 1 for i, j in zip(no, np_)):
-            report.pruned_by_property += 1
-        elif falsified(no, np_):
-            return no, np_
+def _walk_candidates(n, cols, perms, live, falsified, report, tick):
+    """The first canonical candidate (N_O indices, N_P indices) of every world's columns that
+    ``falsified`` holds for, counting each one tried, or None.  World k's N_P index ranges over
+    ``live(no[k])``, tested only against the stabiliser of the N_O indices ``no``."""
+    outer = product(range(len(cols[0])), repeat=n)
+    for no, fixing in _canonical(outer, perms, partial(_image_indices, 2), tick):
+        inner = product(*map(live, no))
+        for np_, _ in _canonical(inner, fixing, partial(_image_indices, 3), tick):
+            report.examined += 1
+            if falsified(no, np_):
+                return no, np_
     return None
 
 
-def _canonical_blocks(levels, perms, n_cols, tick):
-    """Each canonical N_O index of one-world levels with its block's canonical N_P indices as a
-    bitset: those that no permutation fixing the N_O index maps below themselves."""
-    every = (1 << n_cols) - 1
-    for (no,), fixing in _canonical(levels[:1], perms, tick):
+def _canonical_blocks(cols, perms, tick):
+    """Each canonical N_O index of world 1 with its block's canonical N_P indices as a bitset:
+    those that no permutation fixing the N_O index maps below themselves."""
+    every = (1 << len(cols[1])) - 1
+    for no, fixing in _canonical(range(len(cols[0])), perms, partial(_image_index, 2), tick):
         canonical = every
         for perm in fixing:
             canonical &= ~perm[4]
         yield no, canonical
 
 
-def _walk_blocks(levels, perms, n_cols, pruned, falsifying, report, tick):
-    """``_walk_candidates`` for one-world levels, deciding each canonical N_O index's block of
-    N_P indices at once, as three bitsets: the canonical indices, the pruned ones and, among the
-    rest, the falsified ones from ``falsifying(no, live)``, of which only the lowest counts."""
-    for no, canonical in _canonical_blocks(levels, perms, n_cols, tick):
+def _walk_blocks(n, cols, perms, pruned, falsifying, report, tick):
+    """``_walk_candidates`` for world 1's pair, the other worlds empty (index 0): each canonical
+    N_O index decides its block of N_P indices as bitsets, the canonical, the pruned and, of the
+    rest, those ``falsifying(no, live)`` gives, of which only the lowest counts."""
+    for no, canonical in _canonical_blocks(cols, perms, tick):
         cut = pruned(no)
         live = canonical & ~cut
         hit = live and falsifying(no, live) & live
@@ -323,7 +312,8 @@ def _walk_blocks(levels, perms, n_cols, pruned, falsifying, report, tick):
         report.examined += canonical.bit_count()
         report.pruned_by_property += (canonical & cut).bit_count()
         if first:
-            return no, first.bit_length() - 1
+            rest = (0,) * (n - 1)
+            return (no, *rest), (first.bit_length() - 1, *rest)
     return None
 
 
@@ -391,17 +381,19 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
     checked = required - {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
     for n in range(1, bounds.max_worlds + 1):
         worlds, full = _worlds(n), (1 << n) - 1
-        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, every_world,
-                                                        all_perms, tick)
+        cols, perms = _generation(n, bounds.max_sets, closed, all_perms, tick)
+        no_cols, np_cols = cols
         has = column_members(np_cols, full)
         # Per N_O index, computed on first use: the N_P indices whose pair with it fails.
         pruned = cache(lambda i: failing_columns(no_cols[i], has, full, checked))
         if every_world:
+            live = cache(lambda i: [j for j in range(len(np_cols)) if not pruned(i) >> j & 1])
+
             def falsified(no, np_):
                 view = ModelView(worlds, [no_cols[i] for i in no], [np_cols[j] for j in np_], {})
                 return find_schema_violation(view, target, variables) is not None
 
-            hit = _walk_candidates(levels, perms, pruned, falsified, report, tick)
+            hit = _walk_candidates(n, cols, perms, live, falsified, report, tick)
         else:
             if body is None:
                 prop = (GUARDED_RULES[target].prop,)
@@ -409,13 +401,11 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
             else:
                 plan = ColumnPlan(n, body, variables, np_cols)
                 falsifying = lambda i, live: plan.falsifying(no_cols[i], live)
-            hit = _walk_blocks(levels, perms, len(np_cols), pruned, falsifying, report, tick)
+            hit = _walk_blocks(n, cols, perms, pruned, falsifying, report, tick)
         if hit is not None:
             no, np_ = hit
-            rest = (0,) * (n - 1)  # the other worlds' column at one-world levels: the empty one
-            no_ix, np_ix = (no, np_) if every_world else ((no, *rest), (np_, *rest))
             # Named, so the public checks below re-verify it on a view of their own.
-            model = ModelView(worlds, [no_cols[i] for i in no_ix], [np_cols[j] for j in np_ix],
+            model = ModelView(worlds, [no_cols[i] for i in no], [np_cols[j] for j in np_],
                               {}).model()
             if any(check_property(model, p) is not None for p in required):
                 raise SearchError("countermodel failed re-verification of a required frame "

@@ -165,10 +165,11 @@ class TestCountermodel:
 
     @pytest.mark.parametrize("flag", [(), ("--json",)], ids=["text", "json"])
     def test_timeout_reports_progress(self, capsys, flag):
-        # Modal depth 2, so every world's columns are walked: 0.2 s is far too short.
+        # Modal depth 2, so every world's columns are walked: at 3 worlds and 2 sets 0.2 s is
+        # far too short.
         code, out, err = run(
             capsys, "countermodel", "--target", "Ps(a | b) & Pw a -> Ps a | O Ps a",
-            "--require", "AFCPO,AFCPP", "--max-worlds", "3", "--max-sets", "1",
+            "--require", "AFCPO,AFCPP", "--max-worlds", "3", "--max-sets", "2",
             "--atoms", "a,b", "--timeout-secs", "0.2", *flag,
         )
         assert code == 2 and out == ""
@@ -234,7 +235,8 @@ class TestInclusions:
     def test_lattice_verifies(self, capsys):
         code, out, _ = run(capsys, "inclusions")
         assert code == 0
-        assert "lattice verified" in out
+        # Verified, except the relation no script or separator settles, which is named.
+        assert out.splitlines()[-1] == "lattice verified except pending: FCP_1 <= FCP_5"
         assert "order: E < Min < FCP_2 = FCP_4 < FCP_1 <= FCP_5 < FCP_3 = FCP_6" in out
         headers = [l for l in out.splitlines() if l.startswith(("E ", "Min ", "FCP_"))]
         assert len(headers) == 7

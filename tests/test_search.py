@@ -2,7 +2,7 @@ import gc
 import math
 import random
 import time
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import combinations, groupby, permutations, product
 
 import pytest
@@ -26,7 +26,8 @@ from deontic.frames import (
 from deontic.model import ModelView, truth_mask
 from deontic.proof import load_script
 from deontic.search import (
-    _canonical, _collections, _generation, _image_col, _perm_tables, _stabiliser, _worlds,
+    _canonical, _collections, _generation, _image_col, _image_index, _image_indices, _perm_tables,
+    _worlds,
 )
 from deontic.systems import FRAME_CLASSES, SCHEMAS
 
@@ -156,14 +157,14 @@ class TestFindCountermodel:
 
 
 def test_timeout_is_kept_within_the_every_world_walk():
-    # The target has modal depth 2, so every world's columns are walked: at 4 worlds this
-    # search spans 17 ** 8 frames, and it runs for over a minute.  The clock is read once per
-    # candidate, so the search stops soon after its budget.
+    # The target has modal depth 2, so every world's columns are walked: at 4 worlds and 2 sets
+    # this search spans 137 ** 8 frames, far more than its budget covers.  The clock is read
+    # once per key tried, so the search stops soon after its budget.
     target = parse("Ps(a | b) & Pw a -> Ps a | O Ps a")
     required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
     start = time.monotonic()
     with pytest.raises(SearchTimeout):
-        find_countermodel(target, required, SearchBounds(4, 1, ("a", "b")), timeout_secs=1.0)
+        find_countermodel(target, required, SearchBounds(4, 2, ("a", "b")), timeout_secs=1.0)
     assert time.monotonic() - start < 3.0
 
 
@@ -347,34 +348,48 @@ def _no_tick():
     pass
 
 
-def _setup(n, max_sets, every_world=False, all_perms=True):
-    """The search's column list, levels and permutations at n worlds, no column closed."""
-    (cols, _), levels, perms = _generation(n, max_sets, (False, False), every_world, all_perms,
-                                           _no_tick)
-    return cols, levels, perms
+def _setup(n, max_sets, all_perms=True):
+    """The search's column list and permutations at n worlds, no column closed."""
+    (cols, _), perms = _generation(n, max_sets, (False, False), all_perms, _no_tick)
+    return cols, perms
+
+
+def _images(every_world):
+    """The N_O and N_P key images of one-world or every-world keys."""
+    image = _image_indices if every_world else _image_index
+    return partial(image, 2), partial(image, 3)
+
+
+def _two_levels(no_keys, np_keys, perms, every_world):
+    """The encodings two nested ``_canonical`` calls yield, in order: each canonical N_O key,
+    then each of ``np_keys`` canonical under the N_O key's stabiliser."""
+    no_image, np_image = _images(every_world)
+    return [(no, np_) for no, fixing in _canonical(no_keys, perms, no_image, _no_tick)
+            for np_, _ in _canonical(np_keys, fixing, np_image, _no_tick)]
 
 
 def _as_columns(cols, encodings, every_world):
-    """``_canonical``'s encodings, without their stabilisers, with their column indices read
-    back as columns."""
+    """Encodings of index keys read back as columns."""
     if every_world:
-        return [(tuple(cols[i] for i in no), tuple(cols[j] for j in np_))
-                for (no, np_), _ in encodings]
-    return [(cols[no], cols[np_]) for (no, np_), _ in encodings]
+        return [(tuple(cols[i] for i in no), tuple(cols[j] for j in np_)) for no, np_ in encodings]
+    return [(cols[no], cols[np_]) for no, np_ in encodings]
 
 
 def _generated(n, max_sets, every_world=False, all_perms=True):
-    """What the search generates at n worlds, as columns."""
-    cols, levels, perms = _setup(n, max_sets, every_world, all_perms)
-    return _as_columns(cols, _canonical(levels, perms, _no_tick), every_world)
+    """What the search generates at n worlds with no required property, as columns."""
+    cols, perms = _setup(n, max_sets, all_perms)
+    keys = list(product(range(len(cols)), repeat=n)) if every_world else range(len(cols))
+    return _as_columns(cols, _two_levels(keys, keys, perms, every_world), every_world)
 
 
-def _is_generated(encoding, levels, perms):
-    """The level-by-level test that ``_canonical`` makes, on one encoding of index keys."""
-    for key, (_, image) in zip(encoding, levels):
-        perms = _stabiliser(key, perms, image)
-        if perms is None:
+def _is_generated(encoding, perms, every_world=False):
+    """The level-by-level test that nested ``_canonical`` calls make, on one encoding of index
+    keys."""
+    for key, image in zip(encoding, _images(every_world)):
+        found = next(_canonical([key], perms, image, _no_tick), None)
+        if found is None:
             return False
+        perms = found[1]
     return True
 
 
@@ -391,12 +406,12 @@ def _block_candidates(monkeypatch, target, bounds):
     seen = []
     blocks = deontic.search._canonical_blocks
 
-    def recorded(levels, perms, n_cols, tick):
+    def recorded(search_cols, perms, tick):
         n = len(seen) + 1
         cols = _collections(n, bounds.max_sets)
-        assert len(cols) == n_cols
+        assert search_cols == [cols, cols]
         seen.append([])
-        for no, canonical in blocks(levels, perms, n_cols, tick):
+        for no, canonical in blocks(search_cols, perms, tick):
             seen[-1] += [(cols[no], cols[j]) for j in _bits(canonical)]
             yield no, canonical
 
@@ -423,8 +438,30 @@ def _searched(monkeypatch, target, bounds):
 
 
 def _oracle_models(n, cols):
-    return [(no, np_) for no in product(cols, repeat=n) for np_ in product(cols, repeat=n)
-            if _canonical_model_oracle(no, np_, n)]
+    """The every-world candidates over ``cols`` that ``_canonical_model_oracle`` accepts, in
+    ascending order.  Each column is remapped once per permutation, and a candidate's N_P part
+    is moved only where its N_O part ties, as tuple comparison reads it."""
+    perms = list(permutations(range(n)))
+    keys = {col: _sorted(col) for col in cols}
+    images = [{col: tuple(sorted(_remap_mask(m, perm) for m in col)) for col in cols}
+              for perm in perms]
+
+    def move(k, part):
+        out = [None] * n
+        for i, col in enumerate(part):
+            out[perms[k][i]] = images[k][col]
+        return tuple(out)
+
+    accepted = []
+    for no in product(cols, repeat=n):
+        no_key = tuple([keys[c] for c in no])
+        moved = [move(k, no) for k in range(len(perms))]
+        for np_ in product(cols, repeat=n):
+            np_key = tuple([keys[c] for c in np_])
+            if all(m > no_key or m == no_key and move(k, np_) >= np_key
+                   for k, m in enumerate(moved)):
+                accepted.append((no, np_))
+    return accepted
 
 
 class TestCanonicity:
@@ -439,20 +476,20 @@ class TestCanonicity:
         assert seen[n] == expected
 
     def test_pair_generation_on_a_sample_of_n_o_at_4_worlds(self):
-        cols, levels, perms = _setup(4, 2)
+        cols, perms = _setup(4, 2)
         sample = sorted(random.Random(4).sample(range(len(cols)), 40))
-        levels[0] = (sample.__iter__, levels[0][1])
         expected = [(cols[i], np_) for i in sample for np_ in cols
                     if _canonical_pair_oracle(cols[i], np_, 4)]
-        assert _as_columns(cols, _canonical(levels, perms, _no_tick), False) == expected
+        encodings = _two_levels(sample, range(len(cols)), perms, False)
+        assert _as_columns(cols, encodings, False) == expected
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_pair_agrees_with_oracle_on_a_sample(self, n):
         rng = random.Random(n)
-        cols, levels, perms = _setup(n, 3)
+        cols, perms = _setup(n, 3)
         for _ in range(400):
             i, j = rng.randrange(len(cols)), rng.randrange(len(cols))
-            assert (_is_generated((i, j), levels, perms)
+            assert (_is_generated((i, j), perms)
                     == _canonical_pair_oracle(cols[i], cols[j], n)), (cols[i], cols[j])
 
     @pytest.mark.parametrize("all_perms", [False, True], ids=["fixing-w1", "all"])
@@ -481,18 +518,17 @@ class TestCanonicity:
     @pytest.mark.parametrize("n, seed, size", [(3, 1, 4), (4, 0, 3), (4, 1, 2)])
     def test_model_generation_on_a_sample_of_columns(self, n, seed, size):
         # Every product of a sorted column sample, so both sides see the same candidates.
-        cols, levels, perms = _setup(n, 2, every_world=True)
+        cols, perms = _setup(n, 2)
         sample = sorted(random.Random(n * 10 + seed).sample(range(len(cols)), size))
-        for k in (0, 1):
-            levels[k] = (partial(product, sample, repeat=n), levels[k][1])
-        assert (_as_columns(cols, _canonical(levels, perms, _no_tick), True)
+        keys = list(product(sample, repeat=n))
+        assert (_as_columns(cols, _two_levels(keys, keys, perms, True), True)
                 == _oracle_models(n, [cols[i] for i in sample]))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_model_agrees_with_oracle_on_a_sample(self, n):
         # Random candidates are rarely canonical, so each one's orbit least is checked too.
         rng = random.Random(n)
-        cols, levels, perms = _setup(n, 2, every_world=True)
+        cols, perms = _setup(n, 2)
         index = {_sorted(col): i for i, col in enumerate(cols)}
 
         def key(no, np_):
@@ -502,9 +538,9 @@ class TestCanonicity:
             no = tuple(rng.choice(cols) for _ in range(n))
             np_ = tuple(rng.choice(cols) for _ in range(n))
             least = _orbit_least_model(no, np_, n)
-            assert _is_generated(key(*least), levels, perms)
+            assert _is_generated(key(*least), perms, every_world=True)
             for candidate in ((no, np_), least):
-                assert (_is_generated(key(*candidate), levels, perms)
+                assert (_is_generated(key(*candidate), perms, every_world=True)
                         == _canonical_model_oracle(*candidate, n)), candidate
 
     def test_tables_are_the_non_identity_permutations(self):
@@ -522,7 +558,7 @@ class TestCanonicity:
     def test_index_tables_name_the_image_columns(self, closed):
         # Indices compare as columns only if each list is sorted; column 0 is the empty one.
         for n in range(1, 5):
-            cols, _, perms = _generation(n, 2, closed, False, True, _no_tick)
+            cols, perms = _generation(n, 2, closed, True, _no_tick)
             assert len(perms) == math.factorial(n) - 1
             for side, side_cols in enumerate(cols, 2):
                 keys = list(map(_sorted, side_cols))
@@ -530,7 +566,7 @@ class TestCanonicity:
                 for perm in perms:
                     assert [side_cols[i] for i in perm[side]] == [_image_col(perm, c)
                                                                    for c in side_cols]
-            _, _, fixing = _generation(n, 2, closed, False, False, _no_tick)
+            _, fixing = _generation(n, 2, closed, False, _no_tick)
             assert [p[0] for p in fixing] == [p[0] for p in perms if p[0][0] == 0]
             assert len(fixing) == math.factorial(n - 1) - 1
 
@@ -573,6 +609,17 @@ class TestCounters:
         assert not report.found
         assert (report.examined, report.pruned_by_property) == (26, 10)
         assert _independent_one_world_count(2, 1, required) == (26, 10)
+
+    def test_every_world_search_counters(self):
+        # Modal depth 2: only candidates whose every world meets AFCPO and AFCPP are generated,
+        # so each one counts as examined and none as pruned.
+        target = parse("Ps(a | b) & Pw a -> Ps a | O Ps a")
+        required = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
+        bounds = SearchBounds(3, 1, ("a", "b"))
+        report = find_countermodel(target, required, bounds)
+        assert not report.found
+        assert (report.examined, report.pruned_by_property) == (1751, 0)
+        assert _every_world_oracle(target, required, bounds)[:2] == (False, 1751)
 
     def test_valuations_range_over_the_targets_own_atoms(self):
         # The command-line default atoms a, b, c: c is not in the target, so it is no assignment
@@ -649,9 +696,67 @@ class TestOneWorldReduction:
             assert not evaluate(report.model, report.world, target)
 
 
+def _depth_two_formulas(atom_names: str) -> st.SearchStrategy:
+    """Formulas of modal depth 2: a modal operator over a depth-1 formula, alone, negated or
+    joined with a formula of depth <= 1."""
+    depth_one = _depth_one_formulas(atom_names)
+    nested = st.builds(lambda op, f: op(f), st.sampled_from([Obl, PermS, PermW]),
+                       depth_one.filter(lambda f: modal_depth(f) == 1))
+    joined = st.builds(lambda c, f, g: c(f, g), st.sampled_from([And, Or, Implies, Iff]),
+                       nested, depth_one)
+    return st.one_of(nested, st.builds(Not, nested), joined)
+
+
+@cache
+def _all_oracle_models(n, max_sets):
+    return _oracle_models(n, _collections(n, max_sets))
+
+
+def _every_world_oracle(target, required, bounds):
+    """The every-world walk, candidate by candidate: each canonical candidate in ascending
+    order, kept if ``find_violation`` passes every required property on its view, and then
+    decided by ``find_schema_violation`` over the formula's atoms.  Returns (found, the kept
+    candidates tried, the first falsifying view, its world index, the falsifying masks)."""
+    names = sorted(atoms(target))
+    examined = 0
+    for n in range(1, bounds.max_worlds + 1):
+        for no, np_ in _all_oracle_models(n, bounds.max_sets):
+            view = ModelView(_worlds(n), list(no), list(np_), {})
+            if any(find_violation(view, p) is not None for p in required):
+                continue
+            examined += 1
+            hit = find_schema_violation(view, target, names)
+            if hit is not None:
+                return True, examined, view, *hit
+    return False, examined, None, None, None
+
+
+class TestEveryWorldWalk:
+    # Drawing each world's N_P column from those its N_O column leaves live generates exactly
+    # the canonical candidates that no required property prunes, in the same order.
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_agrees_with_per_candidate_oracle_under_required_properties(self, data):
+        target = data.draw(_depth_two_formulas("ab"))
+        required = data.draw(st.sets(st.sampled_from(list(FrameProperty)), max_size=3))
+        worlds, sets = data.draw(st.sampled_from(
+            [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 1)]))
+        bounds = SearchBounds(worlds, sets, ("a", "b"))
+        assert modal_depth(target) == 2
+        found, examined, view, world, masks = _every_world_oracle(target, required, bounds)
+        report = find_countermodel(target, required, bounds)
+        assert (report.found, report.examined, report.pruned_by_property) == (found, examined, 0)
+        if found:
+            named = view.model()
+            assert (report.model.n_obl, report.model.n_perm) == (named.n_obl, named.n_perm)
+            assert report.world == view.worlds[world]
+            expected = dict(zip(sorted(atoms(target)), map(view.set_of, masks)))
+            assert {a: report.model.valuation[a] for a in expected} == expected
+
+
 def _candidate_search(target, required, bounds):
-    """The per-candidate decision that the block walk replaced: ``_canonical`` over both
-    one-world levels, each frame pruned and then decided on its one-world view
+    """The per-candidate decision that the block walk replaced: nested ``_canonical`` calls over
+    world 1's N_O and N_P indices, each frame pruned and then decided on its one-world view
     (``find_violation``, or ``find_schema_violation`` over a schema's variables or a formula's
     atoms).  Returns (found, examined, pruned, the first falsifying view, its world index, the
     falsifying assignment's masks or None for a rule)."""
@@ -663,10 +768,9 @@ def _candidate_search(target, required, bounds):
     all_perms = body is None or not bare_atoms(body)
     examined = pruned = 0
     for n in range(1, bounds.max_worlds + 1):
-        (no_cols, np_cols), levels, perms = _generation(n, bounds.max_sets, closed, False,
-                                                        all_perms, _no_tick)
+        (no_cols, np_cols), perms = _generation(n, bounds.max_sets, closed, all_perms, _no_tick)
         empty = [frozenset()] * (n - 1)
-        for (no, np_), _ in _canonical(levels, perms, _no_tick):
+        for no, np_ in _two_levels(range(len(no_cols)), range(len(np_cols)), perms, False):
             examined += 1
             view = ModelView(_worlds(n), [no_cols[no], *empty], [np_cols[np_], *empty], {})
             if any(find_violation(view, p) is not None for p in checked):
