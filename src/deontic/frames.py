@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations, islice, product
+from itertools import islice, product
 from typing import Iterable
 
 from .formula import Atom, Formula, Obl, PermS, PermW, Schema, atoms, eval_bits, schema
@@ -386,17 +386,18 @@ class ColumnPlan:
 
     The assignments come in blocks in ``itertools.product`` order, the last variables that fit
     ``_FREE_BITS`` free in each (``_Assignments``) and the rest fixed per block; a plan keeps
-    its first ``_KEPT_BLOCKS`` for its next call.  Once a block falsifies a column, later blocks
-    search only the columns below it.  A walk is one
-    ``eval_bits`` over a chunk of columns, bit i·A + a standing for the i-th column under
-    assignment a of a block of A: ``O x`` and ``Pw x`` read the masks of N_O in ``truth(x)``
-    once for every column, ``Ps x`` reads each column's masks.  As the rest of W is empty, world
-    1 alone can falsify the body once a search has passed the one-world frames whose
-    neighbourhoods are empty.
+    its first ``_KEPT_BLOCKS`` for its next call, and runs ``tick()`` (a search's time budget)
+    once per block.  Once a block falsifies a column, later blocks search only the columns below
+    it.  A walk is one ``eval_bits`` over a chunk of columns, bit i·A + a standing for the i-th
+    column under assignment a of a block of A: ``O x`` and ``Pw x`` read the masks of N_O in
+    ``truth(x)`` once for every column, ``Ps x`` reads each column's masks.  As the rest of W is
+    empty, world 1 alone can falsify the body once a search has passed the one-world frames
+    whose neighbourhoods are empty.
     """
 
-    def __init__(self, n: int, body: Formula, variables: list[str], cols: list[frozenset[int]]):
-        self.n, self.body, self.variables, self.cols = n, body, variables, cols
+    def __init__(self, n: int, body: Formula, variables: list[str], cols: list[frozenset[int]],
+                 tick=lambda: None):
+        self.n, self.body, self.variables, self.cols, self.tick = n, body, variables, cols, tick
         self._free = min(len(variables), _FREE_BITS // n)
         self._kept: list[_Assignments] = []
 
@@ -414,6 +415,7 @@ class ColumnPlan:
         world 1 under some assignment, N_O(w1) being ``no``, as a bitset; 0 if there is none."""
         best, every = None, (1 << self.n) - 1
         for block in self._blocks():
+            self.tick()
             if best is not None:
                 live &= (1 << best) - 1
             if not live:
@@ -525,24 +527,16 @@ def supplementation_closure(m: NeighbourhoodModel, which: str) -> NeighbourhoodM
     """Close each neighbourhood of the chosen function under supersets.
 
     ``which`` is "O" or "Ps".  The result is the smallest superset-closed
-    collection containing each N(w); the operation is extensive and
-    idempotent.
+    collection containing each N(w): the masks including some member.  The
+    operation is extensive and idempotent.
     """
     if which not in ("O", "Ps"):
         raise ValueError(f"which must be 'O' or 'Ps', got {which!r}")
-    w_all = frozenset(m.worlds)
+    b = m.view
 
-    def close(col):
-        out = set()
-        for s in col:
-            rest = sorted(w_all - s)
-            for k in range(len(rest) + 1):
-                for extra in combinations(rest, k):
-                    out.add(s | frozenset(extra))
-        return frozenset(out)
+    def close(cols: list[frozenset[int]]) -> list[frozenset[int]]:
+        return [frozenset(x for x in range(b.full + 1) if any(x & s == s for s in col))
+                for col in cols]
 
-    if which == "O":
-        new_obl = {w: close(m.n_obl[w]) for w in m.worlds}
-        return NeighbourhoodModel(m.worlds, new_obl, dict(m.n_perm), dict(m.valuation))
-    new_perm = {w: close(m.n_perm[w]) for w in m.worlds}
-    return NeighbourhoodModel(m.worlds, dict(m.n_obl), new_perm, dict(m.valuation))
+    n_obl, n_perm = (close(b.n_obl), b.n_perm) if which == "O" else (b.n_obl, close(b.n_perm))
+    return ModelView(b.worlds, n_obl, n_perm, b.valuation).model()

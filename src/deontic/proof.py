@@ -15,8 +15,9 @@ either tier and conclude at that tier, while their side conditions must
 be theorem-tier lines or tautology certificates.
 
 Weak-permission formulas are interchangeable with their ``~O~`` spelling
-everywhere: line formulas are normalised with ``expand_pw`` before any
-comparison, so ``Pw p`` and ``~O~p`` justify each other.
+everywhere: each hypothesis, body line and goal is rewritten with
+``expand_pw`` once, where it enters the checker, and the checker keeps and
+compares only that form, so ``Pw p`` and ``~O~p`` justify each other.
 
 Script text format::
 
@@ -262,44 +263,34 @@ def _box_operand(f: Formula, mod: str) -> Formula | None:
 
 
 class _Checker:
-    def __init__(self, script: ProofScript, system: SystemDef):
-        self.script = script
+    """Checks lines against ``hyps`` and the earlier lines' ``forms``, all in ``expand_pw`` form."""
+
+    def __init__(self, system: SystemDef, hyps: list[tuple[Formula, bool]]):
         self.system = system
-        self._norm_cache: dict[Formula, Formula] = {}
-        self.hyps = [(self.norm(h.formula), h.theorem) for h in script.hypotheses]
+        self.hyps = hyps
         self.forms: dict[int, Formula] = {}
         self.tiers: dict[int, str] = {}
 
-    def norm(self, f: Formula) -> Formula:
-        cached = self._norm_cache.get(f)
-        if cached is None:
-            cached = expand_pw(f)
-            self._norm_cache[f] = cached
-        return cached
-
-    def check_line(self, line: ProofLine) -> str:
-        """Returns the line's tier, or an error message."""
-        j = line.justification
-        f = self.norm(line.formula)
+    def check_line(self, j: Justification, f: Formula) -> str:
+        """The tier of a line stating ``f`` (normalised), or an error message."""
         if j.kind in _GUARDED_KINDS:
-            return self._check_guarded(line, j, f)
-        handler = getattr(self, f"_check_{j.kind}")
-        return handler(line, j, f)
+            return self._check_guarded(j, f)
+        return getattr(self, f"_check_{j.kind}")(j, f)
 
     # --- individual justifications -------------------------------------
 
-    def _check_hyp(self, line, j, f):
+    def _check_hyp(self, j, f):
         for hf, theorem in self.hyps:
             if hf == f:
                 return "theorem" if theorem else "local"
         return "formula is not among the declared hypotheses"
 
-    def _check_taut(self, line, j, f):
+    def _check_taut(self, j, f):
         if is_tautology(f):
             return "theorem"
         return "not a propositional tautology under modal abstraction"
 
-    def _check_ax(self, line, j, f):
+    def _check_ax(self, j, f):
         name = j.schema
         if name not in SCHEMAS:
             return f"unknown axiom schema {name!r}"
@@ -311,32 +302,32 @@ class _Checker:
                 inst = instantiate(sch, dict(j.subst))
             except ValueError as exc:
                 return str(exc)
-            if self.norm(inst) != f:
+            if expand_pw(inst) != f:
                 return f"line is not the stated instance of {name}"
         else:
-            normalised = Schema(self.norm(sch.body), sch.metavars)
+            normalised = Schema(expand_pw(sch.body), sch.metavars)
             if match_schema(normalised, f) is None:
                 return f"line does not match any instance of {name}"
         return "theorem"
 
-    def _check_mp(self, line, j, f):
+    def _check_mp(self, j, f):
         i, k = j.refs
         for prem, impl in ((i, k), (k, i)):
-            g = self.norm(self.forms[impl])
-            if isinstance(g, Implies) and g.left == self.norm(self.forms[prem]) and g.right == f:
+            g = self.forms[impl]
+            if isinstance(g, Implies) and g.left == self.forms[prem] and g.right == f:
                 return _join_tiers((self.tiers[i], self.tiers[k]))
         return "modus ponens does not apply to the cited lines"
 
-    def _check_cpl(self, line, j, f):
-        premises = [self.norm(self.forms[r]) for r in j.refs]
+    def _check_cpl(self, j, f):
+        premises = [self.forms[r] for r in j.refs]
         if tautological_consequence(premises, f):
             return _join_tiers(self.tiers[r] for r in j.refs)
         return "not a tautological consequence of the cited lines"
 
-    def _check_re(self, line, j, f):
+    def _check_re(self, j, f):
         (i,) = j.refs
         mod = j.modality
-        cited = self.norm(self.forms[i])
+        cited = self.forms[i]
         if isinstance(cited, Iff):
             expected = Iff(_mk_box(mod, cited.left), _mk_box(mod, cited.right))
             if expected != f:
@@ -354,12 +345,12 @@ class _Checker:
             return "operands of the cited and current formulas are not tautologically equivalent"
         return self.tiers[i]
 
-    def _check_rm(self, line, j, f):
+    def _check_rm(self, j, f):
         (i,) = j.refs
         mod = j.modality
         if not self.system.admits_rm(mod):
             return f"monotonicity for {mod} is not available in {self.system.name}"
-        cited = self.norm(self.forms[i])
+        cited = self.forms[i]
         if not isinstance(cited, Implies):
             return "cited line is not an implication"
         if self.tiers[i] != "theorem":
@@ -376,26 +367,26 @@ class _Checker:
             return f"side condition {render(expected)} is not a tautology"
         if self.tiers[side] != "theorem":
             return f"tier violation: side condition must cite a theorem-tier line, line {side} is local"
-        if self.norm(self.forms[side]) != expected:
+        if self.forms[side] != expected:
             return f"cited side line {side} does not state {render(expected)}"
         return None
 
-    def _check_guarded(self, line, j, f):
+    def _check_guarded(self, j, f):
         name = _GUARDED_KINDS[j.kind]
         if name not in self.system.rules:
             return f"rule {name} is not part of {self.system.name}"
         rule = GUARDED_RULES[name]
         # Conjuncts re-joined left to right, so the cited lines may split the premise anywhere.
-        parts = [part for r in j.refs for part in flatten(self.norm(self.forms[r]), And)]
-        premise = Schema(self.norm(rule.premise.body), rule.premise.metavars)
+        parts = [part for r in j.refs for part in flatten(self.forms[r], And)]
+        premise = Schema(expand_pw(rule.premise.body), rule.premise.metavars)
         binding = match_schema(premise, reduce(And, parts)) if parts else None
         if binding is None:
             return f"main premise must be {render(rule.premise.body)}"
-        conclusion = self.norm(instantiate(rule.conclusion, binding))
+        conclusion = expand_pw(instantiate(rule.conclusion, binding))
         if f != conclusion:
             return f"conclusion must be {render(conclusion)}"
         for side, expected in zip(j.sides, rule.sides):
-            err = self._side_ok(side, self.norm(instantiate(expected, binding)))
+            err = self._side_ok(side, expand_pw(instantiate(expected, binding)))
             if err:
                 return err
         return _join_tiers(self.tiers[i] for i in j.refs)
@@ -411,7 +402,7 @@ def check_proof(script: ProofScript, registry: SystemRegistry | None = None) -> 
     if not script.lines:
         return ProofResult(False, None, "script has no derivation lines")
 
-    checker = _Checker(script, system)
+    checker = _Checker(system, [(expand_pw(h.formula), h.theorem) for h in script.hypotheses])
     for pos, line in enumerate(script.lines, start=1):
         if line.index != pos:
             return ProofResult(False, line.index, f"expected line number {pos}", dict(checker.tiers))
@@ -420,14 +411,15 @@ def check_proof(script: ProofScript, registry: SystemRegistry | None = None) -> 
                 return ProofResult(
                     False, line.index, f"citation of line {r} is out of order", dict(checker.tiers)
                 )
-        outcome = checker.check_line(line)
+        f = expand_pw(line.formula)
+        outcome = checker.check_line(line.justification, f)
         if outcome not in ("theorem", "local"):
             return ProofResult(False, line.index, outcome, dict(checker.tiers))
         checker.tiers[line.index] = outcome
-        checker.forms[line.index] = line.formula
+        checker.forms[line.index] = f
 
     last = script.lines[-1]
-    if checker.norm(last.formula) != checker.norm(script.goal):
+    if checker.forms[last.index] != expand_pw(script.goal):
         return ProofResult(
             False, last.index, "last line does not establish the declared goal", dict(checker.tiers)
         )

@@ -399,7 +399,7 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
                 prop = (GUARDED_RULES[target].prop,)
                 falsifying = lambda i, live: failing_columns(no_cols[i], has, full, prop)
             else:
-                plan = ColumnPlan(n, body, variables, np_cols)
+                plan = ColumnPlan(n, body, variables, np_cols, tick)
                 falsifying = lambda i, live: plan.falsifying(no_cols[i], live)
             hit = _walk_blocks(n, cols, perms, pruned, falsifying, report, tick)
         if hit is not None:
@@ -513,16 +513,16 @@ def compute_remainder(
     disjuncts = list(disjuncts)
     if not disjuncts:
         raise ValueError("the disjunct list must be non-empty")
-    obligations = list(obligations)
-    for ob in obligations:
-        if not isinstance(expand_pw(ob), Obl):
+    obligations = [(ob, expand_pw(ob)) for ob in obligations]  # each with its normal form
+    for ob, normal in obligations:
+        if not isinstance(normal, Obl):
             raise ValueError(f"not an obligation: {render(ob)}")
     weak = {expand_pw(f) for f in weak_permissions}
 
     def eliminator(d: Formula) -> Formula | None:
         nd = expand_pw(Not(d))
-        for ob in obligations:
-            body = expand_pw(ob).operand
+        for ob, normal in obligations:
+            body = normal.operand
             if body == nd:
                 return ob
             if use_implication_sides and is_tautology(Implies(body, nd)):

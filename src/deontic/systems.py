@@ -77,7 +77,6 @@ class SystemDef:
     name: str
     axioms: tuple[str, ...]
     rules: frozenset[str]
-    frame_class: frozenset[FrameProperty] | None
 
     @property
     def own(self) -> frozenset[str]:
@@ -94,8 +93,7 @@ class SystemDef:
 
 def _builtin_defs() -> list[SystemDef]:
     def make(name: str, axioms: tuple[str, ...], extra_rules: frozenset[str] = frozenset()):
-        props = frozenset(CONDITIONS[x] for x in (*axioms, *extra_rules))
-        return SystemDef(name, axioms, BASE_RULES | extra_rules, props)
+        return SystemDef(name, axioms, BASE_RULES | extra_rules)
 
     d = ("D_s", "D_w")
     return [
@@ -123,9 +121,6 @@ class SystemRegistry:
             reg._defs[d.name] = d
         return reg
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._defs)
-
     def get(self, name: str) -> SystemDef:
         try:
             return self._defs[name]
@@ -150,7 +145,7 @@ class SystemRegistry:
         unknown = rules - RULE_NAMES
         if unknown:
             raise ValueError(f"unknown inference rule {sorted(unknown)[0]!r}")
-        d = SystemDef(name, axioms, BASE_RULES | rules, None)
+        d = SystemDef(name, axioms, BASE_RULES | rules)
         self._defs[name] = d
         return d
 
@@ -162,7 +157,7 @@ class SystemRegistry:
 
 
 FRAME_CLASSES: dict[str, frozenset[FrameProperty]] = {
-    d.name: d.frame_class for d in _builtin_defs()
+    d.name: frozenset(CONDITIONS[x] for x in d.own) for d in _builtin_defs()
 }
 
 

@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deontic import (
-    Schema, atoms, check_proof, parse_proof_script, render,
+    Schema, atoms, bundled, check_proof, parse_proof_script, render,
     schema_valid_on_frame,
 )
 from deontic import parse
+from deontic.formula import Binary, Not, Obl, PermW, Unary
 from deontic.proof import (
     TABLE1_DERIVABLES, Hypothesis, ProofScript, _misstatement, load_script, run_scenario,
     scenario_registry, verify_table1,
@@ -248,6 +251,48 @@ class TestJustifications:
         result = check_proof(parse_proof_script(text), registry)
         assert not result.valid
         assert "tier" in result.reason
+
+
+def _respell(f, flips):
+    """``f`` with each ``Pw x``, in pre-order, spelled ``~O~x`` where ``next(flips)`` is true."""
+    if isinstance(f, PermW):
+        flip, x = next(flips), _respell(f.operand, flips)
+        return Not(Obl(Not(x))) if flip else PermW(x)
+    if isinstance(f, Unary):
+        return type(f)(_respell(f.operand, flips))
+    if isinstance(f, Binary):
+        return type(f)(_respell(f.left, flips), _respell(f.right, flips))
+    return f
+
+
+def _mutant():
+    """``fcp6__ifcp_p.proof`` failing at line 10: it states Pw p, its cited lines give Pw q."""
+    script = load_script("fcp6__ifcp_p.proof")
+    return replace(script, lines=tuple(
+        replace(line, formula=parse("Pw p")) if line.index == 10 else line for line in script.lines
+    ))
+
+
+class TestWeakPermissionSpelling:
+    @pytest.mark.parametrize("name", [*bundled.fixture_names("proofs"), "mutant"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_respelled_pw_keeps_the_verdict(self, registry, name, data):
+        # Hypotheses, body lines and goal respelled; justifications stay as written.
+        script = _mutant() if name == "mutant" else load_script(name)
+        formulas = [h.formula for h in script.hypotheses]
+        formulas += [line.formula for line in script.lines] + [script.goal]
+        n = sum(len(_modal_subformulas(f, PermW)) for f in formulas)
+        flips = iter(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        respelled = ProofScript(
+            script.system,
+            tuple(Hypothesis(_respell(h.formula, flips), h.theorem) for h in script.hypotheses),
+            tuple(replace(line, formula=_respell(line.formula, flips)) for line in script.lines),
+            _respell(script.goal, flips),
+        )
+        before, after = check_proof(script, registry), check_proof(respelled, registry)
+        assert (after.valid, after.line) == (before.valid, before.line)
+        assert name != "mutant" or (before.valid, before.line) == (False, 10)
 
 
 class TestCitationSpelling:

@@ -925,6 +925,16 @@ def test_a_large_block_keeps_the_budget(target):
     assert time.monotonic() - start < 1.0
 
 
+def test_many_assignment_blocks_keep_the_budget():
+    # Five atoms at 5 worlds give each N_O column 32 768 blocks of assignments: the budget is
+    # read once per block, not only once per column.
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        find_countermodel(_consequence("five_disjuncts.proof"), FRAME_CLASSES["FCP_2"],
+                          SearchBounds(5, 1, tuple("pqrst")), timeout_secs=0.5)
+    assert time.monotonic() - start < 1.5
+
+
 def test_an_exhausted_search_leaves_no_reference_cycle():
     # Garbage in a cycle waits for the cyclic collector, which a search that makes little other
     # garbage seldom triggers: a search's column lists held that way piled up between runs.

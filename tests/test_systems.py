@@ -44,7 +44,6 @@ class TestDefineSystem:
         d = registry.define("EXPLOSION_DEMO", axioms=["FCP"], rules=["RM_Ps"])
         assert d.rules >= BASE_RULES | {"RM_Ps"}
         assert registry.get("EXPLOSION_DEMO") is d
-        assert d.frame_class is None
 
     def test_duplicate_name(self, registry):
         with pytest.raises(ValueError, match="already defined"):
