@@ -10,11 +10,14 @@ two-variable loops with precomputed subset predicates.  Intended for
 A condition at a world reads only W and the world's two neighbourhoods.
 Each is described once, as an ordered stream of witnesses, each with the
 set of N_P columns it violates for a given N_O (``_terms``), so one walk
-decides a whole list of N_P columns: ``failing_columns`` ORs the stream,
-which is what the countermodel search reads.  ``find_violation`` reads a
-bitmask view (``model.ModelView``) through the one table of its N_P columns
-the view keeps (``ModelView.perm_members``): at each world, the first term
-that holds the world's own column.
+decides a whole list of N_P columns.  The countermodel search reads the
+stream's OR without walking it: ``ConditionTables`` builds, once per list
+of N_P columns, the ORs of its terms over the sets that N_O does not
+choose, and reads an N_O column's verdict from a few of their entries;
+the stream stays the one description of each condition and its witnesses.
+``find_violation`` reads a bitmask view (``model.ModelView``) through the
+one table of its N_P columns the view keeps (``ModelView.perm_members``):
+at each world, the first term that holds the world's own column.
 ``check_property``, ``schema_valid_on_frame`` and ``rule_valid_on_frame``
 name the worlds of what the view checks find.
 
@@ -40,8 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property, reduce
 from itertools import islice, product
+from operator import or_
 from typing import Iterable
 
 from .formula import Atom, Formula, Obl, PermS, PermW, Schema, atoms, eval_bits, schema
@@ -51,7 +55,7 @@ from .model import (
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
-    "check_property", "find_violation", "column_members", "failing_columns",
+    "check_property", "find_violation", "column_members", "ConditionTables",
     "recheck_witness", "classify_frame", "schema_valid_on_frame", "schema_variables",
     "find_schema_violation", "ColumnPlan",
     "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
@@ -167,14 +171,89 @@ def _terms(no: frozenset[int], has: list[int], full: int, prop: FrameProperty):
     raise ValueError(f"unhandled frame property {prop!r}")
 
 
-def failing_columns(no: frozenset[int], has: list[int], full: int,
-                    props: Iterable[FrameProperty]) -> int:
-    """The columns of ``has`` whose pair with ``no`` violates one of ``props``; -1 for all."""
-    out = 0
-    for prop in props:
-        for _, term in _terms(no, has, full, prop):
-            out |= term
-    return out
+def _or(terms: Iterable[int]) -> int:
+    return reduce(or_, terms, 0)
+
+
+class ConditionTables:
+    """The ten conditions at a world for every N_P column of one list at once: ``failing`` reads
+    an N_O column's verdict from tables of the list's ``column_members`` table ``has``, each
+    built on first use and kept for the list's life.
+
+    Every term of a ``_terms`` stream is has[x | y] & ~has[x], or has[x | y] & ~(has[x] & has[y])
+    where x and y range over the same sets, which ORs to the same as the first form.  N_O only
+    chooses which x or y occur, so the ORs over what it does not choose are tables: ``_over[x]``
+    over every y (x | y ranges over the supersets of x), ``_joined[y]`` over every x, and
+    ``_under[v]``, the OR of ``_joined[y]`` for y <= v; P-supplementation is one constant.
+    Coherence and O-supplementation read N_O alone.  A verdict is the OR of the stream, -1
+    included; the stream stays the one description of each condition and its witnesses.
+    """
+
+    def __init__(self, has: list[int], full: int):
+        self.has, self.full = has, full
+        self._masks = frozenset(range(full + 1))
+
+    @cached_property
+    def _over(self) -> list[int]:
+        has, masks = self.has, range(self.full + 1)
+        return [_or([has[u] for u in masks if u & x == x]) & ~has[x] for x in masks]
+
+    @cached_property
+    def _joined(self) -> list[int]:
+        has, masks = self.has, range(self.full + 1)
+        return [_or([has[x | y] & ~has[x] for x in masks]) for y in masks]
+
+    @cached_property
+    def _under(self) -> list[int]:
+        joined, masks = self._joined, range(self.full + 1)
+        return [_or([joined[y] for y in masks if y & v == y]) for v in masks]
+
+    @cached_property
+    def _p_supplemented(self) -> int:
+        has, masks = self.has, range(self.full + 1)
+        return _or([has[m] & ~has[x] for x in masks for m in masks if x | m == x])
+
+    def failing(self, no: frozenset[int], props: Iterable[FrameProperty]) -> int:
+        """The columns whose pair with ``no`` violates one of ``props``; -1 for all."""
+        forbidden = frozenset([self.full ^ o for o in no])  # the x with ~x in N_O
+        out = 0
+        for prop in props:
+            out |= self._failing(no, forbidden, prop)
+        return out
+
+    def _failing(self, no: frozenset[int], forbidden: frozenset[int], prop: FrameProperty) -> int:
+        P = FrameProperty
+        if prop is P.O_SUPPLEMENTED:
+            masks = range(self.full + 1)
+            return -1 if any(x | m == x and x not in no for m in no for x in masks) else 0
+        if prop is P.P_SUPPLEMENTED:
+            return self._p_supplemented
+        if prop is P.PW_COHERENT:
+            return 0 if forbidden.isdisjoint(no) else -1
+        if prop is P.PS_COHERENT:
+            return _or(map(self.has.__getitem__, forbidden))
+        if prop is P.AFCP_O:
+            return _or(map(self._joined.__getitem__, forbidden))
+        if prop is P.IFCP_O:  # the y disjoint from a member of N_O: those below its complement
+            return _or(map(self._under.__getitem__, forbidden))
+        # The rest range x (and y) over the sets weakly permitted, those not forbidden (AFCP),
+        # or over the sets with such a subset (IFCP); the others are barred.
+        barred = forbidden
+        if prop is P.IFCP_P or prop is P.IFCP2_P:
+            barred = {x for x in forbidden
+                      if all(z in forbidden for z in range(x + 1) if z & x == z)}
+        elif prop is not P.AFCP_P and prop is not P.AFCP2_P:
+            raise ValueError(f"unhandled frame property {prop!r}")
+        xs, over = self._masks.difference(barred), self._over
+        if prop is P.AFCP2_P or prop is P.IFCP2_P:
+            return _or(map(over.__getitem__, xs))
+        # x | y = u for each of the 2^|x| sets y from u - x to u, so the y of xs reach every
+        # superset u of x, making the term ``_over[x]``, unless all those y are barred.  Then
+        # u - x and u are, so x = t ^ r for barred r <= t: only such x are ORed in full.
+        near = {t ^ r for r in barred for t in barred if r & t == r}
+        has = self.has
+        return _or(map(over.__getitem__, xs.difference(near))) | _or(
+            [_or([has[x | y] for y in xs]) & ~has[x] for x in xs.intersection(near)])
 
 
 def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | None:

@@ -262,6 +262,13 @@ def _box_operand(f: Formula, mod: str) -> Formula | None:
     return None
 
 
+# What an ``ax`` line without a substitution and a guarded rule's main premise are matched
+# against: the fixed schema bodies, in ``expand_pw`` form, normalised once.
+_NORMAL_AXIOMS = {name: Schema(expand_pw(s.body), s.metavars) for name, s in SCHEMAS.items()}
+_NORMAL_PREMISES = {name: Schema(expand_pw(rule.premise.body), rule.premise.metavars)
+                    for name, rule in GUARDED_RULES.items()}
+
+
 class _Checker:
     """Checks lines against ``hyps`` and the earlier lines' ``forms``, all in ``expand_pw`` form."""
 
@@ -304,10 +311,8 @@ class _Checker:
                 return str(exc)
             if expand_pw(inst) != f:
                 return f"line is not the stated instance of {name}"
-        else:
-            normalised = Schema(expand_pw(sch.body), sch.metavars)
-            if match_schema(normalised, f) is None:
-                return f"line does not match any instance of {name}"
+        elif match_schema(_NORMAL_AXIOMS[name], f) is None:
+            return f"line does not match any instance of {name}"
         return "theorem"
 
     def _check_mp(self, j, f):
@@ -378,8 +383,7 @@ class _Checker:
         rule = GUARDED_RULES[name]
         # Conjuncts re-joined left to right, so the cited lines may split the premise anywhere.
         parts = [part for r in j.refs for part in flatten(self.forms[r], And)]
-        premise = Schema(expand_pw(rule.premise.body), rule.premise.metavars)
-        binding = match_schema(premise, reduce(And, parts)) if parts else None
+        binding = match_schema(_NORMAL_PREMISES[name], reduce(And, parts)) if parts else None
         if binding is None:
             return f"main premise must be {render(rule.premise.body)}"
         conclusion = expand_pw(instantiate(rule.conclusion, binding))

@@ -37,7 +37,8 @@ list, which is in lexicographic order of the sorted masks, and
 world count.  The clock is read once per collection and table built and
 once per key tried, so once per ``N_O`` column in the one-world walk.
 Frame conditions are decided once per ``N_O`` column for every ``N_P``
-column at once (``frames.failing_columns``), lazily, per world count.
+column at once, lazily, by reading a few entries of tables built once per
+``N_P`` column list and world count (``frames.ConditionTables``).
 Supplementation is skipped on a side generated closed.
 
 In the one-world walk each canonical ``N_O`` column decides its whole block
@@ -73,8 +74,8 @@ from .formula import (
 )
 from .model import ModelView, NeighbourhoodModel, WorldSet, evaluate, model_to_dict, model_valid
 from .frames import (
-    GUARDED_RULES, ColumnPlan, FrameProperty, SchemaViolation, check_property, column_members,
-    failing_columns, find_schema_violation, rule_valid_on_frame, schema_valid_on_frame,
+    GUARDED_RULES, ColumnPlan, ConditionTables, FrameProperty, SchemaViolation, check_property,
+    column_members, find_schema_violation, rule_valid_on_frame, schema_valid_on_frame,
     schema_variables,
 )
 
@@ -383,9 +384,9 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
         worlds, full = _worlds(n), (1 << n) - 1
         cols, perms = _generation(n, bounds.max_sets, closed, all_perms, tick)
         no_cols, np_cols = cols
-        has = column_members(np_cols, full)
+        conditions = ConditionTables(column_members(np_cols, full), full)
         # Per N_O index, computed on first use: the N_P indices whose pair with it fails.
-        pruned = cache(lambda i: failing_columns(no_cols[i], has, full, checked))
+        pruned = cache(lambda i: conditions.failing(no_cols[i], checked))
         if every_world:
             live = cache(lambda i: [j for j in range(len(np_cols)) if not pruned(i) >> j & 1])
 
@@ -397,7 +398,7 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
         else:
             if body is None:
                 prop = (GUARDED_RULES[target].prop,)
-                falsifying = lambda i, live: failing_columns(no_cols[i], has, full, prop)
+                falsifying = lambda i, live: conditions.failing(no_cols[i], prop)
             else:
                 plan = ColumnPlan(n, body, variables, np_cols, tick)
                 falsifying = lambda i, live: plan.falsifying(no_cols[i], live)

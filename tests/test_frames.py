@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from functools import cache
@@ -14,9 +15,9 @@ from deontic import (
 from deontic import frames
 from deontic.formula import Atom, Obl, PermS, PermW, atoms, eval_bits, schema
 from deontic.frames import GUARDED_RULES, PROPERTY_ENTAILMENTS, find_schema_violation
-from deontic import bundled
+from deontic import bundled, search
 from deontic import model as model_module
-from deontic.systems import CONDITIONS, SCHEMAS
+from deontic.systems import CONDITIONS, FRAME_CLASSES, SCHEMAS
 
 from conftest import formulas, models, random_frame, satisfying_frame
 
@@ -398,9 +399,10 @@ def test_block_verdicts_match_the_per_pair_oracle(n):
     # the block form iff the oracle finds a witness, the stream's first term holding the column
     # carries the oracle's witness, and find_violation on the one-world view reports it.
     full, cols, has = _every_column(n)
+    tables = frames.ConditionTables(has, full)
     for no in cols:
         for prop in FrameProperty:
-            failing = frames.failing_columns(no, has, full, [prop])
+            failing = tables.failing(no, [prop])
             first, pending = {}, (1 << len(cols)) - 1
             for hit, term in frames._terms(no, has, full, prop):
                 fresh = term & pending
@@ -436,11 +438,48 @@ def test_entailments_hold_exhaustively_on_two_worlds():
     # the other worlds' neighbourhoods are empty, which meets every condition.
     for n in (1, 2, 3):
         full, cols, has = _every_column(n)
+        tables = frames.ConditionTables(has, full)
         for no in cols:
             for premises, conclusion in PROPERTY_ENTAILMENTS:
-                meeting = ~frames.failing_columns(no, has, full, premises)
-                assert frames.failing_columns(no, has, full, [conclusion]) & meeting == 0, \
+                meeting = ~tables.failing(no, premises)
+                assert tables.failing(no, [conclusion]) & meeting == 0, \
                     (premises, conclusion, no)
+
+
+def _stream_failing(no, has, full, prop):
+    """The OR of a condition's witness stream, and whether a term holds every column (-1)."""
+    out, every = 0, False
+    for _, term in frames._terms(no, has, full, prop):
+        out |= term
+        every |= term == -1
+    return out, every
+
+
+@pytest.mark.parametrize("n, sets, closed",
+                         [(4, 2, False), (4, 2, True), (4, 3, False), (4, 3, True), (5, 2, False)])
+def test_tables_give_the_streams_verdict_on_the_searchs_columns(n, sets, closed):
+    # On the search's own N_P column list, per N_O column (every one of the unclosed list, which
+    # holds the closed one, or a seeded sample at 5 worlds), each single condition and each
+    # system's class: the table verdict is the OR of the witness streams, -1 exactly when a
+    # stream holds -1.
+    full, cols = (1 << n) - 1, search._collections(n, sets, closed=closed)
+    nos = search._collections(n, sets)
+    if n == 5:
+        nos = random.Random(20).sample(nos, 100)
+    has = frames.column_members(cols, full)
+    tables = frames.ConditionTables(has, full)
+    for no in nos:
+        streams = {prop: _stream_failing(no, has, full, prop) for prop in FrameProperty}
+        for prop, (expected, every) in streams.items():
+            verdict = tables.failing(no, [prop])
+            assert (verdict, verdict == -1) == (expected, every), (prop, sorted(no))
+        for name, props in FRAME_CLASSES.items():
+            expected = 0
+            for prop in props:
+                expected |= streams[prop][0]
+            every = any(streams[prop][1] for prop in props)
+            verdict = tables.failing(no, props)
+            assert (verdict, verdict == -1) == (expected, every), (name, sorted(no))
 
 
 def _one_world_frames(max_worlds):
