@@ -163,6 +163,22 @@ class TestCountermodel:
         )
         assert code == 2 and "unknown frame property" in err
 
+    @pytest.mark.parametrize("target, atoms, message", [
+        ("M_O", "a,a", "atom 'a' is given twice"),
+        ("IFCP_O", "a,a,a", "atom 'a' is given twice"),
+        ("M_O", "O,b", "invalid atom name 'O'; atoms match [a-z][a-z0-9_]*"),
+        ("M_O", "1x,b", "invalid atom name '1x'"),
+    ])
+    def test_bad_atoms_exit_2(self, capsys, target, atoms, message):
+        # A repeated atom would collapse two assignment variables into one, and a name the
+        # parser rejects would be printed in the falsified instance.
+        code, out, err = run(
+            capsys, "countermodel", "--target", target, "--require", "AFCPO",
+            "--max-worlds", "2", "--max-sets", "2", "--atoms", atoms,
+        )
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", [(), ("--json",)], ids=["text", "json"])
     def test_timeout_reports_progress(self, capsys, flag):
         # Modal depth 2, so every world's columns are walked: at 3 worlds and 2 sets 0.2 s is

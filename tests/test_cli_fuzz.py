@@ -125,7 +125,7 @@ def test_remainder(workdir, disjunction, theory, sides, flag):
 @given(target=st.one_of(formula_text, st.sampled_from(["M_O", "AFCP2_P", "IFCP_O", "IFCP_P"])),
        require=st.sampled_from(["", "AFCPO", "AFCPO,AFCPP", "Nope", ",,"]),
        worlds=st.integers(0, 2), sets=st.integers(-1, 1),
-       atoms=st.sampled_from(["a,b", "a", "", "p,q,r,s"]), flag=json_flag)
+       atoms=st.sampled_from(["a,b", "a", "", "p,q,r,s", "a,a", "O,b", "1x"]), flag=json_flag)
 def test_countermodel(target, require, worlds, sets, atoms, flag):
     argv = ["countermodel", "--target", target, "--require", require, "--max-worlds", str(worlds),
             "--max-sets", str(sets), "--atoms", atoms, "--timeout-secs", "0.2", *flag]

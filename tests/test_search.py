@@ -43,6 +43,20 @@ class TestBounds:
         with pytest.raises(ValueError, match="max_sets"):
             SearchBounds(2, -1, ("a",))
 
+    def test_repeated_atom(self):
+        # Two assignment variables named by one atom would share its valuation.
+        with pytest.raises(ValueError, match="^atom 'a' is given twice$"):
+            SearchBounds(2, 2, ("a", "b", "a"))
+
+    @pytest.mark.parametrize("name", ["O", "1x", "Ps", "T", "a-b", ""])
+    def test_atom_names_the_parser_cannot_read(self, name):
+        with pytest.raises(ValueError, match=r"^invalid atom name .*; atoms match \[a-z\]"):
+            SearchBounds(2, 2, ("b", name))
+
+    def test_bundled_atoms_are_valid(self):
+        for names in (("a", "b", "c", "d"), tuple("pqrst"), ("x_1", "y2")):
+            assert SearchBounds(2, 2, names).atoms == names
+
     def test_atomless_bounds_reject_atomful_target(self):
         with pytest.raises(ValueError, match="atoms"):
             find_countermodel(parse("p -> q"), set(), SearchBounds(2, 1, ()))
@@ -192,6 +206,80 @@ def test_timeout_holds_while_collections_are_built():
         find_countermodel(schema("O p -> O p", "p"), required, SearchBounds(5, 8, ("a",)),
                           timeout_secs=1.0)
     assert time.monotonic() - start < 2.0
+
+
+def test_a_build_the_budget_stops_is_not_kept(monkeypatch):
+    # The search spaces up to 4 worlds are kept; the 5-world one, stopped while its collections
+    # were built, is not, so the same search builds it again under its own budget.
+    monkeypatch.setattr(deontic.search, "_SPACES", {})
+    required = {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
+    for _ in range(2):
+        start = time.monotonic()
+        with pytest.raises(SearchTimeout, match="examined 803,"):
+            find_countermodel(schema("O p -> O p", "p"), required, SearchBounds(5, 8, ("a",)),
+                              timeout_secs=1.0)
+        assert time.monotonic() - start < 2.0
+        assert sorted(key[0] for key in deontic.search._SPACES) == [1, 2, 3, 4]
+
+
+def _space_batch():
+    """Searches taken in turn over search spaces of several keys: each validity search of
+    ``EXHAUSTIVE_COUNTS`` (among them a supplemented class, FCP_3, and several required sets on
+    the 3-world, 2-set key), a find, a bare atom (a group fixing w1) and an every-world walk."""
+    afcp = {FrameProperty.AFCP_O, FrameProperty.AFCP_P}
+    batch = [(SCHEMAS.get(name, name), FRAME_CLASSES[cls], SearchBounds(w, s, ("a", "b", "c")))
+             for name, cls, w, s, _, _ in EXHAUSTIVE_COUNTS]
+    batch[1:1] = [
+        ("IFCP_O", FRAME_CLASSES["FCP_2"], SearchBounds(3, 3, ("a", "b", "c"))),
+        (parse("O p -> p"), set(), SearchBounds(3, 2, ("p",))),
+        (parse("Ps(a | b) & Pw a -> Ps a | O Ps a"), afcp, SearchBounds(3, 1, ("a", "b"))),
+        (SCHEMAS["AFCP_O"], set(), SearchBounds(3, 2, ("a", "b", "c"))),
+    ]
+    return batch
+
+
+def _report(target, required, bounds):
+    out = find_countermodel(target, required, bounds).to_dict()
+    del out["elapsed_secs"]
+    return out
+
+
+class TestSearchSpaces:
+    def test_a_warm_search_equals_a_cold_one(self, monkeypatch):
+        monkeypatch.setattr(deontic.search, "_SPACES", {})
+        calls = []
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return build(*args, **kwargs)
+            return wrapper
+
+        for name in ("_collections", "_index_tables", "column_members"):
+            monkeypatch.setattr(deontic.search, name, counted(name, getattr(deontic.search, name)))
+        batch = _space_batch()
+        cold = [_report(*search) for search in batch]
+        assert {"_collections", "_index_tables", "column_members"} <= set(calls)
+        calls.clear()
+        assert [_report(*search) for search in batch] == cold
+        assert calls == []
+        assert cold[1]["outcome"] == "Found" and cold[0]["outcome"] == "ExhaustedUpToBounds"
+
+    def test_no_search_changes_a_kept_space(self, monkeypatch):
+        monkeypatch.setattr(deontic.search, "_SPACES", {})
+        for search in _space_batch():
+            find_countermodel(*search)
+        spaces = deontic.search._SPACES
+        assert len(spaces) >= 10
+        for key, (cols, perms, conditions) in spaces.items():
+            fresh_cols, fresh_perms = _generation(*key, _no_tick)
+            assert cols == tuple(map(tuple, fresh_cols)) and perms == tuple(fresh_perms)
+            full = (1 << key[0]) - 1
+            fresh = deontic.frames.ConditionTables(deontic.frames.column_members(cols[1], full),
+                                                  full)
+            assert conditions.has == fresh.has
+            for name, table in vars(conditions).items():  # the tables built on first use
+                assert table == getattr(fresh, name), (key, name)
 
 
 def _independent_tuple_count(max_worlds: int, max_sets: int) -> int:
@@ -409,7 +497,7 @@ def _block_candidates(monkeypatch, target, bounds):
     def recorded(search_cols, perms, tick):
         n = len(seen) + 1
         cols = _collections(n, bounds.max_sets)
-        assert search_cols == [cols, cols]
+        assert search_cols == (tuple(cols), tuple(cols))  # kept spaces hold tuples
         seen.append([])
         for no, canonical in blocks(search_cols, perms, tick):
             seen[-1] += [(cols[no], cols[j]) for j in _bits(canonical)]
