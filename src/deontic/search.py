@@ -40,12 +40,13 @@ the ``N_P`` column list (``frames.ConditionTables``).  Supplementation is
 skipped on a side generated closed.  None of this depends on the target or
 on the required conditions, so each search space (column lists, index
 tables, condition tables) is built once per process for each world count,
-set bound, pair of closed sides and group, and kept (``_space``): about
-0.2 MB for the 11 spaces of the benchmark's 15 exhaustive searches, 6.9 MB
-for 5 worlds / 3 sets.  The clock is read once per collection and table
-built, and once per key tried, so once per ``N_O`` column in the one-world
-walk; a search over kept spaces reads it only per key tried, and a space
-whose build the budget stopped is not kept.
+set bound, pair of closed sides and group, and kept (``_space``) when each
+list has at most 1024 columns: about 0.2 MB for the 11 spaces of the
+benchmark's 15 exhaustive searches.  A larger space, such as 5 worlds /
+3 sets (6.9 MB), is built per search.  The clock is read once per
+collection and table built, and once per key tried, so once per ``N_O``
+column in the one-world walk; a search over kept spaces reads it only per
+key tried, and a space whose build the budget stopped is not kept.
 
 In the one-world walk each canonical ``N_O`` column decides its whole block
 of ``N_P`` columns by bitsets over their indices: the canonical ones (no
@@ -263,7 +264,7 @@ def _generation(n: int, max_sets: int, closed, all_perms: bool, tick):
     permutation is ``(inverse, mask table, N_O index table, N_P index table, the N_P indices it
     maps below themselves as a bitset)``, all or, without ``all_perms``, those fixing w1.
     ``tick()`` runs per collection and table built.  Searches call it through ``_space``, once
-    per process for each key."""
+    per process for each key it keeps."""
     cols = {c: _collections(n, max_sets, tick, c) for c in set(closed)}
     perms = [p for p in _perm_tables(n) if all_perms or p[0][0] == 0]
     tables = {c: _index_tables(perms, cols[c], tick) for c in cols}
@@ -272,20 +273,26 @@ def _generation(n: int, max_sets: int, closed, all_perms: bool, tick):
     return [cols[c] for c in closed], perms
 
 
-# Each search space built in this process, by (world count, set bound, sides closed, whole
-# group); a bound above 2^n gives the same lists.  Stored only once built, so a build that the
-# budget stopped leaves nothing behind.
+# The search spaces built in this process whose lists have at most ``_KEPT_COLUMNS`` columns,
+# by (world count, set bound, sides closed, whole group); a bound above 2^n gives the same
+# lists.  Stored only once built, so a build that the budget stopped leaves nothing behind.
+# Kept: every space up to 3 worlds, 4 worlds / 3 sets, 5 worlds / 2 sets (0.73 MB, the
+# largest) and closed lists past them, 11.5 MB for all 222 up to 5 worlds / 4 sets.
+_KEPT_COLUMNS = 1024
 _SPACES: dict = {}
 
 
 def _space(n: int, max_sets: int, closed, all_perms: bool, tick):
     key = (n, min(max_sets, 1 << n), closed, all_perms)
-    if key not in _SPACES:
+    space = _SPACES.get(key)
+    if space is None:
         (no_cols, np_cols), perms = _generation(*key, tick)
         full = (1 << n) - 1
-        _SPACES[key] = ((tuple(no_cols), tuple(np_cols)), tuple(perms),
-                        ConditionTables(column_members(np_cols, full), full))
-    return _SPACES[key]
+        space = ((tuple(no_cols), tuple(np_cols)), tuple(perms),
+                 ConditionTables(column_members(np_cols, full), full))
+        if max(len(no_cols), len(np_cols)) <= _KEPT_COLUMNS:
+            _SPACES[key] = space
+    return space
 
 
 def _canonical(keys, perms, image, tick):

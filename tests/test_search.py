@@ -281,6 +281,19 @@ class TestSearchSpaces:
             for name, table in vars(conditions).items():  # the tables built on first use
                 assert table == getattr(fresh, name), (key, name)
 
+    def test_a_space_of_more_than_1024_columns_is_not_kept(self, monkeypatch):
+        # The 5-world, 2-set space (529 columns per list) is kept; the 5-world, 3-set one
+        # (5 489) is built for its search and freed with it.
+        monkeypatch.setattr(deontic.search, "_SPACES", {})
+        bounds = SearchBounds(5, 2, ("a", "b", "c"))
+        assert not find_countermodel(SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], bounds).found
+        spaces = deontic.search._SPACES
+        assert sorted(key[:2] for key in spaces) == [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]
+        assert max(len(cols) for (no, np_), _, _ in spaces.values() for cols in (no, np_)) == 529
+        (no_cols, np_cols), _, _ = deontic.search._space(5, 3, (False, False), True, _no_tick)
+        assert len(no_cols) == len(np_cols) == 5489
+        assert len(spaces) == 5
+
 
 def _independent_tuple_count(max_worlds: int, max_sets: int) -> int:
     """Count (W, N_O, N_P) frames up to world permutation, directly."""
