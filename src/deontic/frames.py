@@ -13,7 +13,8 @@ set of N_P columns it violates for a given N_O (``_terms``), so one walk
 decides a whole list of N_P columns.  The countermodel search reads the
 stream's OR without walking it: ``ConditionTables`` builds, once per list
 of N_P columns, the ORs of its terms over the sets that N_O does not
-choose, and reads an N_O column's verdict from a few of their entries;
+choose, and reads an N_O column's verdict from a few of their entries,
+once per condition, keeping it;
 the stream stays the one description of each condition and its witnesses.
 ``find_violation`` reads a bitmask view (``model.ModelView``) through the
 one table of its N_P columns the view keeps (``ModelView.perm_members``):
@@ -178,7 +179,8 @@ def _or(terms: Iterable[int]) -> int:
 class ConditionTables:
     """The ten conditions at a world for every N_P column of one list at once: ``failing`` reads
     an N_O column's verdict from tables of the list's ``column_members`` table ``has``, each
-    built on first use and kept for the list's life.
+    built on first use and kept for the list's life, and keeps each (condition, N_O column)
+    verdict once read, so a list kept across searches decides each one once.
 
     Every term of a ``_terms`` stream is has[x | y] & ~has[x], or has[x | y] & ~(has[x] & has[y])
     where x and y range over the same sets, which ORs to the same as the first form.  N_O only
@@ -192,6 +194,7 @@ class ConditionTables:
     def __init__(self, has: list[int], full: int):
         self.has, self.full = has, full
         self._masks = frozenset(range(full + 1))
+        self._verdicts: dict[FrameProperty, dict[frozenset[int], int]] = {}
 
     @cached_property
     def _over(self) -> list[int]:
@@ -215,14 +218,20 @@ class ConditionTables:
 
     def failing(self, no: frozenset[int], props: Iterable[FrameProperty]) -> int:
         """The columns whose pair with ``no`` violates one of ``props``; -1 for all."""
-        forbidden = frozenset([self.full ^ o for o in no])  # the x with ~x in N_O
         out = 0
         for prop in props:
-            out |= self._failing(no, forbidden, prop)
+            verdicts = self._verdicts.get(prop)
+            if verdicts is None:
+                verdicts = self._verdicts[prop] = {}
+            verdict = verdicts.get(no)
+            if verdict is None:
+                verdict = verdicts[no] = self._failing(no, prop)
+            out |= verdict
         return out
 
-    def _failing(self, no: frozenset[int], forbidden: frozenset[int], prop: FrameProperty) -> int:
+    def _failing(self, no: frozenset[int], prop: FrameProperty) -> int:
         P = FrameProperty
+        forbidden = frozenset([self.full ^ o for o in no])  # the x with ~x in N_O
         if prop is P.O_SUPPLEMENTED:
             masks = range(self.full + 1)
             return -1 if any(x | m == x and x not in no for m in no for x in masks) else 0

@@ -34,19 +34,26 @@ property prunes, in order, and they alone are counted.
 A column is a frozenset of masks, named by its index in ``_collections``'
 list, which is in lexicographic order of the sorted masks, and
 ``_index_tables`` maps every index through every permutation.  Frame
-conditions are decided once per ``N_O`` column for every ``N_P`` column at
-once, lazily, by reading a few entries of tables built on first use over
-the ``N_P`` column list (``frames.ConditionTables``).  Supplementation is
-skipped on a side generated closed.  None of this depends on the target or
-on the required conditions, so each search space (column lists, index
-tables, condition tables) is built once per process for each world count,
-set bound, pair of closed sides and group, and kept (``_space``) when each
-list has at most 1024 columns: about 0.2 MB for the 11 spaces of the
-benchmark's 15 exhaustive searches.  A larger space, such as 5 worlds /
-3 sets (6.9 MB), is built per search.  The clock is read once per
-collection and table built, and once per key tried, so once per ``N_O``
-column in the one-world walk; a search over kept spaces reads it only per
-key tried, and a space whose build the budget stopped is not kept.
+conditions are decided once per condition and ``N_O`` column for every
+``N_P`` column at once, lazily, by reading a few entries of tables built on
+first use over the ``N_P`` column list, and each verdict is kept
+(``frames.ConditionTables``).  Supplementation is skipped on a side
+generated closed.  None of this depends on the target or on the required
+conditions, and neither do world 1's canonical ``N_O`` columns with their
+blocks' canonical ``N_P`` columns (``_canonical_blocks``), so each search
+space (column lists, index tables, condition tables and verdicts, and the
+blocks walked so far) is built once per process for each world count, set
+bound, pair of closed sides and group, and kept (``_space``) when each list
+has at most 1024 columns: about 0.28 MB for the 11 spaces of the benchmark's
+15 exhaustive searches.  A larger space, such as 5 worlds / 3 sets
+(6.9 MB), is built per search.  A search replays the kept blocks and walks
+on after the last one, keeping each block it walks, so one that finds or
+runs out of budget leaves a correct prefix (``_kept_blocks``); over a kept
+space walked whole, a search decides only its target.  The clock is read
+once per collection and table built, once per key tried, so once per
+``N_O`` column in the one-world walk, and once per kept block replayed; a
+search over kept spaces reads it only per key tried and block replayed,
+and a space whose build the budget stopped is not kept.
 
 In the one-world walk each canonical ``N_O`` column decides its whole block
 of ``N_P`` columns by bitsets over their indices: the canonical ones (no
@@ -275,9 +282,11 @@ def _generation(n: int, max_sets: int, closed, all_perms: bool, tick):
 
 # The search spaces built in this process whose lists have at most ``_KEPT_COLUMNS`` columns,
 # by (world count, set bound, sides closed, whole group); a bound above 2^n gives the same
-# lists.  Stored only once built, so a build that the budget stopped leaves nothing behind.
-# Kept: every space up to 3 worlds, 4 worlds / 3 sets, 5 worlds / 2 sets (0.73 MB, the
-# largest) and closed lists past them, 11.5 MB for all 222 up to 5 worlds / 4 sets.
+# lists.  Stored only once built, so a build that the budget stopped leaves nothing behind;
+# the condition verdicts and canonical blocks then grow with the searches, up to ten verdicts
+# and one block per N_O column.  Kept: every space up to 3 worlds, 4 worlds / 3 sets,
+# 5 worlds / 2 sets (1.27 MB, the largest, with every table, verdict and block) and closed
+# lists past them, 22.8 MB for all 222 up to 5 worlds / 4 sets, all filled alike.
 _KEPT_COLUMNS = 1024
 _SPACES: dict = {}
 
@@ -289,7 +298,7 @@ def _space(n: int, max_sets: int, closed, all_perms: bool, tick):
         (no_cols, np_cols), perms = _generation(*key, tick)
         full = (1 << n) - 1
         space = ((tuple(no_cols), tuple(np_cols)), tuple(perms),
-                 ConditionTables(column_members(np_cols, full), full))
+                 ConditionTables(column_members(np_cols, full), full), [])
         if max(len(no_cols), len(np_cols)) <= _KEPT_COLUMNS:
             _SPACES[key] = space
     return space
@@ -325,22 +334,41 @@ def _walk_candidates(n, cols, perms, live, falsified, report, tick):
     return None
 
 
-def _canonical_blocks(cols, perms, tick):
-    """Each canonical N_O index of world 1 with its block's canonical N_P indices as a bitset:
-    those that no permutation fixing the N_O index maps below themselves."""
+def _canonical_blocks(cols, perms, tick, after=(-1, 0)):
+    """Each canonical N_O index of world 1 above that of the block ``after`` with its block's
+    canonical N_P indices as a bitset: those that no permutation fixing the N_O index maps below
+    themselves."""
     every = (1 << len(cols[1])) - 1
-    for no, fixing in _canonical(range(len(cols[0])), perms, partial(_image_index, 2), tick):
+    keys = range(after[0] + 1, len(cols[0]))
+    for no, fixing in _canonical(keys, perms, partial(_image_index, 2), tick):
         canonical = every
         for perm in fixing:
             canonical &= ~perm[4]
         yield no, canonical
 
 
-def _walk_blocks(n, cols, perms, pruned, falsifying, report, tick):
-    """``_walk_candidates`` for world 1's pair, the other worlds empty (index 0): each canonical
-    N_O index decides its block of N_P indices as bitsets, the canonical, the pruned and, of the
-    rest, those ``falsifying(no, live)`` gives, of which only the lowest counts."""
-    for no, canonical in _canonical_blocks(cols, perms, tick):
+def _kept_blocks(cols, perms, kept: list, tick):
+    """``_canonical_blocks`` through ``kept``, the blocks earlier walks of the space yielded:
+    each is replayed, ``tick()`` running per block as it does per key tried, and the walk goes
+    on after the last one, keeping each block it yields, so a walk that a find or the budget
+    ends leaves a correct prefix."""
+    for block in kept:
+        tick()
+        yield block
+    # Every permutation fixes the last column ({W}, or the empty one at 0 sets), so it is
+    # canonical and a whole walk ends with its block.
+    if not kept or kept[-1][0] < len(cols[0]) - 1:
+        for block in _canonical_blocks(cols, perms, tick, *kept[-1:]):  # after the last, if any
+            kept.append(block)
+            yield block
+
+
+def _walk_blocks(n, blocks, pruned, falsifying, report):
+    """``_walk_candidates`` for world 1's pair, the other worlds empty (index 0): each of
+    ``blocks``, a canonical N_O index with its canonical N_P indices, decides them as bitsets,
+    the pruned and, of the rest, those ``falsifying(no, live)`` gives, of which only the lowest
+    counts."""
+    for no, canonical in blocks:
         cut = pruned(no)
         live = canonical & ~cut
         hit = live and falsifying(no, live) & live
@@ -419,10 +447,10 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
     checked = required - {FrameProperty.O_SUPPLEMENTED, FrameProperty.P_SUPPLEMENTED}
     for n in range(1, bounds.max_worlds + 1):
         worlds = _worlds(n)
-        cols, perms, conditions = _space(n, bounds.max_sets, closed, all_perms, tick)
+        cols, perms, conditions, blocks = _space(n, bounds.max_sets, closed, all_perms, tick)
         no_cols, np_cols = cols
-        # Per N_O index, computed on first use: the N_P indices whose pair with it fails.
-        pruned = cache(lambda i: conditions.failing(no_cols[i], checked))
+        # Per N_O index: the N_P indices whose pair with it fails, kept with the space.
+        pruned = lambda i: conditions.failing(no_cols[i], checked)
         if every_world:
             live = cache(lambda i: [j for j in range(len(np_cols)) if not pruned(i) >> j & 1])
 
@@ -438,7 +466,8 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
             else:
                 plan = ColumnPlan(n, body, variables, np_cols, tick)
                 falsifying = lambda i, live: plan.falsifying(no_cols[i], live)
-            hit = _walk_blocks(n, cols, perms, pruned, falsifying, report, tick)
+            hit = _walk_blocks(n, _kept_blocks(cols, perms, blocks, tick), pruned, falsifying,
+                               report)
         if hit is not None:
             no, np_ = hit
             # Named, so the public checks below re-verify it on a view of their own.

@@ -3,7 +3,7 @@ import math
 import random
 import time
 from functools import cache, partial, reduce
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, groupby, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +26,8 @@ from deontic.frames import (
 from deontic.model import ModelView, truth_mask
 from deontic.proof import load_script
 from deontic.search import (
-    _canonical, _collections, _generation, _image_col, _image_index, _image_indices, _perm_tables,
-    _worlds,
+    _canonical, _canonical_blocks, _collections, _generation, _image_col, _image_index,
+    _image_indices, _perm_tables, _worlds,
 )
 from deontic.systems import FRAME_CLASSES, SCHEMAS
 
@@ -246,6 +246,8 @@ def _report(target, required, bounds):
 
 class TestSearchSpaces:
     def test_a_warm_search_equals_a_cold_one(self, monkeypatch):
+        # The warm batch builds nothing, walks no N_O column list and decides no frame condition:
+        # it replays the kept blocks and verdicts.
         monkeypatch.setattr(deontic.search, "_SPACES", {})
         calls = []
 
@@ -255,11 +257,14 @@ class TestSearchSpaces:
                 return build(*args, **kwargs)
             return wrapper
 
-        for name in ("_collections", "_index_tables", "column_members"):
+        for name in ("_collections", "_index_tables", "column_members", "_canonical_blocks"):
             monkeypatch.setattr(deontic.search, name, counted(name, getattr(deontic.search, name)))
+        tables = deontic.frames.ConditionTables
+        monkeypatch.setattr(tables, "_failing", counted("_failing", tables._failing))
         batch = _space_batch()
         cold = [_report(*search) for search in batch]
-        assert {"_collections", "_index_tables", "column_members"} <= set(calls)
+        assert {"_collections", "_index_tables", "column_members", "_canonical_blocks",
+                "_failing"} <= set(calls)
         calls.clear()
         assert [_report(*search) for search in batch] == cold
         assert calls == []
@@ -271,7 +276,7 @@ class TestSearchSpaces:
             find_countermodel(*search)
         spaces = deontic.search._SPACES
         assert len(spaces) >= 10
-        for key, (cols, perms, conditions) in spaces.items():
+        for key, (cols, perms, conditions, blocks) in spaces.items():
             fresh_cols, fresh_perms = _generation(*key, _no_tick)
             assert cols == tuple(map(tuple, fresh_cols)) and perms == tuple(fresh_perms)
             full = (1 << key[0]) - 1
@@ -279,7 +284,15 @@ class TestSearchSpaces:
                                                   full)
             assert conditions.has == fresh.has
             for name, table in vars(conditions).items():  # the tables built on first use
-                assert table == getattr(fresh, name), (key, name)
+                if name != "_verdicts":
+                    assert table == getattr(fresh, name), (key, name)
+            # Every verdict kept is the one fresh tables give, and every kept block list is a
+            # prefix of a fresh walk.
+            for prop, verdicts in conditions._verdicts.items():
+                for no, verdict in verdicts.items():
+                    assert verdict == fresh.failing(no, [prop]), (key, prop, no)
+            walk = islice(_canonical_blocks(fresh_cols, fresh_perms, _no_tick), len(blocks))
+            assert blocks == list(walk), key
 
     def test_a_space_of_more_than_1024_columns_is_not_kept(self, monkeypatch):
         # The 5-world, 2-set space (529 columns per list) is kept; the 5-world, 3-set one
@@ -289,10 +302,34 @@ class TestSearchSpaces:
         assert not find_countermodel(SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], bounds).found
         spaces = deontic.search._SPACES
         assert sorted(key[:2] for key in spaces) == [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]
-        assert max(len(cols) for (no, np_), _, _ in spaces.values() for cols in (no, np_)) == 529
-        (no_cols, np_cols), _, _ = deontic.search._space(5, 3, (False, False), True, _no_tick)
+        assert max(len(cols) for (no, np_), *_ in spaces.values() for cols in (no, np_)) == 529
+        (no_cols, np_cols), *_ = deontic.search._space(5, 3, (False, False), True, _no_tick)
         assert len(no_cols) == len(np_cols) == 5489
         assert len(spaces) == 5
+
+    @pytest.mark.parametrize("cut", ["find", "budget"])
+    def test_a_walk_cut_short_is_extended(self, monkeypatch, cut):
+        # A find or a budget stop leaves a prefix of the canonical blocks kept; a later search
+        # over the same space replays it and walks on, giving the cold search's report.
+        monkeypatch.setattr(deontic.search, "_SPACES", {})
+        required, bounds = FRAME_CLASSES["FCP_2"], SearchBounds(3, 3, ("a", "b", "c"))
+        cold = _report(SCHEMAS["AFCP2_P"], required, bounds)
+        deontic.search._SPACES.clear()
+        if cut == "find":
+            assert find_countermodel("IFCP_O", required, bounds).found
+        else:
+            for n in (1, 2, 3):
+                deontic.search._space(n, 3, (False, False), True, _no_tick)
+            clock = deontic.search._Clock
+            monkeypatch.setattr(deontic.search, "_Clock", OneCandidateClock)
+            with pytest.raises(SearchTimeout):
+                find_countermodel("IFCP_O", required, bounds)
+            monkeypatch.setattr(deontic.search, "_Clock", clock)
+        spaces = deontic.search._SPACES.values()
+        whole = [len(list(_canonical_blocks(cols, perms, _no_tick))) for cols, perms, *_ in spaces]
+        assert any(0 < len(blocks) < n for (*_, blocks), n in zip(spaces, whole))
+        assert _report(SCHEMAS["AFCP2_P"], required, bounds) == cold
+        assert [len(blocks) for *_, blocks in spaces] == whole
 
 
 def _independent_tuple_count(max_worlds: int, max_sets: int) -> int:
@@ -504,6 +541,7 @@ def _block_candidates(monkeypatch, target, bounds):
 
     With no required property, a valid target decides every generated candidate.
     """
+    monkeypatch.setattr(deontic.search, "_SPACES", {})  # so the search walks every space cold
     seen = []
     blocks = deontic.search._canonical_blocks
 
@@ -1086,18 +1124,30 @@ class OneCandidateClock(deontic.search._Clock):
         self.deadline = float("-inf")
 
 
-@pytest.mark.parametrize(
-    "target, required, bounds",
-    [
-        (SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], SearchBounds(4, 2, ("a", "b"))),
-        (parse("Ps(a | b) & Pw a -> Ps a"), {FrameProperty.AFCP_O, FrameProperty.AFCP_P},
-         SearchBounds(4, 1, ("a", "b"))),
-        (parse("Ps(a | b) & Pw a -> Ps a | O Ps a"), {FrameProperty.AFCP_O, FrameProperty.AFCP_P},
-         SearchBounds(4, 1, ("a", "b"))),
-    ],
-    ids=["frames", "models", "every-world-models"],
-)
+BUDGET_SEARCHES = [
+    (SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], SearchBounds(4, 2, ("a", "b"))),
+    (parse("Ps(a | b) & Pw a -> Ps a"), {FrameProperty.AFCP_O, FrameProperty.AFCP_P},
+     SearchBounds(4, 1, ("a", "b"))),
+    (parse("Ps(a | b) & Pw a -> Ps a | O Ps a"), {FrameProperty.AFCP_O, FrameProperty.AFCP_P},
+     SearchBounds(4, 1, ("a", "b"))),
+]
+
+
+@pytest.mark.parametrize("target, required, bounds", BUDGET_SEARCHES,
+                         ids=["frames", "models", "every-world-models"])
 def test_clock_is_read_once_per_candidate(monkeypatch, target, required, bounds):
+    monkeypatch.setattr(deontic.search, "_Clock", OneCandidateClock)
+    with pytest.raises(SearchTimeout, match=r"examined [01],"):
+        find_countermodel(target, required, bounds)
+
+
+@pytest.mark.parametrize("target, required, bounds", BUDGET_SEARCHES,
+                         ids=["frames", "models", "every-world-models"])
+def test_clock_is_read_once_per_candidate_when_warm(monkeypatch, target, required, bounds):
+    # Each space is kept whole by the first search; the second replays its blocks, each after
+    # a clock read.
+    monkeypatch.setattr(deontic.search, "_SPACES", {})
+    assert not find_countermodel(target, required, bounds).found
     monkeypatch.setattr(deontic.search, "_Clock", OneCandidateClock)
     with pytest.raises(SearchTimeout, match=r"examined [01],"):
         find_countermodel(target, required, bounds)
