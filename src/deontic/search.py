@@ -34,26 +34,22 @@ property prunes, in order, and they alone are counted.
 A column is a frozenset of masks, named by its index in ``_collections``'
 list, which is in lexicographic order of the sorted masks, and
 ``_index_tables`` maps every index through every permutation.  Frame
-conditions are decided once per condition and ``N_O`` column for every
-``N_P`` column at once, lazily, by reading a few entries of tables built on
-first use over the ``N_P`` column list, and each verdict is kept
+conditions are decided for every ``N_P`` column at once, from a few entries
+of tables built on first use over the ``N_P`` column list, and the verdict
+on each ``N_O`` column and set of conditions asked is kept
 (``frames.ConditionTables``).  Supplementation is skipped on a side
 generated closed.  None of this depends on the target or on the required
 conditions, and neither do world 1's canonical ``N_O`` columns with their
 blocks' canonical ``N_P`` columns (``_canonical_blocks``), so each search
-space (column lists, index tables, condition tables and verdicts, and the
-blocks walked so far) is built once per process for each world count, set
-bound, pair of closed sides and group, and kept (``_space``) when each list
-has at most 1024 columns: about 0.28 MB for the 11 spaces of the benchmark's
-15 exhaustive searches.  A larger space, such as 5 worlds / 3 sets
-(6.9 MB), is built per search.  A search replays the kept blocks and walks
-on after the last one, keeping each block it walks, so one that finds or
-runs out of budget leaves a correct prefix (``_kept_blocks``); over a kept
-space walked whole, a search decides only its target.  The clock is read
-once per collection and table built, once per key tried, so once per
-``N_O`` column in the one-world walk, and once per kept block replayed; a
-search over kept spaces reads it only per key tried and block replayed,
-and a space whose build the budget stopped is not kept.
+space (column lists, index tables, condition tables and blocks) is built
+whole once per process for each world count, set bound, pair of closed
+sides and group, and kept (``_space``) when each list has at most 1024
+columns: about 0.28 MB for the 11 spaces of the benchmark's 15 exhaustive
+searches.  A larger space, such as 5 worlds / 3 sets (7.0 MB), is built per
+search.  Over a kept space a search decides only its target.  The clock is
+read per collection, table and key tried while a space is built, then per
+block of the one-world walk and key of the every-world walk; a space whose
+build the budget stopped is not kept.
 
 In the one-world walk each canonical ``N_O`` column decides its whole block
 of ``N_P`` columns by bitsets over their indices: the canonical ones (no
@@ -116,6 +112,9 @@ class SearchBounds:
     atoms: tuple[str, ...]
 
     def __post_init__(self):
+        for name in ("max_worlds", "max_sets"):  # a set bound of 1.5 is never reached
+            if type(getattr(self, name)) is not int:  # nor a bool
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.max_worlds <= HARD_WORLD_CAP:
             raise ValueError(f"max_worlds must be between 1 and {HARD_WORLD_CAP}")
         if self.max_sets < 0:
@@ -282,11 +281,11 @@ def _generation(n: int, max_sets: int, closed, all_perms: bool, tick):
 
 # The search spaces built in this process whose lists have at most ``_KEPT_COLUMNS`` columns,
 # by (world count, set bound, sides closed, whole group); a bound above 2^n gives the same
-# lists.  Stored only once built, so a build that the budget stopped leaves nothing behind;
-# the condition verdicts and canonical blocks then grow with the searches, up to ten verdicts
-# and one block per N_O column.  Kept: every space up to 3 worlds, 4 worlds / 3 sets,
-# 5 worlds / 2 sets (1.27 MB, the largest, with every table, verdict and block) and closed
-# lists past them, 22.8 MB for all 222 up to 5 worlds / 4 sets, all filled alike.
+# lists.  A space is stored whole, blocks included, so a build that the budget stopped leaves
+# nothing behind; only its verdicts grow, one per N_O column and condition set asked.  Kept:
+# every space up to 3 worlds, 4 worlds / 3 sets, 5 worlds / 2 sets (the largest, 1.54 MB with
+# the verdicts of every class and rule) and closed lists past them, 28.9 MB for all 222 up to
+# 5 worlds / 4 sets, all filled alike.
 _KEPT_COLUMNS = 1024
 _SPACES: dict = {}
 
@@ -295,11 +294,11 @@ def _space(n: int, max_sets: int, closed, all_perms: bool, tick):
     key = (n, min(max_sets, 1 << n), closed, all_perms)
     space = _SPACES.get(key)
     if space is None:
-        (no_cols, np_cols), perms = _generation(*key, tick)
-        full = (1 << n) - 1
-        space = ((tuple(no_cols), tuple(np_cols)), tuple(perms),
-                 ConditionTables(column_members(np_cols, full), full), [])
-        if max(len(no_cols), len(np_cols)) <= _KEPT_COLUMNS:
+        cols, perms = _generation(*key, tick)
+        cols, full = tuple(map(tuple, cols)), (1 << n) - 1
+        space = (cols, tuple(perms), ConditionTables(column_members(cols[1], full), full),
+                 tuple(_canonical_blocks(cols, perms, tick)))
+        if max(map(len, cols)) <= _KEPT_COLUMNS:
             _SPACES[key] = space
     return space
 
@@ -334,41 +333,24 @@ def _walk_candidates(n, cols, perms, live, falsified, report, tick):
     return None
 
 
-def _canonical_blocks(cols, perms, tick, after=(-1, 0)):
-    """Each canonical N_O index of world 1 above that of the block ``after`` with its block's
-    canonical N_P indices as a bitset: those that no permutation fixing the N_O index maps below
-    themselves."""
+def _canonical_blocks(cols, perms, tick):
+    """Each canonical N_O index of world 1 with its block's canonical N_P indices as a bitset:
+    those that no permutation fixing the N_O index maps below themselves."""
     every = (1 << len(cols[1])) - 1
-    keys = range(after[0] + 1, len(cols[0]))
-    for no, fixing in _canonical(keys, perms, partial(_image_index, 2), tick):
+    for no, fixing in _canonical(range(len(cols[0])), perms, partial(_image_index, 2), tick):
         canonical = every
         for perm in fixing:
             canonical &= ~perm[4]
         yield no, canonical
 
 
-def _kept_blocks(cols, perms, kept: list, tick):
-    """``_canonical_blocks`` through ``kept``, the blocks earlier walks of the space yielded:
-    each is replayed, ``tick()`` running per block as it does per key tried, and the walk goes
-    on after the last one, keeping each block it yields, so a walk that a find or the budget
-    ends leaves a correct prefix."""
-    for block in kept:
-        tick()
-        yield block
-    # Every permutation fixes the last column ({W}, or the empty one at 0 sets), so it is
-    # canonical and a whole walk ends with its block.
-    if not kept or kept[-1][0] < len(cols[0]) - 1:
-        for block in _canonical_blocks(cols, perms, tick, *kept[-1:]):  # after the last, if any
-            kept.append(block)
-            yield block
-
-
-def _walk_blocks(n, blocks, pruned, falsifying, report):
+def _walk_blocks(n, blocks, pruned, falsifying, report, tick):
     """``_walk_candidates`` for world 1's pair, the other worlds empty (index 0): each of
     ``blocks``, a canonical N_O index with its canonical N_P indices, decides them as bitsets,
     the pruned and, of the rest, those ``falsifying(no, live)`` gives, of which only the lowest
-    counts."""
+    counts.  ``tick()`` runs per block."""
     for no, canonical in blocks:
+        tick()
         cut = pruned(no)
         live = canonical & ~cut
         hit = live and falsifying(no, live) & live
@@ -461,13 +443,12 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
             hit = _walk_candidates(n, cols, perms, live, falsified, report, tick)
         else:
             if body is None:
-                prop = (GUARDED_RULES[target].prop,)
+                prop = frozenset({GUARDED_RULES[target].prop})
                 falsifying = lambda i, live: conditions.failing(no_cols[i], prop)
             else:
                 plan = ColumnPlan(n, body, variables, np_cols, tick)
                 falsifying = lambda i, live: plan.falsifying(no_cols[i], live)
-            hit = _walk_blocks(n, _kept_blocks(cols, perms, blocks, tick), pruned, falsifying,
-                               report)
+            hit = _walk_blocks(n, blocks, pruned, falsifying, report, tick)
         if hit is not None:
             no, np_ = hit
             # Named, so the public checks below re-verify it on a view of their own.

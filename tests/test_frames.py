@@ -402,7 +402,7 @@ def test_block_verdicts_match_the_per_pair_oracle(n):
     tables = frames.ConditionTables(has, full)
     for no in cols:
         for prop in FrameProperty:
-            failing = tables.failing(no, [prop])
+            failing = tables.failing(no, (prop,))
             first, pending = {}, (1 << len(cols)) - 1
             for hit, term in frames._terms(no, has, full, prop):
                 fresh = term & pending
@@ -442,7 +442,7 @@ def test_entailments_hold_exhaustively_on_two_worlds():
         for no in cols:
             for premises, conclusion in PROPERTY_ENTAILMENTS:
                 meeting = ~tables.failing(no, premises)
-                assert tables.failing(no, [conclusion]) & meeting == 0, \
+                assert tables.failing(no, (conclusion,)) & meeting == 0, \
                     (premises, conclusion, no)
 
 
@@ -471,7 +471,7 @@ def test_tables_give_the_streams_verdict_on_the_searchs_columns(n, sets, closed)
     for no in nos:
         streams = {prop: _stream_failing(no, has, full, prop) for prop in FrameProperty}
         for prop, (expected, every) in streams.items():
-            verdict = tables.failing(no, [prop])
+            verdict = tables.failing(no, (prop,))
             assert (verdict, verdict == -1) == (expected, every), (prop, sorted(no))
         for name, props in FRAME_CLASSES.items():
             expected = 0

@@ -3,7 +3,7 @@ import math
 import random
 import time
 from functools import cache, partial, reduce
-from itertools import combinations, groupby, islice, permutations, product
+from itertools import combinations, groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +42,15 @@ class TestBounds:
     def test_negative_sets(self):
         with pytest.raises(ValueError, match="max_sets"):
             SearchBounds(2, -1, ("a",))
+
+    @pytest.mark.parametrize("worlds, sets, field", [
+        (3, 1.5, "max_sets"), (3, 2.0, "max_sets"), (3, True, "max_sets"), (3, "2", "max_sets"),
+        (2.0, 2, "max_worlds"), (False, 2, "max_worlds"), (None, 2, "max_worlds"),
+    ])
+    def test_bounds_that_are_not_integers(self, worlds, sets, field):
+        # A set bound of 1.5 is never equal to a collection's size, so it would bound nothing.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            SearchBounds(worlds, sets, ("a",))
 
     def test_repeated_atom(self):
         # Two assignment variables named by one atom would share its valuation.
@@ -247,7 +256,7 @@ def _report(target, required, bounds):
 class TestSearchSpaces:
     def test_a_warm_search_equals_a_cold_one(self, monkeypatch):
         # The warm batch builds nothing, walks no N_O column list and decides no frame condition:
-        # it replays the kept blocks and verdicts.
+        # it walks the kept blocks and reads the kept verdicts.
         monkeypatch.setattr(deontic.search, "_SPACES", {})
         calls = []
 
@@ -286,13 +295,10 @@ class TestSearchSpaces:
             for name, table in vars(conditions).items():  # the tables built on first use
                 if name != "_verdicts":
                     assert table == getattr(fresh, name), (key, name)
-            # Every verdict kept is the one fresh tables give, and every kept block list is a
-            # prefix of a fresh walk.
-            for prop, verdicts in conditions._verdicts.items():
-                for no, verdict in verdicts.items():
-                    assert verdict == fresh.failing(no, [prop]), (key, prop, no)
-            walk = islice(_canonical_blocks(fresh_cols, fresh_perms, _no_tick), len(blocks))
-            assert blocks == list(walk), key
+            # Every verdict kept is the one fresh tables give, and the blocks are a fresh walk.
+            for (no, props), verdict in conditions._verdicts.items():
+                assert verdict == fresh.failing(no, props), (key, props, no)
+            assert blocks == tuple(_canonical_blocks(fresh_cols, fresh_perms, _no_tick)), key
 
     def test_a_space_of_more_than_1024_columns_is_not_kept(self, monkeypatch):
         # The 5-world, 2-set space (529 columns per list) is kept; the 5-world, 3-set one
@@ -309,27 +315,45 @@ class TestSearchSpaces:
 
     @pytest.mark.parametrize("cut", ["find", "budget"])
     def test_a_walk_cut_short_is_extended(self, monkeypatch, cut):
-        # A find or a budget stop leaves a prefix of the canonical blocks kept; a later search
-        # over the same space replays it and walks on, giving the cold search's report.
+        # A find keeps its spaces whole, every canonical block walked; a budget stop keeps no
+        # space it was building.  Either way a later search gives the cold search's report.
         monkeypatch.setattr(deontic.search, "_SPACES", {})
         required, bounds = FRAME_CLASSES["FCP_2"], SearchBounds(3, 3, ("a", "b", "c"))
         cold = _report(SCHEMAS["AFCP2_P"], required, bounds)
         deontic.search._SPACES.clear()
         if cut == "find":
             assert find_countermodel("IFCP_O", required, bounds).found
+            spaces = deontic.search._SPACES.values()
+            assert len(spaces) == 3
+            for cols, perms, _, blocks in spaces:
+                assert blocks == tuple(_canonical_blocks(cols, perms, _no_tick))
         else:
-            for n in (1, 2, 3):
-                deontic.search._space(n, 3, (False, False), True, _no_tick)
             clock = deontic.search._Clock
             monkeypatch.setattr(deontic.search, "_Clock", OneCandidateClock)
             with pytest.raises(SearchTimeout):
                 find_countermodel("IFCP_O", required, bounds)
             monkeypatch.setattr(deontic.search, "_Clock", clock)
-        spaces = deontic.search._SPACES.values()
-        whole = [len(list(_canonical_blocks(cols, perms, _no_tick))) for cols, perms, *_ in spaces]
-        assert any(0 < len(blocks) < n for (*_, blocks), n in zip(spaces, whole))
+            assert deontic.search._SPACES == {}
         assert _report(SCHEMAS["AFCP2_P"], required, bounds) == cold
-        assert [len(blocks) for *_, blocks in spaces] == whole
+
+    def test_a_build_stopped_in_its_blocks_is_not_kept(self, monkeypatch):
+        # The budget runs out while the 3-world space's blocks are walked, its lists and tables
+        # built: the 1- and 2-world spaces are kept, that one is not.
+        monkeypatch.setattr(deontic.search, "_SPACES", {})
+        walk = deontic.search._canonical_blocks
+
+        def stopped(cols, perms, tick):
+            blocks = walk(cols, perms, tick)
+            if len(cols[0]) == len(_collections(3, 3)):
+                yield next(blocks)
+                raise SearchTimeout("stopped in the blocks")
+            yield from blocks
+
+        monkeypatch.setattr(deontic.search, "_canonical_blocks", stopped)
+        with pytest.raises(SearchTimeout, match="stopped in the blocks"):
+            find_countermodel(SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"],
+                              SearchBounds(3, 3, ("a", "b", "c")))
+        assert sorted(key[0] for key in deontic.search._SPACES) == [1, 2]
 
 
 def _independent_tuple_count(max_worlds: int, max_sets: int) -> int:
