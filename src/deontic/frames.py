@@ -10,12 +10,13 @@ two-variable loops with precomputed subset predicates.  Intended for
 A condition at a world reads only W and the world's two neighbourhoods.
 Each is described once, as an ordered stream of witnesses, each with the
 set of N_P columns it violates for a given N_O (``_terms``), so one walk
-decides a whole list of N_P columns.  The countermodel search reads the
-stream's OR without walking it: ``ConditionTables`` builds, once per list
-of N_P columns, the ORs of its terms over the sets that N_O does not
-choose, and reads an N_O column's verdict on a set of conditions from a
-few of their entries, keeping it; the stream stays the one description of
-each condition and its witnesses.
+decides a whole list of N_P columns.  The countermodel search reads an
+N_O column's verdict on a set of conditions from ``ConditionTables`` and
+keeps it.  For the six free-choice conditions the verdict is read from a
+few entries of tables of a stream's terms ORed over the sets N_O does
+not choose, built once per list of N_P columns; every other verdict is
+its stream's OR.  The stream stays the one description of each condition
+and its witnesses.
 ``find_violation`` reads a bitmask view (``model.ModelView``) through the
 one table of its N_P columns the view keeps (``ModelView.perm_members``):
 at each world, the first term that holds the world's own column.
@@ -177,22 +178,21 @@ def _or(terms: Iterable[int]) -> int:
 
 
 class ConditionTables:
-    """The ten conditions at a world for every N_P column of one list at once: ``failing`` reads
-    an N_O column's verdict on a set of conditions from tables of the list's ``column_members``
-    table ``has``, each built on first use and kept for the list's life, and keeps it, one per
-    N_O column and condition set asked (0.81 MB for every class and rule on 529 columns).
+    """The ten conditions at a world for every N_P column of the list ``cols`` at once:
+    ``failing`` reads an N_O column's verdict on a set of conditions and keeps it, one per N_O
+    column and condition set asked (0.81 MB for every class and rule on 529 columns).
 
-    Every term of a ``_terms`` stream is has[x | y] & ~has[x], or has[x | y] & ~(has[x] & has[y])
-    where x and y range over the same sets, which ORs to the same as the first form.  N_O only
-    chooses which x or y occur, so the ORs over what it does not choose are tables: ``_over[x]``
-    over every y (x | y ranges over the supersets of x), ``_joined[y]`` over every x, and
-    ``_under[v]``, the OR of ``_joined[y]`` for y <= v; P-supplementation is one constant.
-    Coherence and O-supplementation read N_O alone.  A verdict is the OR of the stream, -1
-    included; the stream stays the one description of each condition and its witnesses.
+    A free-choice condition's verdict comes from tables of the list's ``column_members`` table
+    ``has``, each built on first use and kept for the list's life.  Every term of its stream is
+    has[x | y] & ~has[x], or has[x | y] & ~(has[x] & has[y]) where x and y range over the same
+    sets, which ORs to the same as the first form.  N_O only chooses which x or y occur, so the
+    ORs over what it does not choose are tables: ``_over[x]`` over every y (x | y ranges over the
+    supersets of x), ``_joined[y]`` over every x, and ``_under[v]``, the OR of ``_joined[y]`` for
+    y <= v.  Every other verdict is the OR of the condition's ``_terms`` stream, -1 included.
     """
 
-    def __init__(self, has: list[int], full: int):
-        self.has, self.full = has, full
+    def __init__(self, cols: list[frozenset[int]], full: int):
+        self.has, self.full = column_members(cols, full), full
         self._masks = frozenset(range(full + 1))
         self._verdicts: dict[tuple, int] = {}  # by (N_O column, condition set)
 
@@ -211,11 +211,6 @@ class ConditionTables:
         joined, masks = self._joined, range(self.full + 1)
         return [_or([joined[y] for y in masks if y & v == y]) for v in masks]
 
-    @cached_property
-    def _p_supplemented(self) -> int:
-        has, masks = self.has, range(self.full + 1)
-        return _or([has[m] & ~has[x] for x in masks for m in masks if x | m == x])
-
     def failing(self, no: frozenset[int], props: Iterable[FrameProperty]) -> int:
         """The columns whose pair with ``no`` violates one of ``props`` (hashable); -1 for all."""
         verdict = self._verdicts.get((no, props))
@@ -226,27 +221,18 @@ class ConditionTables:
     def _failing(self, no: frozenset[int], prop: FrameProperty) -> int:
         P = FrameProperty
         forbidden = frozenset([self.full ^ o for o in no])  # the x with ~x in N_O
-        if prop is P.O_SUPPLEMENTED:
-            masks = range(self.full + 1)
-            return -1 if any(x | m == x and x not in no for m in no for x in masks) else 0
-        if prop is P.P_SUPPLEMENTED:
-            return self._p_supplemented
-        if prop is P.PW_COHERENT:
-            return 0 if forbidden.isdisjoint(no) else -1
-        if prop is P.PS_COHERENT:
-            return _or(map(self.has.__getitem__, forbidden))
         if prop is P.AFCP_O:
             return _or(map(self._joined.__getitem__, forbidden))
         if prop is P.IFCP_O:  # the y disjoint from a member of N_O: those below its complement
             return _or(map(self._under.__getitem__, forbidden))
         # The rest range x (and y) over the sets weakly permitted, those not forbidden (AFCP),
         # or over the sets with such a subset (IFCP); the others are barred.
-        barred = forbidden
-        if prop is P.IFCP_P or prop is P.IFCP2_P:
-            barred = {x for x in forbidden
-                      if all(z in forbidden for z in range(x + 1) if z & x == z)}
-        elif prop is not P.AFCP_P and prop is not P.AFCP2_P:
-            raise ValueError(f"unhandled frame property {prop!r}")
+        if prop is P.AFCP_P or prop is P.AFCP2_P:
+            barred = forbidden
+        elif prop is P.IFCP_P or prop is P.IFCP2_P:
+            barred = {x for x, z in enumerate(_pw_subset_witness(self.full, no)) if z is None}
+        else:
+            return _or(term for _, term in _terms(no, self.has, self.full, prop))
         xs, over = self._masks.difference(barred), self._over
         if prop is P.AFCP2_P or prop is P.IFCP2_P:
             return _or(map(over.__getitem__, xs))

@@ -26,13 +26,12 @@ validity passes one column per metavariable holding every subset of W.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .formula import Atom, Formula, Obl, PermS, PermW, eval_bits
+from .formula import _ATOM, Atom, Formula, Obl, PermS, PermW, eval_bits
 
 __all__ = [
     "WorldSet", "Neighbourhood", "NeighbourhoodModel", "ModelView", "column_members", "truth_mask",
@@ -42,8 +41,6 @@ __all__ = [
 
 WorldSet = frozenset[str]
 Neighbourhood = frozenset[WorldSet]
-
-_ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*")
 
 
 def render_world_set(s: WorldSet) -> str:
@@ -242,7 +239,7 @@ def validate_model(m: NeighbourhoodModel) -> list[str]:
                     violations.append(f"{label}({w}): set member outside W: {names}")
 
     for atom, members in m.valuation.items():
-        if not _ATOM_NAME.fullmatch(atom):
+        if not _ATOM.fullmatch(atom):
             violations.append(f"valuation: invalid atom name {atom!r}")
         outside = members - declared
         if outside:

@@ -216,6 +216,8 @@ def parse_proof_script(text: str) -> ProofScript:
         if not stripped or stripped.startswith("#"):
             continue
         header, _, value = stripped.partition(":")
+        if (header == "system" and system is not None) or (header == "goal" and goal is not None):
+            raise ValueError(f"script declares '{header}:' twice")
         if header == "system":
             system = value.strip()
         elif header in ("hyp", "hyp*"):
@@ -305,6 +307,12 @@ class _Checker:
             return f"{name} is not an axiom of {self.system.name}"
         sch = SCHEMAS[name]
         if j.subst is not None:
+            given = [var for var, _ in j.subst]
+            for i, var in enumerate(given):
+                if var not in sch.metavars:
+                    return f"{name} has no metavariable {var!r}"
+                if var in given[:i]:
+                    return f"substitution names metavariable {var!r} twice"
             try:
                 inst = instantiate(sch, dict(j.subst))
             except ValueError as exc:

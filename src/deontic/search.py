@@ -34,9 +34,9 @@ property prunes, in order, and they alone are counted.
 A column is a frozenset of masks, named by its index in ``_collections``'
 list, which is in lexicographic order of the sorted masks, and
 ``_index_tables`` maps every index through every permutation.  Frame
-conditions are decided for every ``N_P`` column at once, from a few entries
-of tables built on first use over the ``N_P`` column list, and the verdict
-on each ``N_O`` column and set of conditions asked is kept
+conditions are decided for every ``N_P`` column at once (a free-choice one
+from tables built on first use over the ``N_P`` column list), and the
+verdict on each ``N_O`` column and set of conditions asked is kept
 (``frames.ConditionTables``).  Supplementation is skipped on a side
 generated closed.  None of this depends on the target or on the required
 conditions, and neither do world 1's canonical ``N_O`` columns with their
@@ -85,8 +85,7 @@ from .formula import (
 from .model import ModelView, NeighbourhoodModel, WorldSet, evaluate, model_to_dict, model_valid
 from .frames import (
     GUARDED_RULES, ColumnPlan, ConditionTables, FrameProperty, SchemaViolation, check_property,
-    column_members, find_schema_violation, rule_valid_on_frame, schema_valid_on_frame,
-    schema_variables,
+    find_schema_violation, rule_valid_on_frame, schema_valid_on_frame, schema_variables,
 )
 
 __all__ = [
@@ -296,7 +295,7 @@ def _space(n: int, max_sets: int, closed, all_perms: bool, tick):
     if space is None:
         cols, perms = _generation(*key, tick)
         cols, full = tuple(map(tuple, cols)), (1 << n) - 1
-        space = (cols, tuple(perms), ConditionTables(column_members(cols[1], full), full),
+        space = (cols, tuple(perms), ConditionTables(cols[1], full),
                  tuple(_canonical_blocks(cols, perms, tick)))
         if max(map(len, cols)) <= _KEPT_COLUMNS:
             _SPACES[key] = space

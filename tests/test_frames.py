@@ -399,7 +399,7 @@ def test_block_verdicts_match_the_per_pair_oracle(n):
     # the block form iff the oracle finds a witness, the stream's first term holding the column
     # carries the oracle's witness, and find_violation on the one-world view reports it.
     full, cols, has = _every_column(n)
-    tables = frames.ConditionTables(has, full)
+    tables = frames.ConditionTables(cols, full)
     for no in cols:
         for prop in FrameProperty:
             failing = tables.failing(no, (prop,))
@@ -437,8 +437,8 @@ def test_entailments_hold_exhaustively_on_two_worlds():
     # Every (N_O, N_P) pair of one world, in W of one to three worlds, through the block form;
     # the other worlds' neighbourhoods are empty, which meets every condition.
     for n in (1, 2, 3):
-        full, cols, has = _every_column(n)
-        tables = frames.ConditionTables(has, full)
+        full, cols, _ = _every_column(n)
+        tables = frames.ConditionTables(cols, full)
         for no in cols:
             for premises, conclusion in PROPERTY_ENTAILMENTS:
                 meeting = ~tables.failing(no, premises)
@@ -467,7 +467,7 @@ def test_tables_give_the_streams_verdict_on_the_searchs_columns(n, sets, closed)
     if n == 5:
         nos = random.Random(20).sample(nos, 100)
     has = frames.column_members(cols, full)
-    tables = frames.ConditionTables(has, full)
+    tables = frames.ConditionTables(cols, full)
     for no in nos:
         streams = {prop: _stream_failing(no, has, full, prop) for prop in FrameProperty}
         for prop, (expected, every) in streams.items():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from deontic import (
     And, Atom, Bottom, FrameProperty, Iff, Implies, NeighbourhoodModel, Not, Obl, Or, PermS,
     PermW, Top,
-    check_property, evaluate, expand_pw, make_model, model_from_dict, model_to_dict,
-    model_valid, parse, truth_set, validate_model,
+    check_property, dump_model, evaluate, expand_pw, load_model, make_model, model_from_dict,
+    model_to_dict, model_valid, parse, truth_set, validate_model,
 )
 from deontic import bundled
 
@@ -47,6 +47,12 @@ class TestValidate:
     def test_valuation_outside_worlds(self):
         m = make_model(["w1"], valuation={"a": ["w2"]})
         assert any("valuation(a)" in v for v in validate_model(m))
+
+
+    @pytest.mark.parametrize("name", ["O", "1x"])
+    def test_invalid_atom_name(self, name):
+        m = make_model(["w1"], valuation={name: ["w1"]})
+        assert validate_model(m) == [f"valuation: invalid atom name {name!r}"]
 
 
 class TestEvaluate:
@@ -187,3 +193,11 @@ def test_evaluator_matches_bruteforce_oracle(m, f):
 def test_dict_round_trip(model1):
     again = model_from_dict(model_to_dict(model1))
     assert again == model1
+
+
+@pytest.mark.parametrize("name", bundled.fixture_names("models"))
+def test_dump_model_round_trip(name, tmp_path):
+    m = bundled.load_fixture_model(name)
+    path = tmp_path / name
+    dump_model(m, path)
+    assert model_to_dict(load_model(path)) == model_to_dict(m)

@@ -155,6 +155,20 @@ class TestJustifications:
         result = check_proof(parse_proof_script(text), registry)
         assert not result.valid and result.line == 1
 
+    @pytest.mark.parametrize("subst, reason", [
+        ("{p: a, q: b, r: c}", "AFCP_O has no metavariable 'r'"),
+        ("{p: a, p: c, q: b}", "substitution names metavariable 'p' twice"),
+    ])
+    def test_substitution_names_each_metavariable_of_the_schema_once(self, registry, subst,
+                                                                     reason):
+        text = f"""
+        system: FCP_2
+        goal: Ps(a | b) & O ~a -> Ps b
+        1. Ps(a | b) & O ~a -> Ps b ; ax AFCP_O {subst}
+        """
+        result = check_proof(parse_proof_script(text), registry)
+        assert (result.valid, result.line, result.reason) == (False, 1, reason)
+
     def test_mp_accepts_either_citation_order(self, registry):
         for order in ("mp 1 2", "mp 2 1"):
             text = f"""
@@ -200,6 +214,18 @@ class TestJustifications:
         result = check_proof(parse_proof_script(text), registry)
         assert not result.valid
         assert "goal" in result.reason
+
+    @pytest.mark.parametrize("header, value", [("system", "E"), ("goal", "p -> p")])
+    def test_a_header_is_declared_once(self, header, value):
+        # The last of two headers used to win silently: this script checked Valid.
+        text = f"""
+        system: FCP_2
+        goal: q
+        {header}: {value}
+        1. p -> p ; taut
+        """
+        with pytest.raises(ValueError, match=f"script declares '{header}:' twice"):
+            parse_proof_script(text)
 
     def test_unknown_system_reported(self):
         text = """

@@ -266,8 +266,10 @@ class TestSearchSpaces:
                 return build(*args, **kwargs)
             return wrapper
 
-        for name in ("_collections", "_index_tables", "column_members", "_canonical_blocks"):
-            monkeypatch.setattr(deontic.search, name, counted(name, getattr(deontic.search, name)))
+        for module, name in ((deontic.search, "_collections"), (deontic.search, "_index_tables"),
+                             (deontic.frames, "column_members"),
+                             (deontic.search, "_canonical_blocks")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         tables = deontic.frames.ConditionTables
         monkeypatch.setattr(tables, "_failing", counted("_failing", tables._failing))
         batch = _space_batch()
@@ -289,8 +291,7 @@ class TestSearchSpaces:
             fresh_cols, fresh_perms = _generation(*key, _no_tick)
             assert cols == tuple(map(tuple, fresh_cols)) and perms == tuple(fresh_perms)
             full = (1 << key[0]) - 1
-            fresh = deontic.frames.ConditionTables(deontic.frames.column_members(cols[1], full),
-                                                  full)
+            fresh = deontic.frames.ConditionTables(cols[1], full)
             assert conditions.has == fresh.has
             for name, table in vars(conditions).items():  # the tables built on first use
                 if name != "_verdicts":
