@@ -4,8 +4,9 @@ Only the frame part of a model (worlds plus the two neighbourhood
 functions) is consulted here.  Every condition quantifies its set
 variables over *all* subsets of W, so a check costs up to 2^|W| per
 variable; the four-variable conditions are restructured internally into
-two-variable loops with precomputed subset predicates.  Intended for
-|W| <= 5, which covers every bundled fixture.
+two-variable loops with precomputed subset predicates.  The frame checks
+take at most 12 worlds (``_FREE_BITS``), past which a block of schema
+assignments would free no variable; ``model.truth_set`` has no such limit.
 
 A condition at a world reads only W and the world's two neighbourhoods.
 Each is described once, as an ordered stream of witnesses, each with the
@@ -259,9 +260,17 @@ def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | Non
     return None
 
 
+def _frame_view(m: NeighbourhoodModel) -> ModelView:
+    # The frame checks take 1 to _FREE_BITS worlds, where each schema block frees a variable.
+    n = len(m.worlds)
+    if not 1 <= n <= _FREE_BITS:
+        raise ValueError(f"frame checks take 1 to {_FREE_BITS} worlds, the model has {n}")
+    return m.view
+
+
 def check_property(m: NeighbourhoodModel, prop: FrameProperty) -> PropertyWitness | None:
     """None iff the condition holds at every world; otherwise a concrete witness."""
-    b = m.view
+    b = _frame_view(m)
     found = find_violation(b, prop)
     if found is None:
         return None
@@ -374,15 +383,14 @@ def schema_variables(s: Schema) -> list[str]:
     return sorted(s.metavars & atoms(s.body))
 
 
-_BLOCK_BITS = 1 << 13  # assignment-world bits in one walk: ints of at most 1 KB
+# Both schema evaluators' blocks free the last min(k, _FREE_BITS // n) of k variables, n worlds.
+_FREE_BITS = 12  # assignment bits in one block: at most 4 096 assignments
 
 
 @cache
 def _block(n: int, k: int) -> tuple[int, int, list[int]]:
-    # The m last variables that fit one block, its low, and their columns in product order.
-    m = 0
-    while m < k and n << n * (m + 1) <= _BLOCK_BITS:
-        m += 1
+    # The m last variables free in a block, its low, and their columns in product order.
+    m = min(k, _FREE_BITS // n)
     rows = range(1 << n * m)
     cols = [sum((a >> n * (m - 1 - j) & (1 << n) - 1) << a * n for a in rows) for j in range(m)]
     return m, sum(1 << a * n for a in rows), cols
@@ -393,8 +401,8 @@ def find_schema_violation(b: ModelView, body: Formula,
     """The first subset assignment to ``variables`` (as masks) falsifying ``body``, with the
     index of the first world where it is false; None when the body is valid on the frame.
 
-    Bit-parallel: the last variables that fit ``_BLOCK_BITS`` share one ``truth_mask`` block,
-    the rest are fixed per block in product order, so the lowest false bit comes first.
+    Bit-parallel: the last min(k, ``_FREE_BITS`` // n) variables share one ``truth_mask``
+    block, the rest are fixed per block in product order, so the lowest false bit comes first.
     The one implementation of schema validity; ``schema_valid_on_frame`` names its result.
     """
     n = len(b.worlds)
@@ -409,7 +417,6 @@ def find_schema_violation(b: ModelView, body: Formula,
     return None
 
 
-_FREE_BITS = 12  # assignment bits in one column block: at most 4 096 assignments
 _KEPT_BLOCKS = 64  # blocks a ColumnPlan keeps for its next call
 _WALK_BITS = 1 << 16  # (column, assignment) bits in one walk: ints of at most 8 KB
 
@@ -452,15 +459,15 @@ class ColumnPlan:
     worlds are empty, under some subset assignment to ``variables`` (a schema's metavariables
     or a formula's atoms), for one N_O column and many of the N_P columns ``cols`` at once.
 
-    The assignments come in blocks in ``itertools.product`` order, the last variables that fit
-    ``_FREE_BITS`` free in each (``_Assignments``) and the rest fixed per block; a plan keeps
-    its first ``_KEPT_BLOCKS`` for its next call, and runs ``tick()`` (a search's time budget)
-    once per block.  Once a block falsifies a column, later blocks search only the columns below
-    it.  A walk is one ``eval_bits`` over a chunk of columns, bit i·A + a standing for the i-th
-    column under assignment a of a block of A: ``O x`` and ``Pw x`` read the masks of N_O in
-    ``truth(x)`` once for every column, ``Ps x`` reads each column's masks.  As the rest of W is
-    empty, world 1 alone can falsify the body once a search has passed the one-world frames
-    whose neighbourhoods are empty.
+    The assignments come in blocks as in ``find_schema_violation``: in ``itertools.product``
+    order, the last min(k, ``_FREE_BITS`` // n) variables free (``_Assignments``) and the rest
+    fixed per block.  A plan keeps its first ``_KEPT_BLOCKS`` for its next call, and runs
+    ``tick()`` (a search's time budget) once per block.  Once a block falsifies a column, later
+    blocks search only the columns below it.  A walk is one ``eval_bits`` over a chunk of
+    columns, bit i·A + a standing for the i-th column under assignment a of a block of A:
+    ``O x`` and ``Pw x`` read the masks of N_O in ``truth(x)`` once for every column, ``Ps x``
+    reads each column's masks.  As the rest of W is empty, world 1 alone can falsify the body
+    once a search has passed the one-world frames whose neighbourhoods are empty.
     """
 
     def __init__(self, n: int, body: Formula, variables: list[str], cols: list[frozenset[int]],
@@ -528,7 +535,7 @@ def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation |
     Returns None when valid, otherwise the falsifying subset assignment and world.
     """
     variables = schema_variables(s)
-    b = m.view
+    b = _frame_view(m)
     found = find_schema_violation(b, s.body, variables)
     if found is None:
         return None
@@ -600,7 +607,7 @@ def supplementation_closure(m: NeighbourhoodModel, which: str) -> NeighbourhoodM
     """
     if which not in ("O", "Ps"):
         raise ValueError(f"which must be 'O' or 'Ps', got {which!r}")
-    b = m.view
+    b = _frame_view(m)
 
     def close(cols: list[frozenset[int]]) -> list[frozenset[int]]:
         return [frozenset(x for x in range(b.full + 1) if any(x & s == s for s in col))

@@ -150,7 +150,15 @@ class SystemRegistry:
         return d
 
     def define_from_dict(self, data: Mapping) -> SystemDef:
-        return self.define(data["name"], data.get("axioms", ()), data.get("rules", ()))
+        """Register a system-definition document: an object with a string ``name`` and lists of
+        names ``axioms`` and ``rules`` (an absent list is empty); another shape raises ValueError."""
+        if not isinstance(data, Mapping) or not isinstance(data.get("name"), str):
+            raise ValueError("a system definition is an object with a string 'name'")
+        axioms, rules = data.get("axioms", []), data.get("rules", [])
+        for field, names in (("axioms", axioms), ("rules", rules)):
+            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+                raise ValueError(f"a system definition's {field!r} is a list of names")
+        return self.define(data["name"], axioms, rules)
 
     def load_file(self, path: str | Path) -> SystemDef:
         return self.define_from_dict(json.loads(Path(path).read_text()))

@@ -87,6 +87,34 @@ class TestModelLoader:
         assert err.startswith("error: " + message)
 
 
+class TestFrameSize:
+    """The frame commands take at most 12 worlds; ``eval`` takes any model."""
+
+    def _model(self, tmp_path, n):
+        path = tmp_path / f"frame{n}.json"
+        path.write_text(json.dumps({"worlds": [f"w{i}" for i in range(1, n + 1)],
+                                    "N_O": {"w1": [["w1"]]}, "N_P": {"w1": [["w1"]]}}))
+        return str(path)
+
+    @pytest.mark.parametrize("command, options", [
+        ("classify", []), ("check-frame", ["--property", "AFCPO"]),
+        ("check-frame", ["--schema", "AFCP_P"]), ("check-frame", ["--rule", "IFCP_P"]),
+        ("closure", ["--which", "Ps"]),
+    ])
+    def test_thirteen_worlds_exit_2(self, capsys, tmp_path, command, options):
+        code, out, err = run(capsys, command, self._model(tmp_path, 13), *options)
+        assert code == 2 and out == ""
+        assert err == "error: frame checks take 1 to 12 worlds, the model has 13\n"
+
+    def test_eval_takes_thirteen_worlds(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "eval", "O a", "--model", self._model(tmp_path, 13))
+        assert code == 0 and out.strip() == "{}"
+
+    def test_twelve_worlds_get_a_verdict(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "check-frame", self._model(tmp_path, 12), "--schema", "AFCP_P")
+        assert code == 1 and out.strip() == "AFCP_P: violated at w1 under p={}, q={w1}"
+
+
 class TestCheckFrame:
     def test_property_violated_exits_1(self, capsys):
         code, out, _ = run(
@@ -128,6 +156,23 @@ class TestProve:
         )
         code, out, _ = run(capsys, "prove", str(script), "--system-file", str(sysfile))
         assert code == 0
+
+    @pytest.mark.parametrize("document, message", [
+        ({"axioms": ["D_s"]}, "a system definition is an object with a string 'name'"),
+        ([1, 2], "a system definition is an object with a string 'name'"),
+        ({"name": 5}, "a system definition is an object with a string 'name'"),
+        ({"name": "X", "rules": 7}, "a system definition's 'rules' is a list of names"),
+        ({"name": "X", "axioms": "D_s"}, "a system definition's 'axioms' is a list of names"),
+        ({"name": "X", "rules": ["RM_Ps", 1]}, "a system definition's 'rules' is a list of names"),
+    ])
+    def test_malformed_system_file_exits_2(self, capsys, tmp_path, document, message):
+        sysfile = tmp_path / "bad.json"
+        sysfile.write_text(json.dumps(document))
+        script = tmp_path / "ok.proof"
+        script.write_text("system: E\ngoal: p -> p\n1. p -> p ; taut\n")
+        code, out, err = run(capsys, "prove", str(script), "--system-file", str(sysfile))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestVerifyTable1:

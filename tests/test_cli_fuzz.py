@@ -1,7 +1,7 @@
 """Fuzzing the front door: whatever the input, ``cli.main`` ends with exit code 0, 1 or 2.
 
 Random formula text (unbalanced, unknown tokens, nesting up to 3 000 levels),
-random model documents and random proof scripts go through every subcommand
+random model documents, proof scripts and system definitions go through every subcommand
 that reads them; an exception escaping ``main`` fails the test.  Countermodel
 searches run with small bounds and a timeout.
 """
@@ -109,6 +109,27 @@ def test_prove(workdir, script, flag):
     path = workdir / "script.proof"
     path.write_text(script)
     assert _exit_code(["prove", str(path), *flag]) in (0, 1, 2)
+
+
+name_or_list = st.one_of(st.lists(st.sampled_from(["D_s", "FCP", "RM_Ps", "X9"]), max_size=2),
+                        junk)
+system_document = st.one_of(
+    st.fixed_dictionaries({}, optional={"name": st.one_of(st.sampled_from(["S1", "E"]), junk),
+                                        "axioms": name_or_list, "rules": name_or_list}),
+    junk,
+    st.lists(junk, max_size=3),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=st.one_of(system_document.map(json.dumps), st.text(max_size=20)), flag=json_flag)
+def test_prove_with_system_file(workdir, doc, flag):
+    sysfile = workdir / "system.json"
+    sysfile.write_text(doc)
+    script = workdir / "s1.proof"
+    script.write_text("system: S1\ngoal: p -> p\n1. p -> p ; taut\n")
+    argv = ["prove", str(script), "--system-file", str(sysfile), *flag]
+    assert _exit_code(argv) in (0, 1, 2)
 
 
 @settings(max_examples=25, deadline=None)

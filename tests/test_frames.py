@@ -569,8 +569,8 @@ class TestBlockCap:
     FOUR = "O(p | q) & Ps(r & s) -> O(q | p) & Ps(s & r)"  # valid on every frame
 
     def test_four_variables_at_four_worlds_match_the_oracle(self, rng):
-        # Two variables are fixed per block here; the first two schemas fail with p or q
-        # non-empty, in a later block, and the valid one walks all 256 blocks once per frame.
+        # One variable, p, is fixed per block here: 16 blocks.  The first schema fails only with
+        # p non-empty, in a later block, and the valid one walks all 16 blocks once per frame.
         variables = ["p", "q", "r", "s"]
         texts = ["Ps(p | q) & Pw(r <-> s) -> O(p & r) | Ps q", "Ps(p & ~q) -> Ps r | O s",
                  self.FOUR]
@@ -599,6 +599,15 @@ class TestBlockCap:
         assert elapsed < 5.0
         assert peak < 1 << 20
 
+    def test_valid_schema_at_ten_worlds_frees_one_variable_per_block(self, monkeypatch):
+        # At ten worlds one of AFCP_P's two variables is free in each block and the other fixed
+        # per block: 1 024 walks, where blocks of one assignment would take 1 048 576.
+        m = make_model([f"w{i}" for i in range(1, 11)], n_obl={"w1": [["w1"]]})
+        walk, walks = frames.truth_mask, []
+        monkeypatch.setattr(frames, "truth_mask", lambda *args: walks.append(1) or walk(*args))
+        assert schema_valid_on_frame(m, SCHEMAS["AFCP_P"]) is None
+        assert len(walks) == 1024
+
 
 class TestSchemaViolation:
     """``find_schema_violation`` agrees with the per-assignment oracle across its blocks."""
@@ -620,27 +629,32 @@ class TestSchemaViolation:
                     assert (find_schema_violation(view, body, variables)
                             == _schema_violation_oracle(view, body, variables)), (body, view.n_obl)
 
-    def test_four_variables_at_three_worlds_span_blocks(self, rng):
-        # Three variables share a block at three worlds, so p is fixed per block: 8 blocks.
-        variables = ["p", "q", "r", "s"]
-        texts = ["Ps(p | q) & Pw(r <-> s) -> O(p & r) | Ps q", TestBlockCap.FOUR]
-        assert frames._block(3, len(variables))[0] == 3
-        for text in texts:
+    def test_seven_variables_at_two_worlds_span_blocks(self, rng):
+        # Six variables share a block at two worlds, so p is fixed per block: 4 blocks.  The
+        # oracle walks all 16 384 assignments of the valid schema, so it sees fewer frames.
+        variables = ["p", "q", "r", "s", "t", "u", "v"]
+        texts = ["Ps(p | q) & Pw(r <-> s) & O(t | u) -> O(p & r) | Ps q | Pw v",
+                 "O(p | q) & Ps(r & s) & Pw(t | u | v) -> O(q | p) & Ps(s & r)"]
+        assert frames._block(2, len(variables))[0] == 6
+        for text, frames_seen in zip(texts, (8, 2)):
             body = schema(text, variables).body
-            for _ in range(8):
-                view = self._random_view(rng, 3)
+            for _ in range(frames_seen):
+                view = self._random_view(rng, 2)
                 assert (find_schema_violation(view, body, variables)
                         == _schema_violation_oracle(view, body, variables)), (text, view.n_obl)
 
     def test_first_false_world_of_a_later_block(self):
-        # Ps p holds only at w3 and only for p = {w2}, the third block; there q, r and s are
-        # first all empty, and the schema is false at w3 alone.
+        # Three variables share a block at four worlds, so p is fixed per block.  Ps p holds
+        # only at w3 and only for p = {w2}, the third block; there q, r and s are first all
+        # empty, and the schema is false at w3 alone.
         variables = ["p", "q", "r", "s"]
         body = schema("Ps p -> q | r | s", variables).body
-        view = _view(3, [frozenset()] * 3, [frozenset(), frozenset(), frozenset({0b010})])
+        assert frames._block(4, len(variables))[0] == 3
+        view = _view(4, [frozenset()] * 4, [frozenset(), frozenset(), frozenset({0b010}),
+                                            frozenset()])
         assert find_schema_violation(view, body, variables) == (2, (2, 0, 0, 0))
         assert _schema_violation_oracle(view, body, variables) == (2, (2, 0, 0, 0))
-        m = make_model(["w1", "w2", "w3"], n_perm={"w3": [["w2"]]})
+        m = make_model(["w1", "w2", "w3", "w4"], n_perm={"w3": [["w2"]]})
         violation = schema_valid_on_frame(m, schema("Ps p -> q | r | s", variables))
         assert violation.world == "w3"
         assert violation.assignment == {"p": {"w2"}, "q": set(), "r": set(), "s": set()}
@@ -660,6 +674,35 @@ class TestSchemaViolation:
                     m.worlds[wi], {"p": m.view.set_of(p), "q": m.view.set_of(q)}), m
             verdicts.add(found is None)
         assert verdicts == {True, False}
+
+
+class TestFrameSize:
+    """Past 12 worlds a block of schema assignments would free no variable: the checks refuse."""
+
+    def _frame(self, n):
+        return make_model([f"w{i}" for i in range(1, n + 1)],
+                          n_obl={"w1": [["w1"]]}, n_perm={"w1": [["w1"]]})
+
+    @pytest.mark.parametrize("check", [
+        lambda m: check_property(m, FrameProperty.AFCP_O),
+        classify_frame,
+        lambda m: schema_valid_on_frame(m, SCHEMAS["AFCP_P"]),
+        lambda m: rule_valid_on_frame(m, "IFCP_P"),
+        lambda m: supplementation_closure(m, "O"),
+    ])
+    def test_thirteen_worlds_are_refused(self, check):
+        with pytest.raises(ValueError, match="frame checks take 1 to 12 worlds, the model has 13"):
+            check(self._frame(13))
+        with pytest.raises(ValueError, match="the model has 0"):
+            check(make_model([]))
+
+    def test_twelve_worlds_get_a_verdict(self):
+        m = self._frame(12)
+        assert check_property(m, FrameProperty.PW_COHERENT) is None
+        violation = schema_valid_on_frame(m, SCHEMAS["AFCP_P"])
+        assert (violation.world, violation.assignment) == ("w1", {"p": set(), "q": {"w1"}})
+        closed = supplementation_closure(m, "O")
+        assert closed.n_obl["w1"] == {x for x in _subsets(m.worlds) if "w1" in x}
 
 
 class TestSchemaValidity:

@@ -1055,6 +1055,19 @@ class TestBlockWalk:
         assert report.model.valuation["p"] == {"w2"}
 
 
+def test_every_world_walk_decides_a_candidate_in_one_walk(monkeypatch):
+    # The four atoms of this depth-2 formula share one block of assignments at up to three
+    # worlds, so ``find_schema_violation`` decides each candidate in one ``truth_mask`` walk.
+    walk, walks = deontic.frames.truth_mask, []
+    monkeypatch.setattr(deontic.frames, "truth_mask", lambda *args: walks.append(1) or walk(*args))
+    report = find_countermodel(parse("Ps(a | b) & Pw(c & d) -> Ps(b | a) | O Ps c"),
+                               {FrameProperty.AFCP_O, FrameProperty.AFCP_P},
+                               SearchBounds(3, 1, tuple("abcd")))
+    assert not report.found
+    assert (report.examined, report.pruned_by_property) == (1751, 0)
+    assert len(walks) == 1751
+
+
 def test_one_world_search_reads_the_clock_once_per_prefix(monkeypatch):
     seen = []
 

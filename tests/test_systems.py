@@ -57,6 +57,11 @@ class TestDefineSystem:
         with pytest.raises(ValueError, match="unknown inference rule"):
             registry.define("BROKEN", rules=["R_weird"])
 
+    def test_definition_lists_are_optional(self, registry):
+        d = registry.define_from_dict({"name": "BARE"})
+        assert d.axioms == () and d.rules == BASE_RULES
+        assert scenario_registry().get("EXPLOSION_DEMO").rules == BASE_RULES | {"RM_Ps"}
+
 
 class TestFrameClass:
     def test_minimal(self):
