@@ -12,7 +12,8 @@ and its JSON ``tag`` once; each ``Binary`` class also states its ``prec``
 and whether it is ``right_assoc``.  ``Not`` is ``Unary``, the three modal
 operators are ``Modal`` (a ``Unary``).  The parser, the renderer, the JSON
 form and the structural walkers read the table and dispatch on these
-shapes; only ``eval_bits`` has a case per connective.
+shapes; only ``eval_bits`` has a case per connective.  Nodes are immutable
+``__slots__`` objects that store their hash (see ``Formula``).
 
 Concrete syntax (ASCII)::
 
@@ -26,6 +27,9 @@ Concrete syntax (ASCII)::
     atom    := [a-z][a-z0-9_]*
 
 ``O``, ``Ps``, ``Pw``, ``T`` and ``F`` are reserved and not valid atoms.
+``parse`` reads this grammar in one loop by operator precedence, without
+recursion, so it takes any nesting depth; the walkers that recurse (render,
+equality, ``expand_pw``, ``eval_bits``) bound it at about 495 modal levels.
 
 ``eval_bits`` is the one Boolean evaluator: it computes a formula's truth
 as a bitmask, one bit per world or per truth-table row, and asks a
@@ -52,82 +56,152 @@ __all__ = [
 
 
 class Formula:
-    """Base class for AST nodes; all nodes are immutable and hashable."""
+    """Base class for AST nodes: immutable, hashable and compared by value.
 
-    __slots__ = ()
+    A node is a ``__slots__`` object that stores its hash, computed once when it is built
+    as the hash of the tuple of its fields, so hashing a formula never walks it.  ``==``
+    checks class, identity and stored hash, and only then the fields, so shared subtrees
+    compare at once.  ``__match_args__`` names the fields, which ``repr``, copy and pickle
+    read; assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self) -> None:  # T and F have no fields
+        _set_hash(self, hash(()))
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"formulas are immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return True if type(other) is type(self) else NotImplemented
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
+_set_hash = Formula._hash.__set__  # __setattr__ raises: constructors set slots through these
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+    __hash__ = Formula.__hash__  # a class that defines __eq__ inherits no __hash__
     tag = "atom"
 
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_hash(self, hash((name,)))
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:  # a name compares as fast as a hash
+        return self.name == other.name if type(other) is type(self) else NotImplemented
+
+
 class Top(Formula):
+    __slots__ = ()
     symbol, tag = "T", "top"
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
+    __slots__ = ()
     symbol, tag = "F", "bottom"
 
 
-@dataclass(frozen=True)
 class Unary(Formula):
     """A connective applied to one operand."""
 
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
+    __hash__ = Formula.__hash__
+
+    def __init__(self, operand: Formula) -> None:
+        _set_operand(self, operand)
+        _set_hash(self, hash((operand,)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._hash == other._hash and self.operand == other.operand
 
 
 class Not(Unary):
+    __slots__ = ()
     symbol, tag = "~", "not"
 
 
 class Modal(Unary):
     """A modal operator; the propositional abstraction treats its node as an opaque unit."""
 
+    __slots__ = ()
+
 
 class Obl(Modal):
+    __slots__ = ()
     symbol = tag = "O"
 
 
 class PermS(Modal):
+    __slots__ = ()
     symbol = tag = "Ps"
 
 
 class PermW(Modal):
+    __slots__ = ()
     symbol = tag = "Pw"
 
 
-@dataclass(frozen=True)
 class Binary(Formula):
     """A connective joining two operands; a higher ``prec`` binds tighter."""
 
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
+    __hash__ = Formula.__hash__
     right_assoc = False
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((left, right)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.left == other.left
+                                 and self.right == other.right)
 
 
 class And(Binary):
+    __slots__ = ()
     symbol, tag, prec = "&", "and", 4
 
 
 class Or(Binary):
+    __slots__ = ()
     symbol, tag, prec = "|", "or", 3
 
 
 class Implies(Binary):
+    __slots__ = ()
     symbol, tag, prec, right_assoc = "->", "implies", 2, True
 
 
 class Iff(Binary):
+    __slots__ = ()
     symbol, tag, prec = "<->", "iff", 1
 
 
+_set_name, _set_operand = Atom.name.__set__, Unary.operand.__set__
+_set_left, _set_right = Binary.left.__set__, Binary.right.__set__
 TOP = Top()
 BOTTOM = Bottom()
 
@@ -158,28 +232,35 @@ class _Token(NamedTuple):
     pos: int
 
 
-# One token per match, whitespace skipped: an operator, a name, or any other character.
-_TOKEN = re.compile(r"(?P<op><->|->|[&|~()])|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<other>\S)")
 _ATOM = re.compile(r"[a-z][a-z0-9_]*")
+# One token per match, whitespace skipped.  The group that matched gives the kind: 1 a
+# connective, parenthesis or reserved word (its own kind), 2 an atom, 3 any other name,
+# 4 any other character.  A name runs to the first character not a letter, digit or _.
+_TOKEN = re.compile(r"(<->|->|[&|~()]|(?:O|Ps|Pw|T|F)(?![A-Za-z0-9_]))"
+                    r"|([a-z][a-z0-9_]*)(?![A-Za-z0-9_])|([A-Za-z][A-Za-z0-9_]*)|(\S)")
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
+    append, new = out.append, tuple.__new__  # tuple.__new__ skips NamedTuple's Python __new__
     for m in _TOKEN.finditer(text):
-        kind, word, i = m.lastgroup, m.group(), m.start()
-        if kind == "op" or word in _UNARY or word in _CONSTANTS:
-            out.append(_Token(word, word, i))
-        elif kind == "other":
-            raise ParseError(f"unexpected character {word!r}", i)
-        elif _ATOM.fullmatch(word):
-            out.append(_Token("atom", word, i))
+        group = m.lastindex
+        if group == 1:
+            word = m[1]
+            append(new(_Token, (word, word, m.start())))
+        elif group == 2:
+            append(new(_Token, ("atom", m[2], m.start())))
+        elif group == 3:
+            raise ParseError(f"invalid name {m[3]!r}; atoms match {_ATOM.pattern}", m.start(),
+                             ("atom",))
         else:
-            raise ParseError(f"invalid name {word!r}; atoms match [a-z][a-z0-9_]*", i, ("atom",))
-    out.append(_Token("end", "", len(text)))
+            raise ParseError(f"unexpected character {m[4]!r}", m.start())
+    append(_Token("end", "", len(text)))
     return out
 
 
 _FORMULA_STARTERS = (*_UNARY, *_CONSTANTS, "atom", "(")
+_PREFIX = frozenset(_UNARY.values())
 
 
 def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
@@ -187,55 +268,53 @@ def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
     return ParseError(f"unexpected {what}", tok.pos, expected)
 
 
-class _Parser:
-    """Precedence climbing: ``expr(p)`` reads binary connectives of ``prec`` at least ``p``."""
-
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expr(self, min_prec: int = 1) -> Formula:
-        f = self.unary()
-        while (op := _BINARY.get(self.peek().kind)) and op.prec >= min_prec:
-            self.take()
-            f = op(f, self.expr(op.prec if op.right_assoc else op.prec + 1))
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.take()
-        if tok.kind in _UNARY:
-            return _UNARY[tok.kind](self.unary())
-        if tok.kind in _CONSTANTS:
-            return _CONSTANTS[tok.kind]
-        if tok.kind == "atom":
-            return Atom(tok.text)
-        if tok.kind == "(":
-            f = self.expr()
-            closing = self.take()
-            if closing.kind != ")":
-                raise _unexpected(closing, (")",))
-            return f
-        raise _unexpected(tok, _FORMULA_STARTERS)
-
-
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into the unique AST under the stated precedence."""
-    p = _Parser(_tokenize(text))
-    f = p.expr()
-    trailing = p.peek()
-    if trailing.kind != "end":
-        raise ParseError(
-            f"unexpected token {trailing.text!r} after formula", trailing.pos, ("end of input",)
-        )
-    return f
+    """Parse concrete syntax into the unique AST under the stated precedence.
+
+    One loop, by operator precedence: ``pending`` holds the prefix and binary connectives
+    not yet applied and None for each open parenthesis, ``lefts`` the left operand of each
+    pending binary connective.  No recursion, so nesting depth is bounded only by memory.
+    """
+    tokens = _tokenize(text)
+    pending: list[type[Formula] | None] = []
+    lefts: list[Formula] = []
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        kind = tok.kind
+        if kind in _UNARY or kind == "(":
+            pending.append(_UNARY.get(kind))
+            continue
+        if kind == "atom":
+            f = Atom(tok.text)
+        elif kind in _CONSTANTS:
+            f = _CONSTANTS[kind]
+        else:
+            raise _unexpected(tok, _FORMULA_STARTERS)
+        while True:  # f is a whole operand: apply its prefix connectives, then read what follows
+            while pending and pending[-1] in _PREFIX:
+                f = pending.pop()(f)
+            tok = tokens[i]
+            i += 1
+            op = _BINARY.get(tok.kind)
+            if op is not None:
+                while pending and pending[-1] is not None and (pending[-1].prec > op.prec or (
+                        pending[-1].prec == op.prec and not op.right_assoc)):
+                    f = pending.pop()(lefts.pop(), f)
+                pending.append(op)
+                lefts.append(f)
+                break
+            while pending and pending[-1] is not None:
+                f = pending.pop()(lefts.pop(), f)
+            if not pending:
+                if tok.kind == "end":
+                    return f
+                raise ParseError(f"unexpected token {tok.text!r} after formula", tok.pos,
+                                 ("end of input",))
+            if tok.kind != ")":
+                raise _unexpected(tok, (")",))
+            pending.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +371,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _rebuild(f: Formula, walk: Callable[..., Formula], *args) -> Formula:
-    """``f`` with ``walk(x, *args)`` applied to each direct subformula x."""
-    match f:
-        case Unary(x):
-            return type(f)(walk(x, *args))
-        case Binary(l, r):
-            return type(f)(walk(l, *args), walk(r, *args))
-        case Atom() | Top() | Bottom():
-            return f
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def atoms(f: Formula) -> frozenset[str]:
     """Names of all atoms occurring in ``f``."""
     names, todo = set(), [f]
@@ -337,10 +404,22 @@ def modal_depth(f: Formula) -> int:
 
 
 def expand_pw(f: Formula) -> Formula:
-    """Rewrite every ``Pw x`` to ``~O~x``; the result contains no Pw node."""
+    """Rewrite every ``Pw x`` to ``~O~x``; the result contains no Pw node.
+
+    Only the nodes above a ``Pw`` are rebuilt: every other subformula is shared with ``f``,
+    and ``expand_pw(f) is f`` when ``f`` holds no Pw.
+    """
+    if isinstance(f, Binary):
+        l, r = expand_pw(f.left), expand_pw(f.right)
+        return f if l is f.left and r is f.right else type(f)(l, r)
     if isinstance(f, PermW):
         return Not(Obl(Not(expand_pw(f.operand))))
-    return _rebuild(f, expand_pw)
+    if isinstance(f, Unary):
+        x = expand_pw(f.operand)
+        return f if x is f.operand else type(f)(x)
+    if isinstance(f, (Atom, Top, Bottom)):
+        return f
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def flatten(f: Formula, op: type[Binary]) -> list[Formula]:
@@ -401,27 +480,23 @@ def instantiate(s: Schema, subst: Mapping[str, Formula]) -> Formula:
 
 
 def _substitute(f: Formula, metavars: frozenset[str], subst: Mapping[str, Formula]) -> Formula:
-    if isinstance(f, Atom) and f.name in metavars:
-        try:
-            return subst[f.name]
-        except KeyError:
-            raise ValueError(f"substitution is missing metavariable {f.name!r}") from None
-    return _rebuild(f, _substitute, metavars, subst)
+    match f:
+        case Atom(name) if name in metavars:
+            try:
+                return subst[name]
+            except KeyError:
+                raise ValueError(f"substitution is missing metavariable {name!r}") from None
+        case Unary(x):
+            return type(f)(_substitute(x, metavars, subst))
+        case Binary(l, r):
+            return type(f)(_substitute(l, metavars, subst), _substitute(r, metavars, subst))
+        case Atom() | Top() | Bottom():
+            return f
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
 # Propositional reasoning under modal abstraction
-
-def _abstraction_units(f: Formula, acc: dict[Formula, None]) -> None:
-    # Maximal modal subformulas and atoms become the propositional alphabet;
-    # syntactically identical modal subformulas share one unit.
-    match f:
-        case Atom() | Modal():
-            acc.setdefault(f)
-        case _:
-            for x in _children(f):
-                _abstraction_units(x, acc)
-
 
 def eval_bits(f: Formula, leaf: Callable[[Formula], int], full: int) -> int:
     """Bitwise truth of ``f``: ``leaf(node)`` gives the mask of each atom and modal node.
@@ -429,43 +504,57 @@ def eval_bits(f: Formula, leaf: Callable[[Formula], int], full: int) -> int:
     ``full`` is the all-true mask.  Truth sets on a model, schema validity
     on a frame and bit-parallel truth tables all evaluate through this walk.
     """
-    match f:
-        case Atom() | Modal():
-            return leaf(f)
-        case Top():
-            return full
-        case Bottom():
-            return 0
-        case Not(x):
-            return full ^ eval_bits(x, leaf, full)
-        case And(l, r):
-            return eval_bits(l, leaf, full) & eval_bits(r, leaf, full)
-        case Or(l, r):
-            return eval_bits(l, leaf, full) | eval_bits(r, leaf, full)
-        case Implies(l, r):
-            return (full ^ eval_bits(l, leaf, full)) | eval_bits(r, leaf, full)
-        case Iff(l, r):
-            return full ^ eval_bits(l, leaf, full) ^ eval_bits(r, leaf, full)
+    # Tests of isinstance and type: a class pattern of ``match`` costs about twice as much.
+    if isinstance(f, Binary):
+        op, l, r = type(f), eval_bits(f.left, leaf, full), eval_bits(f.right, leaf, full)
+        if op is And:
+            return l & r
+        if op is Or:
+            return l | r
+        if op is Implies:
+            return (full ^ l) | r
+        if op is Iff:
+            return full ^ l ^ r
+    elif isinstance(f, Not):
+        return full ^ eval_bits(f.operand, leaf, full)
+    elif isinstance(f, (Atom, Modal)):
+        return leaf(f)
+    elif isinstance(f, Top):
+        return full
+    elif isinstance(f, Bottom):
+        return 0
     raise TypeError(f"not a formula: {f!r}")
 
 
-_CHUNK_UNITS = 12  # units packed into one walk: 2^12 rows, ints of at most 512 bytes
+_CHUNK_UNITS = 12  # units in one walk: 2^12 rows, ints of at most 512 bytes
+_ALL_ROWS = (1 << (1 << _CHUNK_UNITS)) - 1
+# Bit r of column i is bit i of r, so the twelve columns list every row of a 12-unit table.
+_COLUMNS = [_ALL_ROWS - _ALL_ROWS // ((1 << (1 << i)) + 1) for i in range(_CHUNK_UNITS)]
 
 
 def is_tautology(f: Formula) -> bool:
     """Truth-table tautology check with maximal modal subformulas abstracted as atoms.
 
-    Bit-parallel: bit r of unit i's column is bit i of r, so one walk evaluates 2^12 rows.
-    Units past the first 12 are fixed per chunk; the first chunk not all true ends the check.
+    Atoms and maximal modal subformulas are the units; syntactically identical ones share a
+    unit.  Bit-parallel: one walk gives each unit a column of ``_COLUMNS`` when it is first
+    met, so it evaluates 2^12 rows at once, with any unit past the twelfth false.  Only a
+    formula with more units walks again, once per remaining assignment of those units; the
+    first walk not all true ends the check.
     """
-    units: dict[Formula, None] = {}
-    _abstraction_units(f, units)
-    keys = list(units)
-    full = (1 << (1 << min(len(keys), _CHUNK_UNITS))) - 1
-    cols = {u: full - full // ((1 << (1 << i)) + 1) for i, u in enumerate(keys[:_CHUNK_UNITS])}
-    for values in itertools.product((0, full), repeat=len(keys[_CHUNK_UNITS:])):
-        cols.update(zip(keys[_CHUNK_UNITS:], values))
-        if eval_bits(f, cols.__getitem__, full) != full:
+    cols: dict[Formula, int] = {}
+
+    def leaf(unit: Formula) -> int:
+        col = cols.get(unit)
+        if col is None:
+            col = cols[unit] = _COLUMNS[len(cols)] if len(cols) < _CHUNK_UNITS else 0
+        return col
+
+    if eval_bits(f, leaf, _ALL_ROWS) != _ALL_ROWS:
+        return False
+    rest = list(cols)[_CHUNK_UNITS:]
+    for values in itertools.islice(itertools.product((0, _ALL_ROWS), repeat=len(rest)), 1, None):
+        cols.update(zip(rest, values))
+        if eval_bits(f, cols.__getitem__, _ALL_ROWS) != _ALL_ROWS:
             return False
     return True
 

@@ -250,10 +250,11 @@ def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | Non
     """The first world index violating the condition and its witness masks (x, y, z, q), or
     None: at world i, the first term of its N_O's stream holding column i (-1 holds every one)."""
     has = b.perm_members
+    reads_n_o_alone = prop is FrameProperty.O_SUPPLEMENTED or prop is FrameProperty.PW_COHERENT
     for wi, (no, np) in enumerate(zip(b.n_obl, b.n_perm)):
-        # Each condition needs a member of N_O(w) or N_P(w) (IFCP_O one of N_O, and the
-        # rest one they quantify over or (x | y) in N_P), so an empty world meets all ten.
-        if no or np:
+        # A condition on N_O alone needs a member of N_O(w).  Every other term reads has[...],
+        # whose bit for w is 0 when N_P(w) is empty, so such a world meets the other eight.
+        if np or no and reads_n_o_alone:
             for hit, term in _terms(no, has, b.full, prop):
                 if term >> wi & 1:
                     return wi, hit

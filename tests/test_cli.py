@@ -339,8 +339,8 @@ class TestDeepNesting:
     @pytest.mark.parametrize(
         "argv",
         [
+            # parses (the parser does not recurse), then exceeds render's depth
             ("parse", "~" * 3000 + "a"),
-            # too deep for the parser whatever each walker spends per level
             ("parse", "O " * 3000 + "a"),
             # parses, then exceeds the evaluator's depth
             ("eval", "O " * 600 + "a", "--model", "corollary3_model1"),
@@ -356,6 +356,13 @@ class TestDeepNesting:
     def test_eval_450_nested_obligations(self, capsys):
         code, out, _ = run(capsys, "eval", "O " * 450 + "a", "--model", "corollary3_model1")
         assert code == 0 and out == "{}\n"
+
+    def test_prove_450_nested_obligations(self, capsys, tmp_path):
+        f = "O " * 450 + "a"
+        script = tmp_path / "deep.proof"
+        script.write_text(f"system: E\nhyp: {f}\ngoal: {f}\n1. {f} ; hyp\n")
+        code, out, err = run(capsys, "prove", str(script))
+        assert (code, out, err) == (0, "Valid\n", "")
 
 
 class TestClosedPipe:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import time
 from functools import reduce
 
@@ -73,6 +75,10 @@ class TestParse:
 
     def test_400_nested_parentheses(self):
         assert parse("(" * 400 + "a" + ")" * 400) == Atom("a")
+
+    def test_3000_nested_parentheses(self):
+        # The parser keeps open parentheses on a list, not on the call stack.
+        assert parse("(" * 3000 + "a" + ")" * 3000) == Atom("a")
 
 
 # Reference for parse: the recursive-descent parser with one method per
@@ -249,6 +255,55 @@ class TestExpandPw:
         out = expand_pw(f)
         assert "Pw" not in render(out)
         assert expand_pw(out) == out
+
+
+def _subformulas(f):
+    yield f
+    for name in f.__match_args__:
+        child = getattr(f, name)
+        if isinstance(child, Formula):
+            yield from _subformulas(child)
+
+
+class TestNodeContract:
+    """Nodes store the hash of their fields' tuple, refuse assignment, and copy and pickle by
+    value."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas())
+    def test_hash_is_the_hash_of_the_fields(self, f):
+        for g in _subformulas(f):
+            assert hash(g) == hash(tuple(getattr(g, name) for name in g.__match_args__))
+
+    def test_assigning_an_attribute_raises(self):
+        f = And(Not(a), PermW(TOP))
+        for node, name in ((f, "left"), (f.left, "operand"), (a, "name"), (TOP, "tag"),
+                           (f, "_hash"), (f, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(node, name, b)
+        with pytest.raises(AttributeError):
+            del f.right
+        assert f == And(Not(Atom("a")), PermW(Top())) and a == Atom("a")
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas())
+    def test_copy_deepcopy_and_pickle_give_equal_nodes(self, f):
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(g) is type(f) and g == f and hash(g) == hash(f)
+            assert render(g) == render(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas())
+    def test_expand_pw_returns_a_formula_without_pw_itself(self, f):
+        out = expand_pw(f)
+        assert expand_pw(out) is out
+        if not any(isinstance(g, PermW) for g in _subformulas(f)):
+            assert out is f
+
+    def test_expand_pw_shares_the_subtrees_it_leaves(self):
+        big = parse("O(a & b) -> Ps(a | ~b)")
+        out = expand_pw(And(big, PermW(p)))
+        assert out.left is big and out == And(big, parse("~O~p"))
 
 
 class TestSchema:
@@ -447,6 +502,13 @@ class TestTautologyKernel:
         extra = Obl(Atom("p0"))
         assert is_tautology(Implies(g, Or(g, extra)))
         assert not is_tautology(Implies(Or(g, extra), g))
+
+    def test_failure_only_when_the_thirteenth_unit_is_true(self):
+        # The first walk gives the 13th unit met, O p12, no column, so it is false in every
+        # row, where f holds; f fails only in the later walk where O p12 is true and p13 false.
+        f = reduce(Or, [Atom(f"p{i}") for i in range(12)] + [Not(Obl(Atom("p12"))), Atom("p13")])
+        assert not is_tautology(f) and not _oracle_is_tautology(f)
+        assert is_tautology(Or(f, And(Obl(Atom("p12")), Not(Atom("p13")))))
 
 
 class TestTautologicalConsequence:

@@ -704,6 +704,15 @@ class TestFrameSize:
         closed = supplementation_closure(m, "O")
         assert closed.n_obl["w1"] == {x for x in _subsets(m.worlds) if "w1" in x}
 
+    def test_twelve_worlds_without_permissions_classify_at_once(self):
+        # Every N_P is empty, so only the two conditions on N_O alone walk a world: w1.
+        m = make_model([f"w{i}" for i in range(1, 13)], n_obl={"w1": [["w1"]]})
+        start = time.perf_counter()
+        holding = classify_frame(m)
+        assert time.perf_counter() - start < 1.0
+        assert holding == set(FrameProperty) - {FrameProperty.O_SUPPLEMENTED}
+        assert recheck_witness(m, check_property(m, FrameProperty.O_SUPPLEMENTED))
+
 
 class TestSchemaValidity:
     def test_weak_consistency_on_coherent_frame(self, rng):
