@@ -30,7 +30,7 @@ schema under all assignments and at all worlds in one ``model.truth_mask``
 walk.  This is sound and complete on finite frames because every subset
 is the truth set of some atom under some valuation based on the frame.
 A ``ColumnPlan`` decides a body of modal depth <= 1 at world 1 alone, for
-one N_O column and many N_P columns at once, as the countermodel search
+all of a world count's (N_O, N_P) column pairs in one call, as the search
 reads it for a schema and for a formula, whose atoms are its variables.
 
 The three rule-shaped conditions pair an inference rule with a frame
@@ -47,11 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, reduce
-from itertools import islice, product
+from itertools import product
 from operator import or_
 from typing import Iterable
 
-from .formula import Atom, Formula, Obl, PermS, PermW, Schema, atoms, eval_bits, schema
+from .formula import Atom, Formula, PermS, PermW, Schema, atoms, eval_bits, schema
 from .model import (
     ModelView, NeighbourhoodModel, WorldSet, column_members, render_world_set, truth_mask,
 )
@@ -418,8 +418,25 @@ def find_schema_violation(b: ModelView, body: Formula,
     return None
 
 
-_KEPT_BLOCKS = 64  # blocks a ColumnPlan keeps for its next call
-_WALK_BITS = 1 << 16  # (column, assignment) bits in one walk: ints of at most 8 KB
+_WALK_BITS = 1 << 16  # (prefix, column, assignment) bits in one walk: ints of at most 8 KB
+
+
+def _repeat(x: int, width: int, times: int) -> int:
+    """``times`` copies of the ``width``-bit ``x`` side by side, built by doubling."""
+    out = 0
+    for i in range(times.bit_length()):
+        if times >> i & 1:
+            out = out << (width << i) | x
+        x |= x << (width << i)
+    return out
+
+
+def _join(parts: list[int], width: int) -> int:
+    """The ``width``-bit ``parts`` side by side, the first lowest, joined pairwise."""
+    while len(parts) > 1:
+        parts = [lo | hi << width for lo, hi in zip(parts[::2], parts[1::2] + [0])]
+        width *= 2
+    return parts[0]
 
 
 class _Assignments:
@@ -431,7 +448,7 @@ class _Assignments:
     """
 
     def __init__(self, n: int, free: list[str], fixed: dict[str, int]):
-        self.n, self.size = n, 1 << n * len(free)
+        self.size = 1 << n * len(free)
         self.full = (1 << self.size) - 1
         bit = [self.full - self.full // ((1 << (1 << p)) + 1) for p in range(n * len(free))]
         self.atoms = [{v: self.full if x >> w & 1 else 0 for v, x in fixed.items()}
@@ -458,76 +475,89 @@ class _Assignments:
 class ColumnPlan:
     """Where a body of modal depth <= 1 is false at world 1 of an n-world frame whose other
     worlds are empty, under some subset assignment to ``variables`` (a schema's metavariables
-    or a formula's atoms), for one N_O column and many of the N_P columns ``cols`` at once.
+    or a formula's atoms), for many (N_O column, N_P column of ``cols``) pairs at once.
 
-    The assignments come in blocks as in ``find_schema_violation``: in ``itertools.product``
-    order, the last min(k, ``_FREE_BITS`` // n) variables free (``_Assignments``) and the rest
-    fixed per block.  A plan keeps its first ``_KEPT_BLOCKS`` for its next call, and runs
-    ``tick()`` (a search's time budget) once per block.  Once a block falsifies a column, later
-    blocks search only the columns below it.  A walk is one ``eval_bits`` over a chunk of
-    columns, bit i·A + a standing for the i-th column under assignment a of a block of A:
-    ``O x`` and ``Pw x`` read the masks of N_O in ``truth(x)`` once for every column, ``Ps x``
-    reads each column's masks.  As the rest of W is empty, world 1 alone can falsify the body
-    once a search has passed the one-world frames whose neighbourhoods are empty.
+    The assignments come in blocks as in ``find_schema_violation`` (``_Assignments``).  ``first``
+    walks each block over chunks of pairs, bit i·A + a standing for the i-th pair under
+    assignment a of a block of A, after ``tick()`` (a search's time budget); once a block
+    falsifies a pair, later blocks search only the pairs before it.  Past one block the rows go
+    a window at a time, each block built once per window: the first window holds 32 walks of
+    pairs and each later one twice as many, so a hit in an early row and a late block walks no
+    row far after it.  As the rest of W is empty, world 1 alone can falsify the body once a
+    search has passed the one-world frames whose neighbourhoods are empty.
     """
 
     def __init__(self, n: int, body: Formula, variables: list[str], cols: list[frozenset[int]],
                  tick=lambda: None):
         self.n, self.body, self.variables, self.cols, self.tick = n, body, variables, cols, tick
-        self._free = min(len(variables), _FREE_BITS // n)
-        self._kept: list[_Assignments] = []
 
-    def _blocks(self):
-        kept, k, m = self._kept, len(self.variables), self._free
-        yield from kept
-        for fixed in islice(product(range(1 << self.n), repeat=k - m), len(kept), None):
-            block = _Assignments(self.n, self.variables[k - m:], dict(zip(self.variables, fixed)))
-            if len(kept) < _KEPT_BLOCKS:
-                kept.append(block)
-            yield block
-
-    def falsifying(self, no: frozenset[int], live: int) -> int:
-        """The lowest column of ``live`` (bit j for ``cols[j]``) in which the body is false at
-        world 1 under some assignment, N_O(w1) being ``no``, as a bitset; 0 if there is none."""
-        best, every = None, (1 << self.n) - 1
-        for block in self._blocks():
-            self.tick()
-            if best is not None:
-                live &= (1 << best) - 1
-            if not live:
-                break
-            size, columns, rest = block.size, [], live
-            while rest:
-                low = rest & -rest
-                columns.append(low.bit_length() - 1)
-                rest ^= low
-            step = max(1, _WALK_BITS // size)
-            for start in range(0, len(columns), step):
-                chunk = columns[start:start + step]
-                once = ((1 << len(chunk) * size) - 1) // block.full  # bit i·A for each column i
-                full = block.full * once
-
-                def leaf(node: Formula) -> int:
-                    match node:
-                        case Atom(name):
-                            return block.atoms[0].get(name, 0) * once
-                        case Obl(x):
-                            truth = block.truth(x)
-                            return sum(truth.get(s, 0) for s in no) * once
-                        case PermW(x):
-                            truth = block.truth(x)
-                            return full ^ sum(truth.get(every ^ s, 0) for s in no) * once
-                        case PermS(x):
-                            truth = block.truth(x)
-                            return sum(sum(truth.get(s, 0) for s in self.cols[j]) << i * size
-                                       for i, j in enumerate(chunk))
-                    raise TypeError(f"not a formula: {node!r}")
-
-                false_at = full ^ eval_bits(self.body, leaf, full)
-                if false_at:
-                    best = chunk[((false_at & -false_at).bit_length() - 1) // size]
+    def first(self, rows: Iterable[tuple[frozenset[int], int]]) -> tuple[int, int] | None:
+        """The first (row, column) whose pair falsifies the body, or None: each row holds an N_O
+        column and the bitset of its live columns (bit j for ``cols[j]``), all read before any is
+        decided, walked in order, at most ``_WALK_BITS`` (pair, assignment) bits in a walk."""
+        n, k, rows, lo, best = self.n, len(self.variables), list(rows), 0, None
+        m = min(k, _FREE_BITS // n)
+        step = max(1, _WALK_BITS >> n * m)  # pairs in a walk
+        size = 32 * step if k > m else float("inf")  # live pairs in the first window
+        while best is None and lo < len(rows):
+            hi, held = lo, 0
+            while hi < len(rows) and held < size:
+                held, hi = held + rows[hi][1].bit_count(), hi + 1
+            for fixed in product(range(1 << n), repeat=k - m):
+                if best is not None:  # only the pairs before it
+                    r, j = best
+                    hi, rows = r + 1, rows[:r] + [(rows[r][0], rows[r][1] & (1 << j) - 1)]
+                if not any(live for _, live in rows[lo:hi]):
                     break
-        return 0 if best is None else 1 << best
+                block = _Assignments(n, self.variables[k - m:], dict(zip(self.variables, fixed)))
+                for chunk in _chunks(rows, lo, hi, step):
+                    self.tick()
+                    false_at = self._false_at(block, chunk)
+                    if false_at:
+                        i = ((false_at & -false_at).bit_length() - 1) // block.size
+                        best = [(r, j) for r, _, cols in chunk for j in cols][i]
+                        break
+            lo, size = hi, 2 * size
+        return best
+
+    def _false_at(self, block: _Assignments, chunk) -> int:
+        size, every = block.size, (1 << self.n) - 1
+        js = [j for *_, cols in chunk for j in cols]
+        full = (1 << size * len(js)) - 1
+        atoms = {v: _repeat(x, size, len(js)) for v, x in block.atoms[0].items()}
+
+        def leaf(node: Formula) -> int:
+            if type(node) is Atom:
+                return atoms[node.name]
+            truth, flip = block.truth(node.operand), every if type(node) is PermW else 0
+            if type(node) is PermS:  # a value per N_P column, joined pair by pair
+                held = {j: sum(truth.get(s, 0) for s in self.cols[j]) for j in set(js)}
+                return _join([held[j] for j in js], size)
+            out, at = 0, 0
+            for _, no, cols in chunk:  # a value per N_O column, repeated over its run
+                out |= _repeat(sum(truth.get(flip ^ s, 0) for s in no), size, len(cols)) << at
+                at += size * len(cols)
+            return full ^ out if flip else out  # Pw x is ~O~x
+
+        return full ^ eval_bits(self.body, leaf, full)
+
+
+def _chunks(rows, lo, hi, step: int):
+    # The live pairs of rows lo..hi-1 in walk order, ``step`` a chunk, as runs (row, N_O, columns).
+    chunk, room = [], step
+    for r, (no, live) in enumerate(rows[lo:hi], lo):
+        while live:
+            cols = []
+            while live and len(cols) < room:
+                cols.append((live & -live).bit_length() - 1)
+                live &= live - 1
+            chunk.append((r, no, cols))
+            room -= len(cols)
+            if not room:
+                yield chunk
+                chunk, room = [], step
+    if chunk:
+        yield chunk
 
 
 def schema_valid_on_frame(m: NeighbourhoodModel, s: Schema) -> SchemaViolation | None:

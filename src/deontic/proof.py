@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .formula import (
-    And, Atom, Formula, Iff, Implies, Not, Obl, PermS, PermW, Schema,
+    And, Atom, Formula, Iff, Implies, Not, Obl, ParseError, PermS, PermW, Schema,
     expand_pw, flatten, instantiate, is_tautology, match_schema, parse, render,
     tautological_consequence,
 )
@@ -145,7 +145,10 @@ _BOXES = {c.symbol: c for c in (Obl, PermS, PermW)}  # the modalities of re and 
 
 def _parse_refs(text: str) -> tuple[int, ...]:
     """Cited line numbers, separated by commas, whitespace or both."""
-    return tuple(int(part) for part in text.replace(",", " ").split())
+    parts = text.replace(",", " ").split()
+    if bad := [part for part in parts if not part.isdecimal()]:
+        raise ValueError(f"cited line {bad[0]!r} is not a line number")
+    return tuple(map(int, parts))
 
 
 def _parse_subst(text: str) -> tuple[tuple[str, Formula], ...]:
@@ -157,7 +160,10 @@ def _parse_subst(text: str) -> tuple[tuple[str, Formula], ...]:
         name, _, formula_text = chunk.partition(":")
         if not _:
             raise ValueError(f"malformed substitution entry {chunk!r}")
-        pairs.append((name.strip(), parse(formula_text.strip())))
+        try:
+            pairs.append((name.strip(), parse(formula_text)))
+        except ParseError as exc:  # whose position would count from the entry, not the line
+            raise ValueError(f"malformed substitution entry {chunk.strip()!r}") from exc
     return tuple(pairs)
 
 
@@ -211,24 +217,29 @@ def parse_proof_script(text: str) -> ProofScript:
     hypotheses: list[Hypothesis] = []
     goal = None
     lines: list[ProofLine] = []
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        header, _, value = stripped.partition(":")
-        if (header == "system" and system is not None) or (header == "goal" and goal is not None):
-            raise ValueError(f"script declares '{header}:' twice")
-        if header == "system":
-            system = value.strip()
-        elif header in ("hyp", "hyp*"):
-            hypotheses.append(Hypothesis(parse(value.strip()), theorem=header == "hyp*"))
-        elif header == "goal":
-            goal = parse(value.strip())
-        elif m := _BODY_LINE.match(stripped):
-            index, formula, just = m.groups()
-            lines.append(ProofLine(int(index), parse(formula), _parse_justification(just), just))
-        else:
-            raise ValueError(f"malformed script line: {raw!r}")
+    try:
+        for raw in text.splitlines():
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            header, _, value = stripped.partition(":")
+            if header == "system" and system is not None or header == "goal" and goal is not None:
+                raise ValueError(f"script declares '{header}:' twice")
+            if header == "system":
+                system = value.strip()
+            elif header in ("hyp", "hyp*"):
+                hypotheses.append(Hypothesis(parse(value.strip()), theorem=header == "hyp*"))
+            elif header == "goal":
+                goal = parse(value.strip())
+            elif m := _BODY_LINE.match(stripped):
+                index, body, just = m.groups()
+                lines.append(ProofLine(int(index), parse(body), _parse_justification(just), just))
+            else:
+                raise ValueError("malformed script line")
+    except ValueError as exc:  # named by its proof line number or header, its class kept
+        m = _BODY_LINE.match(stripped)
+        exc.args = (f"{f'line {m[1]}' if m else header}: {exc}",)
+        raise
     if system is None:
         raise ValueError("script is missing a 'system:' header")
     if goal is None:

@@ -48,24 +48,24 @@ columns: about 0.28 MB for the 11 spaces of the benchmark's 15 exhaustive
 searches.  A larger space, such as 5 worlds / 3 sets (7.0 MB), is built per
 search.  Over a kept space a search decides only its target.  The clock is
 read per collection, table and key tried while a space is built, then per
-block of the one-world walk and key of the every-world walk; a space whose
-build the budget stopped is not kept.
+``N_O`` row and ``ColumnPlan`` walk of the one-world walk and key of the
+every-world walk; a space whose build the budget stopped is not kept.
 
-In the one-world walk each canonical ``N_O`` column decides its whole block
-of ``N_P`` columns by bitsets over their indices: the canonical ones (no
-permutation fixing the column maps them below themselves, one bitset per
-permutation), the pruned ones, and the falsifying ones among the rest.  A
-rule falsifies where its frame condition fails; a schema or formula where
-a ``frames.ColumnPlan`` walk over (column, subset assignment) bits finds
+In the one-world walk each canonical ``N_O`` column is a row of bitsets over
+the indices of its ``N_P`` block: the canonical ones (no permutation fixing
+the column maps them below themselves, one bitset per permutation) and the
+pruned ones.  One call finds the first live (row, ``N_P`` index) falsified:
+for a rule where its frame condition fails; for a schema or formula where a
+``frames.ColumnPlan`` walk over (row, column, subset assignment) bits finds
 its body false at world 1.  World 1 alone needs deciding: a target false
 at an empty world is already false on a one-world frame with empty
-neighbourhoods, tried first.  The counts are popcounts, up to the lowest
-falsifying column when there is one.  A deeper formula's frames are
-decided one at a time, by ``frames.find_schema_violation``.  The found
-frame alone is named (``ModelView.model()``); the public checks re-verify
-it and give its first falsifying assignment, which becomes the valuation
-(a bounds atom that a formula lacks is empty), and the evaluator
-re-verifies the countermodel.
+neighbourhoods, tried first.  The counts are popcounts up to that first
+candidate, taken after the call, so a budget stop counts none undecided.
+A deeper formula's frames are decided one at a time, by
+``frames.find_schema_violation``.  The found frame alone is named
+(``ModelView.model()``); the public checks re-verify it and give its first
+falsifying assignment, which becomes the valuation (a bounds atom that a
+formula lacks is empty), and the evaluator re-verifies the countermodel.
 """
 
 from __future__ import annotations
@@ -343,25 +343,28 @@ def _canonical_blocks(cols, perms, tick):
         yield no, canonical
 
 
-def _walk_blocks(n, blocks, pruned, falsifying, report, tick):
-    """``_walk_candidates`` for world 1's pair, the other worlds empty (index 0): each of
-    ``blocks``, a canonical N_O index with its canonical N_P indices, decides them as bitsets,
-    the pruned and, of the rest, those ``falsifying(no, live)`` gives, of which only the lowest
-    counts.  ``tick()`` runs per block."""
-    for no, canonical in blocks:
-        tick()
-        cut = pruned(no)
-        live = canonical & ~cut
-        hit = live and falsifying(no, live) & live
-        first = hit & -hit
-        if first:
-            canonical &= first * 2 - 1  # those up to the first falsified one
+def _walk_blocks(n, no_cols, blocks, pruned, first, report, tick):
+    """``_walk_candidates`` for world 1's pair, the other worlds empty (index 0): a row per
+    canonical N_O index of ``blocks``, with its canonical and pruned N_P indices as bitsets;
+    ``first`` reads their (N_O column, live N_P indices), each made after ``tick()`` as it is
+    read, and gives the first (row, N_P index) falsified, up to which the candidates count."""
+    rows = []
+
+    def made():
+        for no, canonical in blocks:
+            tick()
+            rows.append((no, canonical, cut := pruned(no)))
+            yield no_cols[no], canonical & ~cut
+
+    hit = first(made())
+    stop, last = hit or (len(rows), None)
+    for r, (_, canonical, cut) in enumerate(rows[:stop + 1]):
+        if r == stop:
+            canonical &= (2 << last) - 1  # those up to the first falsified one
         report.examined += canonical.bit_count()
         report.pruned_by_property += (canonical & cut).bit_count()
-        if first:
-            rest = (0,) * (n - 1)
-            return (no, *rest), (first.bit_length() - 1, *rest)
-    return None
+    rest = (0,) * (n - 1)
+    return hit and ((rows[stop][0], *rest), (last, *rest))
 
 
 def _worlds(n: int) -> tuple[str, ...]:
@@ -443,11 +446,12 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
         else:
             if body is None:
                 prop = frozenset({GUARDED_RULES[target].prop})
-                falsifying = lambda i, live: conditions.failing(no_cols[i], prop)
+                first = lambda rows: next(  # read row by row, up to the first failing column
+                    ((r, (hit & -hit).bit_length() - 1) for r, (no, live) in enumerate(rows)
+                     if (hit := live and conditions.failing(no, prop) & live)), None)
             else:
-                plan = ColumnPlan(n, body, variables, np_cols, tick)
-                falsifying = lambda i, live: plan.falsifying(no_cols[i], live)
-            hit = _walk_blocks(n, blocks, pruned, falsifying, report, tick)
+                first = ColumnPlan(n, body, variables, np_cols, tick).first
+            hit = _walk_blocks(n, no_cols, blocks, pruned, first, report, tick)
         if hit is not None:
             no, np_ = hit
             # Named, so the public checks below re-verify it on a view of their own.

@@ -157,6 +157,20 @@ class TestProve:
         code, out, _ = run(capsys, "prove", str(script), "--system-file", str(sysfile))
         assert code == 0
 
+    @pytest.mark.parametrize("lines, message", [
+        ("goal: p\n1. p ; mp x,y", "line 1: cited line 'x' is not a line number"),
+        ("goal: Ps q\n1. p ; hyp\n2. Ps(p | q) & O ~p -> Ps q ; ax AFCP_O {p: , q: q}",
+         "line 2: malformed substitution entry 'p:'"),
+        ("goal: p &\n1. p ; taut", "goal: unexpected end of input at position 3"),
+    ])
+    def test_a_malformed_script_exits_2_naming_its_line(self, capsys, tmp_path, lines, message):
+        # The message names the proof line, or the header, that the error is in.
+        script = tmp_path / "bad.proof"
+        script.write_text(f"system: E\n{lines}\n")
+        code, out, err = run(capsys, "prove", str(script))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("document, message", [
         ({"axioms": ["D_s"]}, "a system definition is an object with a string 'name'"),
         ([1, 2], "a system definition is an object with a string 'name'"),

@@ -9,7 +9,7 @@ from deontic import (
     schema_valid_on_frame,
 )
 from deontic import parse
-from deontic.formula import Binary, Not, Obl, PermW, Unary
+from deontic.formula import Binary, Not, Obl, ParseError, PermW, Unary
 from deontic.proof import (
     TABLE1_DERIVABLES, Hypothesis, ProofScript, _misstatement, load_script, run_scenario,
     scenario_registry, verify_table1,
@@ -340,6 +340,14 @@ class TestCitationSpelling:
         script = parse_proof_script(text)
         assert script.lines[-1].justification.refs == (1, 2)
         assert check_proof(script, registry).valid
+
+
+def test_a_parse_error_keeps_its_class_when_its_line_is_named():
+    # A library caller can still catch the ParseError and read its position in the formula.
+    with pytest.raises(ParseError) as info:
+        parse_proof_script("system: E\ngoal: p\n1. p & ; hyp\n")
+    assert str(info.value).startswith("line 1: unexpected end of input at position 3 (expected")
+    assert info.value.position == 3 and "atom" in info.value.expected
 
 
 class TestGuardedRuleRejections:

@@ -3,7 +3,7 @@ import math
 import random
 import time
 from functools import cache, partial, reduce
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1002,24 +1002,23 @@ class TestBlockWalk:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_small_blocks_agree_with_per_column_oracle(self, data):
-        # One free variable per block and two blocks kept, one plan serving several calls as in
-        # a search: each call walks several blocks, fixes variables per block, reuses the kept
-        # blocks and makes the rest again, and cuts a later block's columns to those below the
-        # lowest one an earlier block falsified.
+        # One free variable per block and walks of one, five or all pairs: ``first`` walks
+        # several blocks, each in chunks that may mix rows, fixes variables per block, and cuts
+        # a later block's pairs to those before the first one an earlier block falsified.  With
+        # walks of one pair, up to 88 pairs make windows of 32 and then 64 pairs.
         n, max_sets = data.draw(st.sampled_from([(2, 2), (3, 1)]))
         body = data.draw(_depth_one_formulas("pqr"))
         variables = sorted(atoms(body))
         cols = _collections(n, max_sets)
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(cols),
+                                            st.integers(0, (1 << len(cols)) - 1)), max_size=8))
+        falsified = next(((r, j) for r, (no, live) in enumerate(rows) for j in _bits(live)
+                          if _false_at_world_1(n, body, variables, no, cols[j])), None)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(deontic.frames, "_FREE_BITS", n)
-            patch.setattr(deontic.frames, "_KEPT_BLOCKS", 2)
-            plan = ColumnPlan(n, body, variables, cols)
-            for _ in range(3):
-                no = data.draw(st.sampled_from(cols))
-                live = data.draw(st.integers(0, (1 << len(cols)) - 1))
-                falsified = [j for j in _bits(live)
-                             if _false_at_world_1(n, body, variables, no, cols[j])]
-                assert plan.falsifying(no, live) == (1 << falsified[0] if falsified else 0)
+            patch.setattr(deontic.frames, "_WALK_BITS",
+                          data.draw(st.sampled_from([1 << n, 5 << n, 1 << 16])))
+            assert ColumnPlan(n, body, variables, cols).first(rows) == falsified
 
     @pytest.mark.parametrize("target, required, bounds", [
         # Atoms outside every modal operator: only permutations fixing world 1 apply.
@@ -1033,8 +1032,8 @@ class TestBlockWalk:
         (SCHEMAS["AFCP2_P"], {FrameProperty.AFCP_O}, SearchBounds(3, 3, ("a", "b"))),
         (SCHEMAS["AFCP2_P"], FRAME_CLASSES["FCP_2"], SearchBounds(3, 2, ("a", "b"))),
         (SCHEMAS["M_O"], {FrameProperty.PS_COHERENT}, SearchBounds(3, 2, ("a", "b"))),
-        # Five atoms, exhausted: a ColumnPlan walks 8 blocks per prefix at 3 worlds, one variable
-        # fixed in each, and 256 at 4 worlds, past the 64 it keeps between calls.
+        # Five atoms, exhausted: a ColumnPlan walks 8 blocks at 3 worlds, one variable fixed in
+        # each, and 256 at 4 worlds, two fixed.
         (_consequence("five_disjuncts.proof"), FRAME_CLASSES["FCP_2"],
          SearchBounds(3, 2, tuple("pqrst"))),
         (_consequence("five_disjuncts.proof"), FRAME_CLASSES["FCP_2"],
@@ -1046,13 +1045,36 @@ class TestBlockWalk:
     def test_a_find_past_the_first_block(self):
         # Without AFCPO the five_disjuncts consequence fails on a 3-world frame.  Its first
         # atom p is the variable fixed per block there, and no assignment with p empty falsifies
-        # it on that frame, so the falsifying column is found past the first block and the
-        # later blocks only search the columns below it.
+        # it on that frame, so the falsifying pair is found past the first block and the later
+        # blocks only search the pairs before it.
         required = FRAME_CLASSES["FCP_2"] - {FrameProperty.AFCP_O}
         report = _assert_block_walk_agrees(_consequence("five_disjuncts.proof"), required,
                                            SearchBounds(3, 2, tuple("pqrst")))
         assert report.found and len(report.model.worlds) == 3
         assert report.model.valuation["p"] == {"w2"}
+
+    def test_a_find_in_a_later_window(self, monkeypatch):
+        # With one pair a walk of the 3-world blocks, the first window of rows ends once it holds
+        # 32 of their 44 live pairs; the falsifying pair, the 37th, is found in the second.
+        monkeypatch.setattr(deontic.frames, "_WALK_BITS", 1 << 12)
+        required = FRAME_CLASSES["FCP_2"] - {FrameProperty.AFCP_O}
+        report = _assert_block_walk_agrees(_consequence("five_disjuncts.proof"), required,
+                                           SearchBounds(3, 2, tuple("pqrst")))
+        assert (report.found, report.examined, report.pruned_by_property) == (True, 349, 287)
+
+
+def test_each_assignment_block_is_built_once_per_world_count(monkeypatch):
+    # One ColumnPlan run per world count builds each block of assignments once, as the live
+    # pairs of each world count (at most 12 here) fit one window of rows: the five atoms fit one
+    # block at 1 and 2 worlds, and take 8 at 3 worlds and 256 at 4.  A run per N_O column built
+    # them again for each column past the first 64 blocks: 1 226 builds.
+    builds, made = [], deontic.frames._Assignments
+    monkeypatch.setattr(deontic.frames, "_Assignments",
+                        lambda *args: builds.append(1) or made(*args))
+    report = find_countermodel(_consequence("five_disjuncts.proof"), FRAME_CLASSES["FCP_2"],
+                               SearchBounds(4, 1, tuple("pqrst")))
+    assert not report.found
+    assert (report.examined, report.pruned_by_property, len(builds)) == (101, 65, 1 + 1 + 8 + 256)
 
 
 def test_every_world_walk_decides_a_candidate_in_one_walk(monkeypatch):
@@ -1069,32 +1091,39 @@ def test_every_world_walk_decides_a_candidate_in_one_walk(monkeypatch):
 
 
 def test_one_world_search_reads_the_clock_once_per_prefix(monkeypatch):
-    seen = []
+    seen, walks = [], []
 
     class CountingClock(deontic.search._Clock):
         def check(self, report):
             seen.append(report.examined)
             super().check(report)
 
+    target, bounds = schema("O p -> O p", "p"), SearchBounds(3, 3, ("a",))
+    find_countermodel(target, set(), bounds)  # keeps the spaces, so no read below builds one
+    walk = ColumnPlan._false_at
+    monkeypatch.setattr(ColumnPlan, "_false_at", lambda *args: walks.append(1) or walk(*args))
     monkeypatch.setattr(deontic.search, "_Clock", CountingClock)
-    report = find_countermodel(schema("O p -> O p", "p"), set(), SearchBounds(3, 3, ("a",)))
+    report = find_countermodel(target, set(), bounds)
     assert not report.found
-    # Where each canonical N_O prefix's block starts, in examined candidates: the clock is read
-    # before each block is decided.
-    starts, total = [], 0
+    # The clock is read once per canonical N_O prefix, before its block is decided, and once
+    # per ColumnPlan walk.  A world count's candidates are counted only once its walk is done,
+    # so every read sees the candidates of the world counts before it: a stop at any read
+    # counts no candidate left undecided.
+    prefixes, before, total = 0, [], 0
     for n in (1, 2, 3):
         candidates = _one_world_oracle(n, _collections(n, 3), list(permutations(range(n))))
-        for _, block in groupby(candidates, key=lambda c: c[0]):
-            starts.append(total)
-            total += len(list(block))
+        prefixes += len({no for no, _ in candidates})
+        before.append(total)
+        total += len(candidates)
     assert total == report.examined
-    assert set(starts) <= set(seen) and len(seen) >= len(starts)
+    assert len(seen) == prefixes + len(walks)
+    assert sorted(set(seen)) == before and seen == sorted(seen)
 
 
 @pytest.mark.parametrize("target", [SCHEMAS["AFCP2_P"], schema("Ps(p | q) -> Ps(q | p)", "p q")])
 def test_a_large_block_keeps_the_budget(target):
     # 697 N_P columns in a block at 4 worlds and 5 489 at 5, every one live without a
-    # required property: the budget is read once per block, so it holds.
+    # required property: the budget is read once per N_O column and per walk, so it holds.
     required = FRAME_CLASSES["FCP_2"] if target == SCHEMAS["AFCP2_P"] else set()
     start = time.monotonic()
     with pytest.raises(SearchTimeout):
@@ -1103,8 +1132,8 @@ def test_a_large_block_keeps_the_budget(target):
 
 
 def test_many_assignment_blocks_keep_the_budget():
-    # Five atoms at 5 worlds give each N_O column 32 768 blocks of assignments: the budget is
-    # read once per block, not only once per column.
+    # Five atoms at 5 worlds take 32 768 blocks of assignments: the budget is read once per
+    # walk of a block, not only once per N_O column.
     start = time.monotonic()
     with pytest.raises(SearchTimeout):
         find_countermodel(_consequence("five_disjuncts.proof"), FRAME_CLASSES["FCP_2"],
