@@ -20,11 +20,11 @@ from .model import (
 )
 from .frames import (
     FrameProperty, PropertyWitness, SchemaViolation, check_property,
-    classify_frame, entailment_closure, recheck_witness, rule_valid_on_frame,
-    schema_valid_on_frame, supplementation_closure,
+    classify_frame, entailment_closure, rule_valid_on_frame, schema_valid_on_frame,
+    supplementation_closure,
 )
 from .systems import (
-    BASE_RULES, RULE_NAMES, SCHEMAS, SystemDef, SystemRegistry, frame_class,
+    BASE_RULES, RULE_NAMES, SCHEMAS, SystemDef, SystemRegistry, frame_class, recheck_witness,
 )
 from .proof import (
     Hypothesis, Justification, ProofLine, ProofResult, ProofScript,

@@ -39,7 +39,8 @@ auxiliary set variable as the complement of the obligation-side set (or
 as the permitted set itself, for the weak-permission guards) recovers
 the axiom condition, so a frame satisfying a rule condition always
 satisfies the matching axiom condition.  ``GUARDED_RULES`` describes
-each rule once.
+each rule once; ``GuardedRule.unfalsified`` re-verifies both a rule
+countermodel of the search and a witness (``systems.recheck_witness``).
 """
 
 from __future__ import annotations
@@ -51,15 +52,16 @@ from itertools import product
 from operator import or_
 from typing import Iterable
 
-from .formula import Atom, Formula, PermS, PermW, Schema, atoms, eval_bits, schema
+from .formula import Atom, Formula, PermS, PermW, Schema, atoms, eval_bits, instantiate, schema
 from .model import (
-    ModelView, NeighbourhoodModel, WorldSet, column_members, render_world_set, truth_mask,
+    ModelView, NeighbourhoodModel, WorldSet, column_members, evaluate, model_valid,
+    render_world_set, truth_mask,
 )
 
 __all__ = [
     "FrameProperty", "PropertyWitness", "SchemaViolation",
     "check_property", "find_violation", "column_members", "ConditionTables",
-    "recheck_witness", "classify_frame", "schema_valid_on_frame", "schema_variables",
+    "classify_frame", "schema_valid_on_frame", "schema_variables",
     "find_schema_violation", "ColumnPlan",
     "rule_valid_on_frame", "GuardedRule", "GUARDED_RULES",
     "supplementation_closure", "entailment_closure", "PROPERTY_ENTAILMENTS",
@@ -277,57 +279,6 @@ def check_property(m: NeighbourhoodModel, prop: FrameProperty) -> PropertyWitnes
         return None
     wi, hit = found
     return PropertyWitness(prop, m.worlds[wi], *(None if x is None else b.set_of(x) for x in hit))
-
-
-def recheck_witness(m: NeighbourhoodModel, wit: PropertyWitness) -> bool:
-    """Substitute a witness into the raw condition: antecedent true, consequent false.
-
-    Formulated directly on world sets, independently of the bitmask search.
-    """
-    w_all = frozenset(m.worlds)
-    no = m.n_obl[wit.world]
-    np_ = m.n_perm[wit.world]
-    x, y, z, q = wit.x, wit.y, wit.z, wit.q
-
-    match wit.prop:
-        case FrameProperty.O_SUPPLEMENTED:
-            return (x & y) in no and not (x in no and y in no)
-        case FrameProperty.P_SUPPLEMENTED:
-            return (x & y) in np_ and not (x in np_ and y in np_)
-        case FrameProperty.PW_COHERENT:
-            return x in no and (w_all - x) in no
-        case FrameProperty.PS_COHERENT:
-            return x in np_ and (w_all - x) in no
-        case FrameProperty.AFCP_O:
-            return (x | y) in np_ and (w_all - y) in no and x not in np_
-        case FrameProperty.AFCP_P:
-            return (
-                (x | y) in np_
-                and (w_all - x) not in no
-                and (w_all - y) not in no
-                and not (x in np_ and y in np_)
-            )
-        case FrameProperty.AFCP2_P:
-            return (x | y) in np_ and (w_all - x) not in no and x not in np_
-        case FrameProperty.IFCP_O:
-            return (x | y) in np_ and z <= (w_all - y) and z in no and x not in np_
-        case FrameProperty.IFCP_P:
-            return (
-                (x | y) in np_
-                and z <= x
-                and q <= y
-                and (w_all - z) not in no
-                and (w_all - q) not in no
-                and not (x in np_ and y in np_)
-            )
-        case FrameProperty.IFCP2_P:
-            return (
-                (x | y) in np_
-                and z <= x
-                and (w_all - z) not in no
-                and x not in np_
-            )
-    raise ValueError(f"unhandled frame property {wit.prop!r}")
 
 
 def classify_frame(m: NeighbourhoodModel) -> set[FrameProperty]:
@@ -587,6 +538,15 @@ class GuardedRule:
     sides: tuple[Schema, ...]
     conclusion: Schema
     letters: tuple[str, ...]
+
+    def unfalsified(self, m: NeighbourhoodModel, w: str, subst: dict[str, Formula]) -> str | None:
+        """None when the instance under ``subst`` falsifies the rule at ``w``, else the part that
+        does not: the ``premise`` false at ``w``, a ``side`` not valid, the ``conclusion`` true."""
+        if not evaluate(m, w, instantiate(self.premise, subst)):
+            return "premise"
+        if not all(model_valid(m, instantiate(side, subst)) for side in self.sides):
+            return "side"
+        return "conclusion" if evaluate(m, w, instantiate(self.conclusion, subst)) else None
 
 
 def _guarded(prop: FrameProperty, premise: str, sides: tuple[str, ...], conclusion: str,

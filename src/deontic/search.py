@@ -82,7 +82,7 @@ from .formula import (
     atoms as formula_atoms, bare_atoms, expand_pw, instantiate, is_tautology, modal_depth,
     render,
 )
-from .model import ModelView, NeighbourhoodModel, WorldSet, evaluate, model_to_dict, model_valid
+from .model import ModelView, NeighbourhoodModel, WorldSet, evaluate, model_to_dict
 from .frames import (
     GUARDED_RULES, ColumnPlan, ConditionTables, FrameProperty, SchemaViolation, check_property,
     find_schema_violation, rule_valid_on_frame, schema_valid_on_frame, schema_variables,
@@ -495,15 +495,11 @@ def _realise_violation(frame_model, target, violation: SchemaViolation, bounds):
         return model, instance
 
     guarded = GUARDED_RULES[target]
-    premise = instantiate(guarded.premise, subst)
-    conclusion = instantiate(guarded.conclusion, subst)
-    if not evaluate(model, w, premise):
-        raise SearchError("rule countermodel premise failed re-verification")
-    if not all(model_valid(model, instantiate(side, subst)) for side in guarded.sides):
-        raise SearchError("rule countermodel side condition failed re-verification")
-    if evaluate(model, w, conclusion):
-        raise SearchError("rule countermodel conclusion re-verified true")
-    return model, Implies(premise, conclusion)
+    part = guarded.unfalsified(model, w, subst)
+    if part is not None:
+        raise SearchError(f"rule countermodel {part} failed re-verification")
+    return model, Implies(instantiate(guarded.premise, subst),
+                          instantiate(guarded.conclusion, subst))
 
 
 # ---------------------------------------------------------------------------

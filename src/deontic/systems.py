@@ -19,6 +19,11 @@ and rule to its own condition).  User-defined systems carry no class.
 How the built-in systems are ordered by strength is computed, not
 recorded: see ``proof.strength_lattice``.
 
+A witness violating a condition is rechecked as an instance of its axiom
+or rule false at its world (``recheck_witness``): the witness's sets
+stand for a rule's letters as ``GuardedRule.letters`` say, and for an
+axiom's as its ``WITNESS_LETTERS`` entry says (``D_s``: p := ~x).
+
 Monotonicity (RM) is not stored for FCP_3 and FCP_6: the proof checker
 admits RM lines for a modality exactly when the matching M axiom is
 present (or RM itself is listed, as in diagnostic systems).
@@ -35,12 +40,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .formula import Schema, schema
-from .frames import GUARDED_RULES, FrameProperty
+from .formula import Atom, Schema, instantiate, parse, schema
+from .frames import GUARDED_RULES, FrameProperty, PropertyWitness, schema_variables
+from .model import NeighbourhoodModel, evaluate
 
 __all__ = [
     "SCHEMAS", "RULE_NAMES", "BASE_RULES", "SystemDef", "SystemRegistry",
-    "CONDITIONS", "frame_class", "FRAME_CLASSES",
+    "CONDITIONS", "WITNESS_LETTERS", "recheck_witness", "frame_class", "FRAME_CLASSES",
 ]
 
 
@@ -70,6 +76,27 @@ CONDITIONS: dict[str, FrameProperty] = {
     "M_Ps": FrameProperty.P_SUPPLEMENTED,
     **{name: rule.prop for name, rule in GUARDED_RULES.items()},
 }
+
+# Per axiom, the formulas over a witness's sets x, y that stand for its letters p, q in turn:
+# the instance is false at the witness's world exactly when the witness violates its condition.
+WITNESS_LETTERS: dict[str, str] = {"M_O": "x y", "M_Ps": "x y", "D_w": "x", "D_s": "~x",
+                                   "AFCP_O": "y x", "AFCP_P": "x y", "AFCP2_P": "x y"}
+
+
+def recheck_witness(m: NeighbourhoodModel, wit: PropertyWitness) -> bool:
+    """Whether the witness's sets x, y, z, q, staged as atoms, make an instance of its condition's
+    axiom (``WITNESS_LETTERS``) or rule (``GuardedRule.letters``) false at its world: decided by
+    ``model``'s evaluator, independently of the witness streams that find the witnesses."""
+    sets = {a: s for a, s in zip("xyzq", (wit.x, wit.y, wit.z, wit.q)) if s is not None}
+    staged = NeighbourhoodModel(m.worlds, m.n_obl, m.n_perm, sets)
+    name = next(name for name, prop in CONDITIONS.items() if prop is wit.prop)
+    if name in GUARDED_RULES:
+        rule = GUARDED_RULES[name]
+        subst = dict(zip(rule.letters, map(Atom, "xyzq")))
+        return rule.unfalsified(staged, wit.world, subst) is None
+    axiom = SCHEMAS[name]
+    subst = dict(zip(schema_variables(axiom), map(parse, WITNESS_LETTERS[name].split())))
+    return not evaluate(staged, wit.world, instantiate(axiom, subst))
 
 
 @dataclass(frozen=True)

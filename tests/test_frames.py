@@ -123,10 +123,13 @@ class TestClassify:
     @settings(max_examples=120, deadline=None)
     @given(models(max_worlds=3))
     def test_every_violation_rechecks(self, m):
+        # Empty neighbourhoods meet every condition, so no witness may recheck on them.
+        empty = make_model(m.worlds)
         for prop in FrameProperty:
             wit = check_property(m, prop)
             if wit is not None:
                 assert recheck_witness(m, wit), (prop, wit)
+                assert not recheck_witness(empty, wit), (prop, wit)
 
     @settings(max_examples=120, deadline=None)
     @given(models(max_worlds=3))
