@@ -30,6 +30,8 @@ Concrete syntax (ASCII)::
 ``parse`` reads this grammar in one loop by operator precedence, without
 recursion, so it takes any nesting depth; the walkers that recurse (render,
 equality, ``expand_pw``, ``eval_bits``) bound it at about 495 modal levels.
+The loop reads the plain strings one word regex finds; a word's position is
+computed only for a ``ParseError``, by lexing the text again.
 
 ``eval_bits`` is the one Boolean evaluator: it computes a formula's truth
 as a bitmask, one bit per world or per truth-table row, and asks a
@@ -44,7 +46,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Unary", "Modal", "Binary",
@@ -226,36 +228,29 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
 _ATOM = re.compile(r"[a-z][a-z0-9_]*")
-# One token per match, whitespace skipped.  The group that matched gives the kind: 1 a
-# connective, parenthesis or reserved word (its own kind), 2 an atom, 3 any other name,
-# 4 any other character.  A name runs to the first character not a letter, digit or _.
-_TOKEN = re.compile(r"(<->|->|[&|~()]|(?:O|Ps|Pw|T|F)(?![A-Za-z0-9_]))"
-                    r"|([a-z][a-z0-9_]*)(?![A-Za-z0-9_])|([A-Za-z][A-Za-z0-9_]*)|(\S)")
+# One word per match, whitespace skipped: a connective or parenthesis, a name (running to the
+# first character not a letter, digit or _), or any other character.
+_WORD = re.compile(r"<->|->|[&|~()]|[A-Za-z][A-Za-z0-9_]*|\S")
+_KEYWORDS = frozenset((*_UNARY, *_BINARY, *_CONSTANTS, "(", ")"))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    append, new = out.append, tuple.__new__  # tuple.__new__ skips NamedTuple's Python __new__
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            word = m[1]
-            append(new(_Token, (word, word, m.start())))
-        elif group == 2:
-            append(new(_Token, ("atom", m[2], m.start())))
-        elif group == 3:
-            raise ParseError(f"invalid name {m[3]!r}; atoms match {_ATOM.pattern}", m.start(),
-                             ("atom",))
-        else:
-            raise ParseError(f"unexpected character {m[4]!r}", m.start())
-    append(_Token("end", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Each word of ``text`` with its position, then ``("", len(text))`` for the end.
+
+    Raises on the first word that is no token: a name neither reserved nor an atom, or any
+    other character.  ``parse`` reads words alone and calls this only to report an error.
+    """
+    out = []
+    for m in _WORD.finditer(text):
+        word = m[0]
+        if word not in _KEYWORDS and not ("a" <= word[:1] <= "z" and word.islower()):
+            if word[0].isascii() and word[0].isalpha():
+                raise ParseError(f"invalid name {word!r}; atoms match {_ATOM.pattern}",
+                                 m.start(), ("atom",))
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        out.append((word, m.start()))
+    out.append(("", len(text)))
     return out
 
 
@@ -263,9 +258,12 @@ _FORMULA_STARTERS = (*_UNARY, *_CONSTANTS, "atom", "(")
 _PREFIX = frozenset(_UNARY.values())
 
 
-def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
-    what = "end of input" if tok.kind == "end" else f"token {tok.text!r}"
-    return ParseError(f"unexpected {what}", tok.pos, expected)
+def _unexpected(text: str, i: int, expected: tuple[str, ...], after: str = "") -> ParseError:
+    """The error for the ``i``-th word of ``text``, which ``parse`` could not take, or for an
+    invalid name or character anywhere in ``text``, which the whole text's lexing finds first."""
+    word, pos = _tokenize(text)[i]
+    what = f"token {word!r}{after}" if word else "end of input"
+    return ParseError(f"unexpected {what}", pos, expected)
 
 
 def parse(text: str) -> Formula:
@@ -275,29 +273,29 @@ def parse(text: str) -> Formula:
     not yet applied and None for each open parenthesis, ``lefts`` the left operand of each
     pending binary connective.  No recursion, so nesting depth is bounded only by memory.
     """
-    tokens = _tokenize(text)
+    words = _WORD.findall(text)
+    words.append("")  # the end of input
     pending: list[type[Formula] | None] = []
     lefts: list[Formula] = []
     i = 0
     while True:
-        tok = tokens[i]
+        word = words[i]
         i += 1
-        kind = tok.kind
-        if kind in _UNARY or kind == "(":
-            pending.append(_UNARY.get(kind))
+        if word in _UNARY or word == "(":
+            pending.append(_UNARY.get(word))
             continue
-        if kind == "atom":
-            f = Atom(tok.text)
-        elif kind in _CONSTANTS:
-            f = _CONSTANTS[kind]
+        if "a" <= word[:1] <= "z" and word.islower():
+            f = Atom(word)
+        elif word in _CONSTANTS:
+            f = _CONSTANTS[word]
         else:
-            raise _unexpected(tok, _FORMULA_STARTERS)
+            raise _unexpected(text, i - 1, _FORMULA_STARTERS)
         while True:  # f is a whole operand: apply its prefix connectives, then read what follows
             while pending and pending[-1] in _PREFIX:
                 f = pending.pop()(f)
-            tok = tokens[i]
+            word = words[i]
             i += 1
-            op = _BINARY.get(tok.kind)
+            op = _BINARY.get(word)
             if op is not None:
                 while pending and pending[-1] is not None and (pending[-1].prec > op.prec or (
                         pending[-1].prec == op.prec and not op.right_assoc)):
@@ -308,12 +306,11 @@ def parse(text: str) -> Formula:
             while pending and pending[-1] is not None:
                 f = pending.pop()(lefts.pop(), f)
             if not pending:
-                if tok.kind == "end":
+                if not word:
                     return f
-                raise ParseError(f"unexpected token {tok.text!r} after formula", tok.pos,
-                                 ("end of input",))
-            if tok.kind != ")":
-                raise _unexpected(tok, (")",))
+                raise _unexpected(text, i - 1, ("end of input",), " after formula")
+            if word != ")":
+                raise _unexpected(text, i - 1, (")",))
             pending.pop()
 
 

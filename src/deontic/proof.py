@@ -19,6 +19,10 @@ everywhere: each hypothesis, body line and goal is rewritten with
 ``expand_pw`` once, where it enters the checker, and the checker keeps and
 compares only that form, so ``Pw p`` and ``~O~p`` justify each other.
 
+``parse_proof_script`` parses each distinct formula text once per script:
+a ``; hyp`` line that restates a hypothesis, or a goal that restates the
+last line, gets the same immutable nodes, which then compare by identity.
+
 Script text format::
 
     # comment
@@ -140,6 +144,12 @@ _AX = re.compile(r"^(\w+)\s*(\{.*\})?$")
 # Justification keyword of each guarded rule (ifcp_o, ...), and the label its sides carry.
 _GUARDED_KINDS = {name.lower(): name for name in GUARDED_RULES}
 _SIDE_LABEL = {"ifcp_o": "side="}
+# What follows each keyword: the cited lines, then one "taut" or line number per side.
+_GUARDED_FORMS = {
+    kind: re.compile(r"([\d,\s]+?)" + (r"\s+" + _SIDE_LABEL.get(kind, "") + r"(taut|\d+)")
+                     * len(GUARDED_RULES[name].sides) + "$")
+    for kind, name in _GUARDED_KINDS.items()
+}
 _BOXES = {c.symbol: c for c in (Obl, PermS, PermW)}  # the modalities of re and rm
 
 
@@ -201,10 +211,8 @@ def _parse_justification(text: str) -> Justification:
         if len(parts) != 2 or parts[1] not in _BOXES:
             raise ValueError(f"{kind} needs a line number and a modality (O, Ps, Pw): {text!r}")
         return Justification(kind, refs=(int(parts[0]),), modality=parts[1])
-    if kind in _GUARDED_KINDS:
-        n_sides = len(GUARDED_RULES[_GUARDED_KINDS[kind]].sides)
-        side = r"\s+" + _SIDE_LABEL.get(kind, "") + r"(taut|\d+)"
-        m = re.match(r"([\d,\s]+?)" + side * n_sides + "$", rest)
+    if kind in _GUARDED_FORMS:
+        m = _GUARDED_FORMS[kind].match(rest)
         if not m:
             raise ValueError(f"malformed {kind} justification {text!r}")
         refs, *sides = m.groups()
@@ -217,6 +225,14 @@ def parse_proof_script(text: str) -> ProofScript:
     hypotheses: list[Hypothesis] = []
     goal = None
     lines: list[ProofLine] = []
+    read: dict[str, Formula] = {}  # each distinct formula text of this script, parsed once
+
+    def formula(source: str) -> Formula:
+        f = read.get(source)
+        if f is None:
+            f = read[source] = parse(source)
+        return f
+
     try:
         for raw in text.splitlines():
             stripped = raw.strip()
@@ -228,12 +244,12 @@ def parse_proof_script(text: str) -> ProofScript:
             if header == "system":
                 system = value.strip()
             elif header in ("hyp", "hyp*"):
-                hypotheses.append(Hypothesis(parse(value.strip()), theorem=header == "hyp*"))
+                hypotheses.append(Hypothesis(formula(value.strip()), theorem=header == "hyp*"))
             elif header == "goal":
-                goal = parse(value.strip())
+                goal = formula(value.strip())
             elif m := _BODY_LINE.match(stripped):
                 index, body, just = m.groups()
-                lines.append(ProofLine(int(index), parse(body), _parse_justification(just), just))
+                lines.append(ProofLine(int(index), formula(body), _parse_justification(just), just))
             else:
                 raise ValueError("malformed script line")
     except ValueError as exc:  # named by its proof line number or header, its class kept

@@ -1,8 +1,10 @@
 import copy
 import itertools
 import pickle
+import re
 import time
 from functools import reduce
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from deontic import (
     PermS, PermW, Schema, TOP, Top, atoms, expand_pw, instantiate, is_tautology,
     match_schema, modal_depth, parse, render, schema, tautological_consequence,
 )
-from deontic.formula import _tokenize, bare_atoms, flatten, formula_to_dict
+from deontic.formula import bare_atoms, flatten, formula_to_dict
 from deontic.systems import SCHEMAS
 
 from conftest import formulas
@@ -82,7 +84,38 @@ class TestParse:
 
 
 # Reference for parse: the recursive-descent parser with one method per
-# precedence level, over the same tokenizer.
+# precedence level, over its own lexer (the group of each match gives the
+# token's kind), independent of the word regex parse reads.
+
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int
+
+
+# One token per match, whitespace skipped.  The group that matched gives the kind: 1 a
+# connective, parenthesis or reserved word (its own kind), 2 an atom, 3 any other name,
+# 4 any other character.  A name runs to the first character not a letter, digit or _.
+_TOKEN = re.compile(r"(<->|->|[&|~()]|(?:O|Ps|Pw|T|F)(?![A-Za-z0-9_]))"
+                    r"|([a-z][a-z0-9_]*)(?![A-Za-z0-9_])|([A-Za-z][A-Za-z0-9_]*)|(\S)")
+
+
+def _tokenize(text: str) -> list[_Token]:
+    out = []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            out.append(_Token(m[1], m[1], m.start()))
+        elif group == 2:
+            out.append(_Token("atom", m[2], m.start()))
+        elif group == 3:
+            raise ParseError(f"invalid name {m[3]!r}; atoms match [a-z][a-z0-9_]*", m.start(),
+                             ("atom",))
+        else:
+            raise ParseError(f"unexpected character {m[4]!r}", m.start())
+    out.append(_Token("end", "", len(text)))
+    return out
+
 
 _ORACLE_STARTERS = ("~", "O", "Ps", "Pw", "T", "F", "atom", "(")
 
@@ -185,7 +218,7 @@ def _outcome(parser, text):
 
 
 _VOCAB = st.sampled_from(["~", "O", "Ps", "Pw", "T", "F", "a", "b", "p_1", "(", ")", "&", "|",
-                          "->", "<->", "<", "-", "Abc", "#"])
+                          "->", "<->", "<", "-", "Abc", "#", "aB", "Psx", "O1", "1", "_x", "é"])
 _TEXT_FORMULAS = formulas(max_leaves=12)
 _RANDOM_TOKENS = st.lists(_VOCAB, max_size=20)
 _NESTING = st.integers(0, 60)

@@ -321,6 +321,39 @@ class TestWeakPermissionSpelling:
         assert name != "mutant" or (before.valid, before.line) == (False, 10)
 
 
+class TestSharedFormulas:
+    # parse_proof_script parses each distinct formula text of a script once, so a restated
+    # hypothesis or goal is the same node as its first reading; no verdict may depend on it.
+    @pytest.mark.parametrize("name", [*bundled.fixture_names("proofs"), "mutant"])
+    def test_unshared_nodes_give_the_same_result(self, registry, name):
+        script = _mutant() if name == "mutant" else load_script(name)
+        unshared = ProofScript(
+            script.system,
+            tuple(Hypothesis(parse(render(h.formula)), h.theorem) for h in script.hypotheses),
+            tuple(replace(line, formula=parse(render(line.formula))) for line in script.lines),
+            parse(render(script.goal)),
+        )
+        nodes = [h.formula for h in unshared.hypotheses]
+        nodes += [line.formula for line in unshared.lines] + [unshared.goal]
+        assert len(set(map(id, nodes))) == len(nodes)
+        before, after = check_proof(script, registry), check_proof(unshared, registry)
+        assert (after.valid, after.line, after.reason, after.tiers) == (
+            before.valid, before.line, before.reason, before.tiers)
+
+    def test_a_text_read_twice_gives_one_node(self):
+        script = load_script("fcp3__ifcp_o.proof")
+        assert script.lines[0].formula is script.hypotheses[0].formula
+        assert script.goal is script.lines[-1].formula
+
+    def test_a_hypothesis_restated_with_other_spacing_still_matches(self, registry):
+        script = parse_proof_script(
+            "system: FCP_1\nhyp: Ps(p | q)\nhyp: O ~p\ngoal: Ps q\n"
+            "1. Ps( p|q ) ; hyp\n2. O~p ; hyp\n3. Ps q ; ifcp_o 1,2 side=taut\n"
+        )
+        assert script.lines[0].formula is not script.hypotheses[0].formula
+        assert str(check_proof(script, registry)) == "Valid"
+
+
 class TestCitationSpelling:
     # Cited lines may be separated by commas, whitespace or both.
     CASES = [
