@@ -13,11 +13,8 @@ Each is described once, as an ordered stream of witnesses, each with the
 set of N_P columns it violates for a given N_O (``_terms``), so one walk
 decides a whole list of N_P columns.  The countermodel search reads an
 N_O column's verdict on a set of conditions from ``ConditionTables`` and
-keeps it.  For the six free-choice conditions the verdict is read from a
-few entries of tables of a stream's terms ORed over the sets N_O does
-not choose, built once per list of N_P columns; every other verdict is
-its stream's OR.  The stream stays the one description of each condition
-and its witnesses.
+keeps it; a condition's verdict is the OR of its stream's terms.  The
+stream is the one description of each condition and its witnesses.
 ``find_violation`` reads a bitmask view (``model.ModelView``) through the
 one table of its N_P columns the view keeps (``ModelView.perm_members``):
 at each world, the first term that holds the world's own column.
@@ -47,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import product
 from operator import or_
 from typing import Iterable
@@ -183,36 +180,14 @@ def _or(terms: Iterable[int]) -> int:
 class ConditionTables:
     """The ten conditions at a world for every N_P column of the list ``cols`` at once:
     ``failing`` reads an N_O column's verdict on a set of conditions and keeps it, one per N_O
-    column and condition set asked (0.81 MB for every class and rule on 529 columns).
-
-    A free-choice condition's verdict comes from tables of the list's ``column_members`` table
-    ``has``, each built on first use and kept for the list's life.  Every term of its stream is
-    has[x | y] & ~has[x], or has[x | y] & ~(has[x] & has[y]) where x and y range over the same
-    sets, which ORs to the same as the first form.  N_O only chooses which x or y occur, so the
-    ORs over what it does not choose are tables: ``_over[x]`` over every y (x | y ranges over the
-    supersets of x), ``_joined[y]`` over every x, and ``_under[v]``, the OR of ``_joined[y]`` for
-    y <= v.  Every other verdict is the OR of the condition's ``_terms`` stream, -1 included.
+    column and condition set asked (0.81 MB for every class and rule on 529 columns).  A
+    condition's verdict is the OR of its ``_terms`` stream over the list's ``column_members``
+    table ``has``, -1 included, so the streams stay the one description of each condition.
     """
 
     def __init__(self, cols: list[frozenset[int]], full: int):
         self.has, self.full = column_members(cols, full), full
-        self._masks = frozenset(range(full + 1))
         self._verdicts: dict[tuple, int] = {}  # by (N_O column, condition set)
-
-    @cached_property
-    def _over(self) -> list[int]:
-        has, masks = self.has, range(self.full + 1)
-        return [_or([has[u] for u in masks if u & x == x]) & ~has[x] for x in masks]
-
-    @cached_property
-    def _joined(self) -> list[int]:
-        has, masks = self.has, range(self.full + 1)
-        return [_or([has[x | y] & ~has[x] for x in masks]) for y in masks]
-
-    @cached_property
-    def _under(self) -> list[int]:
-        joined, masks = self._joined, range(self.full + 1)
-        return [_or([joined[y] for y in masks if y & v == y]) for v in masks]
 
     def failing(self, no: frozenset[int], props: Iterable[FrameProperty]) -> int:
         """The columns whose pair with ``no`` violates one of ``props`` (hashable); -1 for all."""
@@ -222,30 +197,7 @@ class ConditionTables:
         return verdict
 
     def _failing(self, no: frozenset[int], prop: FrameProperty) -> int:
-        P = FrameProperty
-        forbidden = frozenset([self.full ^ o for o in no])  # the x with ~x in N_O
-        if prop is P.AFCP_O:
-            return _or(map(self._joined.__getitem__, forbidden))
-        if prop is P.IFCP_O:  # the y disjoint from a member of N_O: those below its complement
-            return _or(map(self._under.__getitem__, forbidden))
-        # The rest range x (and y) over the sets weakly permitted, those not forbidden (AFCP),
-        # or over the sets with such a subset (IFCP); the others are barred.
-        if prop is P.AFCP_P or prop is P.AFCP2_P:
-            barred = forbidden
-        elif prop is P.IFCP_P or prop is P.IFCP2_P:
-            barred = {x for x, z in enumerate(_pw_subset_witness(self.full, no)) if z is None}
-        else:
-            return _or(term for _, term in _terms(no, self.has, self.full, prop))
-        xs, over = self._masks.difference(barred), self._over
-        if prop is P.AFCP2_P or prop is P.IFCP2_P:
-            return _or(map(over.__getitem__, xs))
-        # x | y = u for each of the 2^|x| sets y from u - x to u, so the y of xs reach every
-        # superset u of x, making the term ``_over[x]``, unless all those y are barred.  Then
-        # u - x and u are, so x = t ^ r for barred r <= t: only such x are ORed in full.
-        near = {t ^ r for r in barred for t in barred if r & t == r}
-        has = self.has
-        return _or(map(over.__getitem__, xs.difference(near))) | _or(
-            [_or([has[x | y] for y in xs]) & ~has[x] for x in xs.intersection(near)])
+        return _or(term for _, term in _terms(no, self.has, self.full, prop))
 
 
 def find_violation(b: ModelView, prop: FrameProperty) -> tuple[int, tuple] | None:

@@ -33,11 +33,12 @@ property prunes, in order, and they alone are counted.
 
 A column is a frozenset of masks, named by its index in ``_collections``'
 list, which is in lexicographic order of the sorted masks, and
-``_index_tables`` maps every index through every permutation.  Frame
-conditions are decided for every ``N_P`` column at once (a free-choice one
-from tables built on first use over the ``N_P`` column list), and the
-verdict on each ``N_O`` column and set of conditions asked is kept
-(``frames.ConditionTables``).  Supplementation is skipped on a side
+``_index_tables`` maps every index through every permutation: a swap of
+two worlds by mapping each column, any other permutation by composing a
+swap's table with one already built.  Frame conditions are decided for
+every ``N_P`` column at once, a condition's verdict the OR of its witness
+stream, and the verdict on each ``N_O`` column and set of conditions asked
+is kept (``frames.ConditionTables``).  Supplementation is skipped on a side
 generated closed.  None of this depends on the target or on the required
 conditions, and neither do world 1's canonical ``N_O`` columns with their
 blocks' canonical ``N_P`` columns (``_canonical_blocks``), so each search
@@ -236,14 +237,26 @@ def _image_col(perm, col: frozenset[int]) -> frozenset[int]:
 
 def _index_tables(perms, cols: list[frozenset[int]], tick) -> list[tuple[int, ...]]:
     """Per permutation, ``table[i]``: the index in ``cols`` (in ``_collections``' order, closed
-    under permuting worlds) of column i's image, so indices compare as columns do.  ``tick()``
-    runs per table."""
+    under permuting worlds) of column i's image, so indices compare as columns do.  Only the
+    swaps of two worlds among ``perms`` map columns; the swaps generate the group, so every
+    other table composes a swap's with one built before it, breadth-first from the identity:
+    s∘r maps column i to ``table_s[table_r[i]]``.  ``tick()`` runs per table."""
     index = {col: i for i, col in enumerate(cols)}
-    out = []
-    for perm in perms:
-        tick()
-        out.append(tuple([index[_image_col(perm, col)] for col in cols]))
-    return out
+    moves = [tuple(p[1][1 << w].bit_length() - 1 for w in range(len(p[0]))) for p in perms]
+    built = {}
+    for perm, move in zip(perms, moves):
+        if sum(w != v for w, v in enumerate(move)) == 2:
+            tick()
+            built[move] = tuple([index[_image_col(perm, col)] for col in cols])
+    swaps, queue = list(built.items()), list(built)
+    for r in queue:  # grows as it is read
+        for s, table in swaps:
+            move = tuple([s[w] for w in r])
+            if move not in built:
+                tick()
+                built[move] = tuple(map(table.__getitem__, built[r]))
+                queue.append(move)
+    return [built[move] for move in moves]
 
 
 def _image_index(side: int, perm, i: int) -> int:

@@ -374,6 +374,31 @@ class TestCitationSpelling:
         assert script.lines[-1].justification.refs == (1, 2)
         assert check_proof(script, registry).valid
 
+    # re and rm cite exactly one line, spelt as mp and cpl spell theirs: "+1" is no line number.
+    MONOTONIC = {
+        "re": "system: FCP_2\ngoal: O p <-> O ~~p\n1. p <-> ~~p ; taut\n2. O p <-> O ~~p ; re {} O",
+        "rm": "system: FCP_3\ngoal: O p -> O(p | q)\n1. p -> (p | q) ; taut\n"
+              "2. O p -> O(p | q) ; rm {} O",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MONOTONIC))
+    def test_re_and_rm_cite_one_line(self, registry, kind):
+        script = parse_proof_script(self.MONOTONIC[kind].format("1"))
+        assert script.lines[-1].justification.refs == (1,)
+        assert check_proof(script, registry).valid
+
+    @pytest.mark.parametrize("kind", sorted(MONOTONIC))
+    @pytest.mark.parametrize("ref, message", [
+        ("+1", "cited line '+1' is not a line number"),
+        ("x", "cited line 'x' is not a line number"),
+        ("1 1", "needs a line number and a modality"),
+        ("", "needs a line number and a modality"),
+    ])
+    def test_re_and_rm_refuse_what_mp_refuses(self, kind, ref, message):
+        with pytest.raises(ValueError) as info:
+            parse_proof_script(self.MONOTONIC[kind].format(ref))
+        assert str(info.value).startswith("line 2: ") and message in str(info.value)
+
 
 def test_a_parse_error_keeps_its_class_when_its_line_is_named():
     # A library caller can still catch the ParseError and read its position in the formula.
