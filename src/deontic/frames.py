@@ -152,24 +152,28 @@ def _terms(no: frozenset[int], has: list[int], full: int, prop: FrameProperty):
     if prop is P.AFCP_O:
         return (((x, full ^ o, None, None), has[x | full ^ o] & ~has[x])
                 for o in sorted(no) for x in masks)
+    # Each stream skips the pairs whose term an earlier pair repeats: AFCP_P's and IFCP_P's are
+    # symmetric in x, y and 0 at x = y; the others read x | y and x, which y - x gives first.
     if prop is P.AFCP_P:
         free = [x for x in masks if full ^ x not in no]
-        return (((x, y, None, None), has[x | y] & ~(has[x] & has[y])) for x in free for y in free)
+        return (((x, y, None, None), has[x | y] & ~(has[x] & has[y]))
+                for i, x in enumerate(free) for y in free[i + 1:])
     if prop is P.AFCP2_P:
         return (((x, y, None, None), has[x | y] & ~has[x])
-                for x in masks if full ^ x not in no for y in masks)
+                for x in masks if full ^ x not in no for y in masks if x & y == 0)
     if prop is P.IFCP_O:
         ordered = sorted(no)
         first = [next((z for z in ordered if z & y == 0), None) for y in masks]
         return (((x, y, first[y], None), has[x | y] & ~has[x])
-                for x in masks for y in masks if first[y] is not None)
+                for x in masks for y in masks if x & y == 0 and first[y] is not None)
     if prop is P.IFCP_P or prop is P.IFCP2_P:
         sub = _pw_subset_witness(full, no)
         if prop is P.IFCP_P:
+            xs = [x for x in masks if sub[x] is not None]
             return (((x, y, sub[x], sub[y]), has[x | y] & ~(has[x] & has[y]))
-                    for x in masks if sub[x] is not None for y in masks if sub[y] is not None)
+                    for i, x in enumerate(xs) for y in xs[i + 1:])
         return (((x, y, sub[x], None), has[x | y] & ~has[x])
-                for x in masks if sub[x] is not None for y in masks)
+                for x in masks if sub[x] is not None for y in masks if x & y == 0)
     raise ValueError(f"unhandled frame property {prop!r}")
 
 

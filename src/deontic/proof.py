@@ -207,10 +207,10 @@ def _parse_justification(text: str) -> Justification:
             raise ValueError(f"cpl needs at least one cited line: {text!r}")
         return Justification("cpl", refs=refs)
     if kind in ("re", "rm"):
-        *cited, box = rest.split() or [""]
-        if box not in _BOXES or len(refs := _parse_refs(" ".join(cited))) != 1:
+        parts = rest.split()
+        if len(parts) != 2 or parts[1] not in _BOXES or len(refs := _parse_refs(parts[0])) != 1:
             raise ValueError(f"{kind} needs a line number and a modality (O, Ps, Pw): {text!r}")
-        return Justification(kind, refs=refs, modality=box)
+        return Justification(kind, refs=refs, modality=parts[1])
     if kind in _GUARDED_FORMS:
         m = _GUARDED_FORMS[kind].match(rest)
         if not m:

@@ -56,11 +56,11 @@ In the one-world walk each canonical ``N_O`` column is a row of bitsets over
 the indices of its ``N_P`` block: the canonical ones (no permutation fixing
 the column maps them below themselves, one bitset per permutation) and the
 pruned ones.  One call finds the first live (row, ``N_P`` index) falsified:
-for a rule where its frame condition fails; for a schema or formula where a
-``frames.ColumnPlan`` walk over (row, column, subset assignment) bits finds
-its body false at world 1.  World 1 alone needs deciding: a target false
-at an empty world is already false on a one-world frame with empty
-neighbourhoods, tried first.  The counts are popcounts up to that first
+for a rule where its frame condition fails (nowhere if it is required); for
+a schema or formula where a ``frames.ColumnPlan`` walk over (row, column,
+subset assignment) bits finds its body false at world 1.  World 1 alone
+needs deciding: a target false at an empty world is already false on a
+one-world frame with empty neighbourhoods, tried first.  The counts are popcounts up to that first
 candidate, taken after the call, so a budget stop counts none undecided.
 A deeper formula's frames are decided one at a time, by
 ``frames.find_schema_violation``.  The found frame alone is named
@@ -242,21 +242,20 @@ def _index_tables(perms, cols: list[frozenset[int]], tick) -> list[tuple[int, ..
     other table composes a swap's with one built before it, breadth-first from the identity:
     s∘r maps column i to ``table_s[table_r[i]]``.  ``tick()`` runs per table."""
     index = {col: i for i, col in enumerate(cols)}
-    moves = [tuple(p[1][1 << w].bit_length() - 1 for w in range(len(p[0]))) for p in perms]
-    built = {}
-    for perm, move in zip(perms, moves):
-        if sum(w != v for w, v in enumerate(move)) == 2:
+    built = {}  # by inverse permutation, ``perm[0]``
+    for perm in perms:
+        if sum(w != v for w, v in enumerate(perm[0])) == 2:
             tick()
-            built[move] = tuple([index[_image_col(perm, col)] for col in cols])
+            built[perm[0]] = tuple([index[_image_col(perm, col)] for col in cols])
     swaps, queue = list(built.items()), list(built)
     for r in queue:  # grows as it is read
         for s, table in swaps:
-            move = tuple([s[w] for w in r])
-            if move not in built:
+            key = tuple([r[w] for w in s])  # (s∘r)⁻¹ = r⁻¹∘s, a swap being its own inverse
+            if key not in built:
                 tick()
-                built[move] = tuple(map(table.__getitem__, built[r]))
-                queue.append(move)
-    return [built[move] for move in moves]
+                built[key] = tuple(map(table.__getitem__, built[r]))
+                queue.append(key)
+    return [built[perm[0]] for perm in perms]
 
 
 def _image_index(side: int, perm, i: int) -> int:
@@ -458,10 +457,11 @@ def _search(target, required, bounds, clock) -> CountermodelReport:
             hit = _walk_candidates(n, cols, perms, live, falsified, report, tick)
         else:
             if body is None:
-                prop = frozenset({GUARDED_RULES[target].prop})
+                # Live columns already meet ``checked``: a required rule condition is not read.
+                prop = frozenset({GUARDED_RULES[target].prop}) - checked
                 first = lambda rows: next(  # read row by row, up to the first failing column
                     ((r, (hit & -hit).bit_length() - 1) for r, (no, live) in enumerate(rows)
-                     if (hit := live and conditions.failing(no, prop) & live)), None)
+                     if (hit := live and prop and conditions.failing(no, prop) & live)), None)
             else:
                 first = ColumnPlan(n, body, variables, np_cols, tick).first
             hit = _walk_blocks(n, no_cols, blocks, pruned, first, report, tick)
